@@ -7,6 +7,10 @@
 #   SNORLAX_CHECK_TSAN=1 scripts/check.sh   additionally builds with
 #                                           -DSNORLAX_SANITIZE=thread and runs
 #                                           the concurrency label under TSan.
+#   SNORLAX_CHECK_ASAN=1 scripts/check.sh   additionally builds with
+#                                           -DSNORLAX_SANITIZE=address and runs
+#                                           every test but the fuzz and
+#                                           perf-smoke labels under ASan+UBSan.
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
@@ -50,6 +54,16 @@ if [[ "${SNORLAX_CHECK_TSAN:-0}" == "1" ]]; then
         -DCMAKE_BUILD_TYPE=RelWithDebInfo
   cmake --build "${BUILD_DIR}-tsan" -j "${JOBS}"
   ctest --test-dir "${BUILD_DIR}-tsan" --output-on-failure -L concurrency
+fi
+
+if [[ "${SNORLAX_CHECK_ASAN:-0}" == "1" ]]; then
+  # fuzz is left out for cost (about 10x slower under ASan), perf-smoke
+  # because ASan distorts the timing ratios those tests gate on.
+  echo "== ASan+UBSan: all but fuzz and perf-smoke =="
+  cmake -B "${BUILD_DIR}-asan" -S . -DSNORLAX_SANITIZE=address \
+        -DCMAKE_BUILD_TYPE=RelWithDebInfo
+  cmake --build "${BUILD_DIR}-asan" -j "${JOBS}"
+  ctest --test-dir "${BUILD_DIR}-asan" --output-on-failure -j "${JOBS}" -LE "fuzz|perf-smoke"
 fi
 
 echo "== all checks passed =="

@@ -71,10 +71,10 @@ Status DiagnosisServer::ValidateBundle(const pt::PtTraceBundle& bundle,
   return Status::Ok();
 }
 
-support::Result<std::unique_ptr<trace::ProcessedTrace>> DiagnosisServer::IngestBundle(
+support::Result<std::shared_ptr<const trace::ProcessedTrace>> DiagnosisServer::IngestBundle(
     const pt::PtTraceBundle& bundle) const {
   try {
-    return std::make_unique<trace::ProcessedTrace>(module_, bundle, options_.trace);
+    return std::make_shared<const trace::ProcessedTrace>(module_, bundle, options_.trace);
   } catch (const std::exception& e) {
     // Crash barrier: a corruption pattern the hardened paths above did not
     // anticipate must cost one bundle, not the whole diagnosis service.
@@ -106,7 +106,7 @@ uint64_t DiagnosisServer::BundleContentKey(const pt::PtTraceBundle& bundle) {
   return h;
 }
 
-support::Result<std::unique_ptr<trace::ProcessedTrace>> DiagnosisServer::DecodeBundle(
+support::Result<std::shared_ptr<const trace::ProcessedTrace>> DiagnosisServer::DecodeBundle(
     const pt::PtTraceBundle& bundle, double* decode_seconds, bool* cache_hit,
     uint64_t* content_key) {
   const auto start = std::chrono::steady_clock::now();
@@ -122,20 +122,19 @@ support::Result<std::unique_ptr<trace::ProcessedTrace>> DiagnosisServer::DecodeB
     std::lock_guard<std::mutex> lock(mu_);
     if (const auto* memo = decode_cache_.Find<engine::ProcessedTraceArtifact>(
             engine::ArtifactKind::kProcessedTrace, key)) {
-      // Copy the memoized trace out: each submission still appends its own
-      // evidence; only the packet decoding is skipped.
-      auto copy = std::make_unique<trace::ProcessedTrace>(*memo->trace);
+      // Each submission appends the shared trace as its own evidence; only
+      // the packet decoding is skipped.
+      std::shared_ptr<const trace::ProcessedTrace> shared = memo->trace;
       *decode_seconds = SecondsSince(start);
       *cache_hit = true;
-      return copy;
+      return shared;
     }
   }
   auto ingested = IngestBundle(bundle);
   if (ingested.ok() && options_.use_analysis_cache) {
     std::lock_guard<std::mutex> lock(mu_);
     decode_cache_.Put(engine::ArtifactKind::kProcessedTrace, key,
-                      engine::ProcessedTraceArtifact{
-                          std::make_shared<const trace::ProcessedTrace>(*ingested.value())});
+                      engine::ProcessedTraceArtifact{ingested.value()});
   }
   *decode_seconds = SecondsSince(start);
   return ingested;
@@ -195,7 +194,7 @@ Status DiagnosisServer::SubmitFailingTrace(const pt::PtTraceBundle& bundle) {
     RecordRejectionLocked("failing bundle rejected", ingested.status());
     return ingested.status();
   }
-  std::unique_ptr<trace::ProcessedTrace> processed = ingested.take();
+  std::shared_ptr<const trace::ProcessedTrace> processed = ingested.take();
   engine_.RecordTraceProcess(decode_seconds, decode_hit);
   // Degradation accrues even for bundles rejected below: a decoded-but-empty
   // bundle still tells the operator what corruption ate it.
@@ -264,7 +263,7 @@ Status DiagnosisServer::SubmitSuccessTrace(const pt::PtTraceBundle& bundle) {
           options_.success_trace_multiplier * engine_.failing_traces().size()) {
     return Status::Ok();
   }
-  std::unique_ptr<trace::ProcessedTrace> processed = ingested.take();
+  std::shared_ptr<const trace::ProcessedTrace> processed = ingested.take();
   engine_.RecordTraceProcess(decode_seconds, decode_hit);
   degradation_.MergeFrom(processed->degradation());
   if (!processed->HasEvidence()) {
@@ -323,12 +322,11 @@ void DiagnosisServer::ApplyRecordLocked(engine::SiteRecord&& record, bool persis
       // Served from disk, not re-decoded: a kTraceProcess cache hit.
       engine_.RecordTraceProcess(0.0, /*cache_hit=*/true);
       degradation_.MergeFrom(t->degradation());
-      auto copy = std::make_unique<trace::ProcessedTrace>(*t);
       if (failing) {
         try {
           // Restore runs without a deadline: with the artifacts imported
           // above every pass is a cache hit, so this is bounded work.
-          (void)engine_.AddFailingTrace(std::move(copy), engine::CancelToken());
+          (void)engine_.AddFailingTrace(std::move(t), engine::CancelToken());
         } catch (const std::exception& e) {
           RecordRejectionLocked("restore pipeline crash barrier",
                                 Status::Error(StatusCode::kInternal, e.what()));
@@ -339,7 +337,7 @@ void DiagnosisServer::ApplyRecordLocked(engine::SiteRecord&& record, bool persis
         degradation_.slice_fallback =
             degradation_.slice_fallback || engine_.used_slice_fallback();
       } else {
-        engine_.AddSuccessTrace(std::move(copy));
+        engine_.AddSuccessTrace(std::move(t));
       }
       site_log_.push_back(EvidenceRef{record.type, record.key});
       if (persist &&

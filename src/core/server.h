@@ -277,7 +277,7 @@ class DiagnosisServer {
   // Decodes `bundle` behind a crash barrier: any exception a hardening gap
   // lets through becomes a rejected bundle, never a server crash. Runs
   // lock-free; the caller merges the trace's degradation under the lock.
-  support::Result<std::unique_ptr<trace::ProcessedTrace>> IngestBundle(
+  support::Result<std::shared_ptr<const trace::ProcessedTrace>> IngestBundle(
       const pt::PtTraceBundle& bundle) const;
   void RecordRejectionLocked(const char* what, const support::Status& status);
   // Maps engine stage counts + the pass table into the wire-stable StageStats.
@@ -288,9 +288,11 @@ class DiagnosisServer {
   // the decode-memo key. Two bundles with equal keys decode to equal traces.
   static uint64_t BundleContentKey(const pt::PtTraceBundle& bundle);
   // Returns the decoded trace for `bundle`, serving byte-identical repeats
-  // from the decode memo (a kTraceProcess cache hit) when caching is on.
+  // from the decode memo (a kTraceProcess cache hit) when caching is on. A
+  // hit hands out the memoized trace itself: traces are immutable, so the
+  // memo and every submission of the bundle share one object.
   // Sets *decode_seconds to the wall time spent and *cache_hit accordingly.
-  support::Result<std::unique_ptr<trace::ProcessedTrace>> DecodeBundle(
+  support::Result<std::shared_ptr<const trace::ProcessedTrace>> DecodeBundle(
       const pt::PtTraceBundle& bundle, double* decode_seconds, bool* cache_hit,
       uint64_t* content_key);
   // Appends one piece of accepted evidence to the durable log (and the

@@ -20,6 +20,7 @@
 #include "analysis/points_to.h"
 #include "analysis/type_rank.h"
 #include "engine/statistical.h"
+#include "support/hash.h"
 #include "trace/processed_trace.h"
 
 namespace snorlax::engine {
@@ -40,9 +41,9 @@ inline constexpr size_t kNumArtifactKinds = 8;
 
 const char* ArtifactKindName(ArtifactKind kind);
 
-// splitmix64 finalizer; the content-hash primitive for every artifact key.
-uint64_t Mix64(uint64_t x);
-uint64_t HashCombine(uint64_t seed, uint64_t v);
+// The content-hash primitives every artifact key is built from.
+using support::HashCombine;
+using support::Mix64;
 
 // The executed set recovered from a failing trace's control flow. The set
 // itself stays inside the ProcessedTrace; the artifact records its identity
@@ -97,8 +98,9 @@ struct F1ScoresArtifact {
 // A decoded bundle, memoized by a content hash of the *raw* bundle (thread
 // byte streams + failure record). A fleet replaying the same interleaving --
 // retransmissions, crash loops, the steady state of a widespread bug -- skips
-// packet decoding entirely; the trace is copied out so each submission still
-// appends independent evidence.
+// packet decoding entirely. The trace is immutable, so each submission
+// appends the same shared object as its evidence, and its cached
+// ContentKey() comes along with it.
 struct ProcessedTraceArtifact {
   std::shared_ptr<const trace::ProcessedTrace> trace;
 };

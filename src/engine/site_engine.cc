@@ -22,30 +22,6 @@ double SecondsSince(const std::chrono::steady_clock::time_point& start) {
   return std::chrono::duration<double>(std::chrono::steady_clock::now() - start).count();
 }
 
-// Pattern computation consumes the partially-ordered dynamic trace, so its
-// key must cover the exact instance sequence and every per-thread clock
-// verdict that alters the partial order.
-uint64_t TraceContentKey(const trace::ProcessedTrace& failing) {
-  uint64_t h = Mix64(failing.size());
-  for (uint32_t i = 0; i < failing.size(); ++i) {
-    h = HashCombine(h, (static_cast<uint64_t>(failing.inst(i)) << 32) | failing.thread(i));
-    h = HashCombine(h,
-                    (static_cast<uint64_t>(failing.seq(i)) << 1) | (failing.at_failure(i) ? 1 : 0));
-    h = HashCombine(h, failing.ts_lo_ns(i));
-    h = HashCombine(h, failing.ts_ns(i));
-  }
-  uint64_t suspects = 0;
-  std::unordered_set<rt::ThreadId> threads_seen;
-  for (uint32_t i = 0; i < failing.size(); ++i) {
-    if (threads_seen.insert(failing.thread(i)).second && failing.ClockSuspect(failing.thread(i))) {
-      suspects += Mix64(failing.thread(i));
-    }
-  }
-  h = HashCombine(h, suspects);
-  h = HashCombine(h, failing.timestamps_unreliable() ? 1 : 0);
-  return h;
-}
-
 // Order-sensitive digest of a ranked-candidate list: the A/B mode's equality
 // check between the demand and exhaustive solver tiers.
 uint64_t RankedDigest(const RankedCandidatesArtifact& a) {
@@ -123,7 +99,7 @@ void SiteEngine::RecordTraceProcess(double seconds, bool cache_hit) {
   last_trace_process_hit_ = cache_hit;
 }
 
-void SiteEngine::AddSuccessTrace(std::unique_ptr<trace::ProcessedTrace> success) {
+void SiteEngine::AddSuccessTrace(std::shared_ptr<const trace::ProcessedTrace> success) {
   success_traces_.push_back(std::move(success));
   // Statistical confirmation is now stale; nothing upstream of kScore reads
   // success traces, so no other artifact is dirtied.
@@ -346,9 +322,10 @@ void SiteEngine::MergePatterns(const PatternSetArtifact& computed) {
   // Append-only with a total-order final sort, so streaming arrival order
   // cannot change the report.
   for (const BugPattern& p : computed.patterns) {
+    const std::string key = p.Key();
     bool duplicate = false;
     for (const BugPattern& existing : patterns_) {
-      if (existing.Key() == p.Key()) {
+      if (existing.Key() == key) {
         duplicate = true;
         break;
       }
@@ -360,7 +337,7 @@ void SiteEngine::MergePatterns(const PatternSetArtifact& computed) {
   }
 }
 
-Status SiteEngine::AddFailingTrace(std::unique_ptr<trace::ProcessedTrace> failing,
+Status SiteEngine::AddFailingTrace(std::shared_ptr<const trace::ProcessedTrace> failing,
                                    const CancelToken& cancel) {
   const trace::ProcessedTrace& t = *failing;
   // Retained up front: even a deadline-aborted pipeline keeps the trace as
@@ -490,7 +467,10 @@ Status SiteEngine::AddFailingTrace(std::unique_ptr<trace::ProcessedTrace> failin
     if (cancel.Expired()) {
       return deadline(PassId::kPatterns);
     }
-    const uint64_t trace_key = TraceContentKey(t);
+    // Pattern computation consumes the partially-ordered dynamic trace, so
+    // its key covers the exact instance sequence and every per-thread clock
+    // verdict that alters the partial order (cached on the shared trace).
+    const uint64_t trace_key = t.ContentKey();
     const uint64_t patterns_key = PatternsKey(rank_key, trace_key);
     PatternSetArtifact pattern_set =
         execute(PassId::kPatterns, ArtifactKind::kPatternSet, patterns_key, patterns_reason,
@@ -813,15 +793,5 @@ const char* ArtifactKindName(ArtifactKind kind) {
   }
   return "unknown";
 }
-
-uint64_t Mix64(uint64_t x) {
-  // splitmix64 finalizer: cheap, well-distributed.
-  x += 0x9e3779b97f4a7c15ull;
-  x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ull;
-  x = (x ^ (x >> 27)) * 0x94d049bb133111ebull;
-  return x ^ (x >> 31);
-}
-
-uint64_t HashCombine(uint64_t seed, uint64_t v) { return Mix64(seed ^ Mix64(v)); }
 
 }  // namespace snorlax::engine

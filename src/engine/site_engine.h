@@ -110,9 +110,11 @@ class SiteEngine {
   // checked at every pass boundary; on expiry the remaining passes are
   // skipped and kDeadlineExceeded returned -- the trace is still retained as
   // scoring evidence and every artifact already produced stays valid.
-  support::Status AddFailingTrace(std::unique_ptr<trace::ProcessedTrace> failing,
+  // Traces are shared, not copied: the engine holds the same immutable
+  // object as the decode memo.
+  support::Status AddFailingTrace(std::shared_ptr<const trace::ProcessedTrace> failing,
                                   const CancelToken& cancel);
-  void AddSuccessTrace(std::unique_ptr<trace::ProcessedTrace> success);
+  void AddSuccessTrace(std::shared_ptr<const trace::ProcessedTrace> success);
   // Steps 2-3 run in the ingest layer (decode happens outside the server
   // lock); it reports its time here so the whole pipeline reads off one
   // table. `cache_hit` marks a bundle served from the decode memo (the raw
@@ -149,10 +151,10 @@ class SiteEngine {
   uint64_t durable_append_failures() const { return durable_append_failures_; }
 
   // -- Introspection (same serialization caveats as the calls above) --
-  const std::vector<std::unique_ptr<trace::ProcessedTrace>>& failing_traces() const {
+  const std::vector<std::shared_ptr<const trace::ProcessedTrace>>& failing_traces() const {
     return failing_traces_;
   }
-  const std::vector<std::unique_ptr<trace::ProcessedTrace>>& success_traces() const {
+  const std::vector<std::shared_ptr<const trace::ProcessedTrace>>& success_traces() const {
     return success_traces_;
   }
   const analysis::PointsToResult* points_to() const { return points_to_.get(); }
@@ -222,8 +224,8 @@ class SiteEngine {
   EngineOptions options_;
   ArtifactStore store_;
 
-  std::vector<std::unique_ptr<trace::ProcessedTrace>> failing_traces_;
-  std::vector<std::unique_ptr<trace::ProcessedTrace>> success_traces_;
+  std::vector<std::shared_ptr<const trace::ProcessedTrace>> failing_traces_;
+  std::vector<std::shared_ptr<const trace::ProcessedTrace>> success_traces_;
 
   // Module pre-processing shared across traces (built on first use).
   std::unique_ptr<analysis::FailureChainIndex> chain_index_;

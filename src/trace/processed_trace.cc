@@ -4,6 +4,7 @@
 #include <numeric>
 
 #include "support/check.h"
+#include "support/hash.h"
 #include "support/profiler.h"
 #include "support/str.h"
 
@@ -69,6 +70,13 @@ ProcessedTrace::ProcessedTrace(const ir::Module* module, const pt::PtTraceBundle
   // One scratch buffer reused across every thread: decode capacity is paid
   // once for the largest thread instead of re-grown per thread.
   pt::DecodedThreadTrace decoded;
+  // Each entry's instances form one run in program order. When the runs
+  // have distinct threads and non-decreasing clocks, SortAndIndex merges
+  // them instead of sorting.
+  std::vector<ThreadRun> runs;
+  runs.reserve(bundle.threads.size());
+  bool runs_ordered = true;
+  uint32_t at_failure_append = kNoInstance;
   for (const pt::PtTraceBundle::PerThread& per : bundle.threads) {
     decoder.DecodeThreadInto(per, bundle.config, bundle.snapshot_time_ns, &decoded);
     ++degradation_.threads_total;
@@ -96,25 +104,32 @@ ProcessedTrace::ProcessedTrace(const ir::Module* module, const pt::PtTraceBundle
     } else {
       ++degradation_.threads_dropped;
     }
-    // One reservation covers the whole thread (plus the appended failure
-    // point and deadlock waiters): column growth is O(threads), not
-    // O(events).
-    const size_t add = decoded.events.size() + 1 + failure_.deadlock_cycle.size();
-    col_inst_.reserve(col_inst_.size() + add);
-    col_thread_.reserve(col_thread_.size() + add);
-    col_seq_.reserve(col_seq_.size() + add);
-    col_ts_lo_.reserve(col_ts_lo_.size() + add);
-    col_ts_.reserve(col_ts_.size() + add);
-    col_flags_.reserve(col_flags_.size() + add);
+    // Reserve the whole thread (plus the appended failure point and deadlock
+    // waiters) at once, growing geometrically: column growth is amortized
+    // O(events) however many threads the bundle has.
+    const size_t need =
+        col_inst_.size() + decoded.events.size() + 1 + failure_.deadlock_cycle.size();
+    if (need > col_inst_.capacity()) {
+      const size_t cap = std::max(need, 2 * col_inst_.capacity());
+      col_inst_.reserve(cap);
+      col_thread_.reserve(cap);
+      col_seq_.reserve(cap);
+      col_ts_lo_.reserve(cap);
+      col_ts_.reserve(cap);
+      col_flags_.reserve(cap);
+    }
+    ThreadRun run;
+    run.thread = per.thread;
+    run.begin = static_cast<uint32_t>(col_inst_.size());
     uint32_t seq = 0;
     uint64_t prev_ts = 0;
     for (const pt::DecodedEvent& ev : decoded.events) {
-      executed_.insert(ev.inst);
       // Per-thread retirement must be monotonic (the encoder's clock only
       // moves forward); a regression here is decoder-salvaged corruption.
       if (ev.ts_ns < prev_ts) {
         ++degradation_.clock_anomalies;
         clock_suspect_threads_.insert(per.thread);
+        runs_ordered = false;
       }
       prev_ts = ev.ts_ns;
       AppendInstance(ev.inst, per.thread, seq++, ev.ts_lo_ns, ev.ts_ns, false);
@@ -125,16 +140,36 @@ ProcessedTrace::ProcessedTrace(const ir::Module* module, const pt::PtTraceBundle
     // report also locates every blocked thread's pending acquisition.
     if (failure_.IsFailure() && failure_.thread == per.thread &&
         failure_.failing_inst != ir::kInvalidInstId) {
-      executed_.insert(failure_.failing_inst);
+      // Trace order puts the failure point last whatever its timestamp, so
+      // the merge sets it aside instead of checking its clock.
+      at_failure_append = static_cast<uint32_t>(col_inst_.size());
       AppendInstance(failure_.failing_inst, per.thread, seq++, failure_.time_ns,
                      failure_.time_ns, true);
     }
     for (const rt::FailureInfo::DeadlockWaiter& w : failure_.deadlock_cycle) {
       if (w.thread == per.thread && w.inst != ir::kInvalidInstId &&
           !(w.thread == failure_.thread && w.inst == failure_.failing_inst)) {
-        executed_.insert(w.inst);
+        // A waiter that blocked before the thread's last decoded event
+        // leaves the run out of timestamp order.
+        if (w.block_time_ns < prev_ts) {
+          runs_ordered = false;
+        }
+        prev_ts = w.block_time_ns;
         AppendInstance(w.inst, per.thread, seq++, w.block_time_ns, w.block_time_ns, false);
       }
+    }
+    run.end = static_cast<uint32_t>(col_inst_.size());
+    if (run.end > run.begin) {
+      runs.push_back(run);
+    }
+  }
+  // The merge breaks timestamp ties by thread id, so it needs one run per
+  // thread.
+  std::sort(runs.begin(), runs.end(),
+            [](const ThreadRun& a, const ThreadRun& b) { return a.thread < b.thread; });
+  for (size_t r = 1; r < runs.size(); ++r) {
+    if (runs[r - 1].thread == runs[r].thread) {
+      runs_ordered = false;
     }
   }
 
@@ -154,29 +189,83 @@ ProcessedTrace::ProcessedTrace(const ir::Module* module, const pt::PtTraceBundle
         clock_suspect_threads_.size()));
   }
 
-  SortAndIndex();
+  SortAndIndex(runs, runs_ordered, at_failure_append);
 }
 
-void ProcessedTrace::SortAndIndex() {
+void ProcessedTrace::SortAndIndex(const std::vector<ThreadRun>& runs, bool runs_ordered,
+                                  uint32_t at_failure_append) {
   const uint32_t n = static_cast<uint32_t>(col_inst_.size());
-  // Sort a permutation, then gather each column through it: one comparator
-  // pass touching four columns, six cache-friendly linear applies.
-  std::vector<uint32_t> perm(n);
-  std::iota(perm.begin(), perm.end(), 0u);
-  std::sort(perm.begin(), perm.end(), [&](uint32_t a, uint32_t b) {
-    const bool fa = (col_flags_[a] & kAtFailureBit) != 0;
-    const bool fb = (col_flags_[b] & kAtFailureBit) != 0;
-    if (fa != fb) {
-      return fb;  // the failure point sorts last
+  // perm[i] = the append index of the instance at trace position i.
+  std::vector<uint32_t> perm;
+  if (runs_ordered) {
+    // k-way merge of the runs by (ts, thread): within a run the clock never
+    // decreases, so append order is already (ts, seq) order. Each step
+    // drains the smallest run up to the next run's head.
+    perm.reserve(n);
+    struct Head {
+      uint64_t ts;
+      rt::ThreadId thread;
+      uint32_t next;
+      uint32_t end;
+    };
+    const auto after = [](const Head& a, const Head& b) {
+      return a.ts != b.ts ? a.ts > b.ts : a.thread > b.thread;
+    };
+    const auto skip_failure = [&](Head& h) {
+      if (h.next == at_failure_append) {
+        ++h.next;
+      }
+      if (h.next < h.end) {
+        h.ts = col_ts_[h.next];
+      }
+    };
+    std::vector<Head> heap;
+    heap.reserve(runs.size());
+    for (const ThreadRun& run : runs) {
+      Head h{0, run.thread, run.begin, run.end};
+      skip_failure(h);
+      if (h.next < h.end) {
+        heap.push_back(h);
+      }
     }
-    if (col_ts_[a] != col_ts_[b]) {
-      return col_ts_[a] < col_ts_[b];
+    std::make_heap(heap.begin(), heap.end(), after);
+    while (!heap.empty()) {
+      std::pop_heap(heap.begin(), heap.end(), after);
+      Head& h = heap.back();
+      const bool alone = heap.size() == 1;
+      do {
+        perm.push_back(h.next++);
+        skip_failure(h);
+      } while (h.next < h.end && (alone || after(heap.front(), h)));
+      if (h.next < h.end) {
+        std::push_heap(heap.begin(), heap.end(), after);
+      } else {
+        heap.pop_back();
+      }
     }
-    if (col_thread_[a] != col_thread_[b]) {
-      return col_thread_[a] < col_thread_[b];
+    if (at_failure_append != kNoInstance) {
+      perm.push_back(at_failure_append);  // the failure point sorts last
     }
-    return col_seq_[a] < col_seq_[b];
-  });
+  } else {
+    // Sort a permutation: one comparator pass touching four columns.
+    perm.resize(n);
+    std::iota(perm.begin(), perm.end(), 0u);
+    std::sort(perm.begin(), perm.end(), [&](uint32_t a, uint32_t b) {
+      const bool fa = (col_flags_[a] & kAtFailureBit) != 0;
+      const bool fb = (col_flags_[b] & kAtFailureBit) != 0;
+      if (fa != fb) {
+        return fb;  // the failure point sorts last
+      }
+      if (col_ts_[a] != col_ts_[b]) {
+        return col_ts_[a] < col_ts_[b];
+      }
+      if (col_thread_[a] != col_thread_[b]) {
+        return col_thread_[a] < col_thread_[b];
+      }
+      return col_seq_[a] < col_seq_[b];
+    });
+  }
+  // Gather each column through the permutation: six linear applies.
   const auto gather = [&](auto& col) {
     auto tmp = col;
     for (uint32_t i = 0; i < n; ++i) {
@@ -191,72 +280,155 @@ void ProcessedTrace::SortAndIndex() {
   gather(col_ts_);
   gather(col_flags_);
 
-  for (uint32_t i = 0; i < n; ++i) {
-    uint32_t& last = last_seq_[col_thread_[i]];
-    if (col_seq_[i] > last) {
-      last = col_seq_[i];
-    }
-    if (failure_.IsFailure() && col_inst_[i] == failure_.failing_inst &&
-        col_thread_[i] == failure_.thread && col_ts_[i] == failure_.time_ns) {
-      failing_index_ = i;
+  if (failure_.IsFailure()) {
+    for (uint32_t i = 0; i < n; ++i) {
+      if (col_inst_[i] == failure_.failing_inst && col_thread_[i] == failure_.thread &&
+          col_ts_[i] == failure_.time_ns) {
+        failing_index_ = i;
+      }
     }
   }
 
-  // Flat instance index: the postings array is the positions 0..n-1 grouped
-  // by instruction id (stable, so positions ascend within a group -- the
-  // same order the old map of vectors produced).
-  postings_.resize(n);
-  std::iota(postings_.begin(), postings_.end(), 0u);
-  std::stable_sort(postings_.begin(), postings_.end(),
-                   [&](uint32_t a, uint32_t b) { return col_inst_[a] < col_inst_[b]; });
+  // Flat instance index: a counting sort of the positions by instruction id.
+  // It is stable, so positions ascend within each group.
+  uint32_t max_inst = 0;
+  for (uint32_t i = 0; i < n; ++i) {
+    max_inst = std::max(max_inst, col_inst_[i]);
+  }
+  std::vector<uint32_t> cursor(n == 0 ? 0 : size_t{max_inst} + 1, 0);
+  for (uint32_t i = 0; i < n; ++i) {
+    ++cursor[col_inst_[i]];
+  }
   index_inst_.clear();
   index_offset_.clear();
-  for (uint32_t i = 0; i < n; ++i) {
-    const ir::InstId id = col_inst_[postings_[i]];
-    if (index_inst_.empty() || index_inst_.back() != id) {
+  uint32_t offset = 0;
+  for (uint32_t id = 0; id < cursor.size(); ++id) {
+    const uint32_t count = cursor[id];
+    if (count > 0) {
       index_inst_.push_back(id);
-      index_offset_.push_back(i);
+      index_offset_.push_back(offset);
     }
+    cursor[id] = offset;
+    offset += count;
   }
   index_offset_.push_back(n);
+  postings_.resize(n);
+  for (uint32_t i = 0; i < n; ++i) {
+    postings_[cursor[col_inst_[i]]++] = i;
+  }
+  // Step 2: the executed set is exactly the indexed instruction ids.
+  executed_.reserve(index_inst_.size());
+  executed_.insert(index_inst_.begin(), index_inst_.end());
 
-  FinalizeIndex();
+  if (runs_ordered) {
+    // Per-thread cursors straight from the append order: runs are sorted by
+    // thread id, each already in seq order.
+    std::vector<uint32_t> position(n);
+    for (uint32_t i = 0; i < n; ++i) {
+      position[perm[i]] = i;
+    }
+    thread_events_.resize(n);
+    thread_event_ids_.clear();
+    thread_event_offsets_.clear();
+    uint32_t out = 0;
+    for (const ThreadRun& run : runs) {
+      thread_event_ids_.push_back(run.thread);
+      thread_event_offsets_.push_back(out);
+      for (uint32_t a = run.begin; a < run.end; ++a) {
+        thread_events_[out++] = position[a];
+      }
+    }
+    thread_event_offsets_.push_back(n);
+  }
+  FinalizeIndex(/*thread_events_built=*/runs_ordered);
+
+  // A thread's cursor ascends by seq, so its last entry holds its final seq.
+  last_seq_.reserve(thread_event_ids_.size());
+  for (size_t k = 0; k < thread_event_ids_.size(); ++k) {
+    last_seq_[thread_event_ids_[k]] = col_seq_[thread_events_[thread_event_offsets_[k + 1] - 1]];
+  }
 }
 
-void ProcessedTrace::FinalizeIndex() {
+void ProcessedTrace::FinalizeIndex(bool thread_events_built) {
   SNORLAX_PROFILE("trace.finalize_index");
   const uint32_t n = static_cast<uint32_t>(col_inst_.size());
 
+  if (!thread_events_built) {
+    // Per-thread event cursors: every position grouped by thread, seq-sorted.
+    thread_events_.resize(n);
+    std::iota(thread_events_.begin(), thread_events_.end(), 0u);
+    std::sort(thread_events_.begin(), thread_events_.end(), [&](uint32_t a, uint32_t b) {
+      if (col_thread_[a] != col_thread_[b]) {
+        return col_thread_[a] < col_thread_[b];
+      }
+      return col_seq_[a] < col_seq_[b];
+    });
+    thread_event_ids_.clear();
+    thread_event_offsets_.clear();
+    for (uint32_t i = 0; i < n; ++i) {
+      const rt::ThreadId t = col_thread_[thread_events_[i]];
+      if (thread_event_ids_.empty() || thread_event_ids_.back() != t) {
+        thread_event_ids_.push_back(t);
+        thread_event_offsets_.push_back(i);
+      }
+    }
+    thread_event_offsets_.push_back(n);
+  }
+
   // Establish the documented InstancesOf order: within each instruction's
-  // postings group, ascending ts_ns with ties broken by trace position. The
-  // groups arrive position-sorted (trace order = ts order except the
-  // at-failure instance, which sorts last globally), so the stable sort is
-  // near-linear and idempotent -- decoding a trace serialized after
-  // FinalizeIndex leaves the postings unchanged.
+  // postings group, ascending ts_ns with ties broken by trace position. A
+  // group arrives position-sorted, and trace order is ts order except for
+  // the at-failure instance (last globally), so most groups are already in
+  // order and skip the sort. The sort is idempotent: decoding a trace
+  // serialized after FinalizeIndex leaves the postings unchanged.
+  const auto ts_less = [&](uint32_t a, uint32_t b) { return col_ts_[a] < col_ts_[b]; };
   for (size_t k = 0; k + 1 < index_offset_.size(); ++k) {
     auto begin = postings_.begin() + index_offset_[k];
     auto end = postings_.begin() + index_offset_[k + 1];
-    std::stable_sort(begin, end,
-                     [&](uint32_t a, uint32_t b) { return col_ts_[a] < col_ts_[b]; });
+    if (!std::is_sorted(begin, end, ts_less)) {
+      std::stable_sort(begin, end, ts_less);
+    }
   }
 
   // Second copy of the postings grouped by (instruction, thread), seq-sorted
-  // within each group. Seq order within one (instruction, thread) group is
-  // also position order for clean threads, but a clock-suspect thread can
-  // interleave, so sort by seq explicitly.
-  thread_postings_ = postings_;
+  // within each group.
+  if (thread_events_built) {
+    // The cursors list every position in (thread, seq) order, with unique
+    // keys: bucketing them by instruction group gives each group in exactly
+    // that order.
+    std::vector<uint32_t> group_of(n);
+    for (size_t k = 0; k + 1 < index_offset_.size(); ++k) {
+      for (uint32_t i = index_offset_[k]; i < index_offset_[k + 1]; ++i) {
+        group_of[postings_[i]] = static_cast<uint32_t>(k);
+      }
+    }
+    std::vector<uint32_t> cursor(index_offset_.begin(), index_offset_.end());
+    thread_postings_.resize(n);
+    for (uint32_t pos : thread_events_) {
+      thread_postings_[cursor[group_of[pos]]++] = pos;
+    }
+  } else {
+    // Seq order within one (instruction, thread) group is also position
+    // order for clean threads, but a clock-suspect thread can interleave, so
+    // sort by seq explicitly.
+    thread_postings_ = postings_;
+    for (size_t k = 0; k + 1 < index_offset_.size(); ++k) {
+      std::sort(thread_postings_.begin() + index_offset_[k],
+                thread_postings_.begin() + index_offset_[k + 1], [&](uint32_t a, uint32_t b) {
+                  if (col_thread_[a] != col_thread_[b]) {
+                    return col_thread_[a] < col_thread_[b];
+                  }
+                  return col_seq_[a] < col_seq_[b];
+                });
+    }
+  }
+
   summaries_.clear();
   summaries_.reserve(index_inst_.size());
   thread_spans_.clear();
   for (size_t k = 0; k + 1 < index_offset_.size(); ++k) {
     auto begin = thread_postings_.begin() + index_offset_[k];
     auto end = thread_postings_.begin() + index_offset_[k + 1];
-    std::sort(begin, end, [&](uint32_t a, uint32_t b) {
-      if (col_thread_[a] != col_thread_[b]) {
-        return col_thread_[a] < col_thread_[b];
-      }
-      return col_seq_[a] < col_seq_[b];
-    });
     InstanceSummary summary;
     summary.count = static_cast<uint32_t>(end - begin);
     summary.spans_begin = static_cast<uint32_t>(thread_spans_.size());
@@ -282,7 +454,7 @@ void ProcessedTrace::FinalizeIndex() {
         thread_spans_.push_back(span);
       }
       ThreadSpan& span = thread_spans_.back();
-      if (span.end != off && col_ts_[thread_postings_[off - 1]] > col_ts_[pos]) {
+      if (off != span.begin && col_ts_[thread_postings_[off - 1]] > col_ts_[pos]) {
         span.ts_sorted = false;
       }
       span.end = off + 1;
@@ -312,25 +484,6 @@ void ProcessedTrace::FinalizeIndex() {
     }
   }
 
-  // Per-thread event cursors: every position grouped by thread, seq-sorted.
-  thread_events_.resize(n);
-  std::iota(thread_events_.begin(), thread_events_.end(), 0u);
-  std::sort(thread_events_.begin(), thread_events_.end(), [&](uint32_t a, uint32_t b) {
-    if (col_thread_[a] != col_thread_[b]) {
-      return col_thread_[a] < col_thread_[b];
-    }
-    return col_seq_[a] < col_seq_[b];
-  });
-  thread_event_ids_.clear();
-  thread_event_offsets_.clear();
-  for (uint32_t i = 0; i < n; ++i) {
-    const rt::ThreadId t = col_thread_[thread_events_[i]];
-    if (thread_event_ids_.empty() || thread_event_ids_.back() != t) {
-      thread_event_ids_.push_back(t);
-      thread_event_offsets_.push_back(i);
-    }
-  }
-  thread_event_offsets_.push_back(n);
 }
 
 std::span<const uint32_t> ProcessedTrace::InstancesOf(ir::InstId inst) const {
@@ -359,6 +512,31 @@ std::span<const uint32_t> ProcessedTrace::ThreadEventsOf(rt::ThreadId thread) co
   const size_t k = static_cast<size_t>(it - thread_event_ids_.begin());
   return std::span<const uint32_t>(thread_events_.data() + thread_event_offsets_[k],
                                    thread_event_offsets_[k + 1] - thread_event_offsets_[k]);
+}
+
+uint64_t ProcessedTrace::ContentKey() const {
+  std::call_once(content_key_once_, [this] {
+    using support::HashCombine;
+    using support::Mix64;
+    const uint32_t n = static_cast<uint32_t>(size());
+    uint64_t h = Mix64(n);
+    for (uint32_t i = 0; i < n; ++i) {
+      h = HashCombine(h, (static_cast<uint64_t>(col_inst_[i]) << 32) | col_thread_[i]);
+      h = HashCombine(h, (static_cast<uint64_t>(col_seq_[i]) << 1) | (at_failure(i) ? 1 : 0));
+      h = HashCombine(h, col_ts_lo_[i]);
+      h = HashCombine(h, col_ts_[i]);
+    }
+    // A sum, so the order the threads are visited in does not matter.
+    uint64_t suspects = 0;
+    for (const rt::ThreadId thread : threads()) {
+      if (ClockSuspect(thread)) {
+        suspects += Mix64(thread);
+      }
+    }
+    h = HashCombine(h, suspects);
+    content_key_ = HashCombine(h, timestamps_unreliable() ? 1 : 0);
+  });
+  return content_key_;
 }
 
 bool ProcessedTrace::ExecutesBefore(uint32_t a, uint32_t b) const {

@@ -21,6 +21,7 @@
 #define SNORLAX_TRACE_PROCESSED_TRACE_H_
 
 #include <cstdint>
+#include <mutex>
 #include <span>
 #include <string>
 #include <unordered_map>
@@ -100,6 +101,10 @@ class ProcessedTrace {
 
   ProcessedTrace(const ir::Module* module, const pt::PtTraceBundle& bundle,
                  TraceOptions options = {});
+  // Immutable once built and shared by pointer (decode memo, engine
+  // evidence, durable-log restore); a deep copy is always a mistake.
+  ProcessedTrace(const ProcessedTrace&) = delete;
+  ProcessedTrace& operator=(const ProcessedTrace&) = delete;
 
   // --- Step 2: executed instruction set --------------------------------------
   const std::unordered_set<ir::InstId>& executed() const { return executed_; }
@@ -164,6 +169,8 @@ class ProcessedTrace {
   }
   // Per-thread event cursor: every position of `thread`, ascending by seq.
   std::span<const uint32_t> ThreadEventsOf(rt::ThreadId thread) const;
+  // The distinct threads with at least one instance, ascending by id.
+  std::span<const rt::ThreadId> threads() const { return thread_event_ids_; }
 
   // The partial order: true iff instance `a` is known to execute before `b`.
   bool ExecutesBefore(uint32_t a, uint32_t b) const;
@@ -210,6 +217,12 @@ class ProcessedTrace {
   // True when the surviving buffers yielded at least one event to analyze.
   bool HasEvidence() const { return !col_inst_.empty(); }
 
+  // Content hash of the partial order: the exact instance sequence plus the
+  // per-thread clock verdicts that change it. The engine keys step 6 and its
+  // verdict memo on it. Computed on first call and cached with the trace, so
+  // every holder of a shared trace pays for it once. Thread-safe.
+  uint64_t ContentKey() const;
+
  private:
   // Binary serialization (engine/artifact_codec.cc): cluster hand-off and the
   // durable artifact log ship processed traces between daemon processes so a
@@ -221,15 +234,33 @@ class ProcessedTrace {
   static constexpr uint8_t kAtFailureBit = 0x1;
   static constexpr uint8_t kAccessShift = 1;
 
+  // The instances one PerThread entry appended: [begin, end) in append
+  // order, which is per-thread program order (ascending seq).
+  struct ThreadRun {
+    rt::ThreadId thread = 0;
+    uint32_t begin = 0;
+    uint32_t end = 0;
+  };
+
   void AppendInstance(ir::InstId inst, rt::ThreadId thread, uint32_t seq, uint64_t ts_lo_ns,
                       uint64_t ts_ns, bool at_failure);
-  void SortAndIndex();
+  // Puts the columns in trace order and builds the instance index. With
+  // `runs_ordered` (distinct thread ids, and every run's non-failure
+  // instances in non-decreasing ts_ns) trace order is a k-way merge of the
+  // runs plus the at-failure instance at `at_failure_append` (kNoInstance
+  // when none), and every index structure is built in linear time. Otherwise
+  // a global sort establishes the same order.
+  void SortAndIndex(const std::vector<ThreadRun>& runs, bool runs_ordered,
+                    uint32_t at_failure_append);
   // Establishes the documented InstancesOf sort order and builds the
   // timestamp index (summaries, thread spans, prefix/suffix extrema, thread
   // cursors) from the columns + postings. Called at the end of SortAndIndex
   // and after TraceSerDes::Decode fills the columns directly, so every trace
-  // -- constructed or deserialized -- carries the index.
-  void FinalizeIndex();
+  // -- constructed or deserialized -- carries the index. With
+  // `thread_events_built` the caller has already filled the per-thread
+  // cursors with unique (thread, seq) keys, and the thread postings are
+  // bucketed from them; otherwise both are sorted.
+  void FinalizeIndex(bool thread_events_built = false);
 
   const ir::Module* module_;
   TraceOptions options_;
@@ -274,6 +305,9 @@ class ProcessedTrace {
   size_t threads_in_trace_ = 0;
   std::unordered_set<rt::ThreadId> clock_suspect_threads_;
   DegradationReport degradation_;
+
+  mutable std::once_flag content_key_once_;
+  mutable uint64_t content_key_ = 0;
 };
 
 }  // namespace snorlax::trace

@@ -12,6 +12,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cstddef>
 #include <cstdlib>
 #include <new>
 
@@ -25,18 +26,69 @@ namespace {
 std::atomic<size_t> g_alloc_count{0};
 }  // namespace
 
-void* operator new(size_t size) {
+// Every replaceable allocation form is counted and served from malloc, so
+// each delete form below frees what some new form returned: the nothrow
+// forms (std::stable_sort's temporary buffer) and the over-aligned forms
+// must not fall through to the runtime's own operator new, or a sanitizer
+// runtime reports an alloc-dealloc mismatch.
+namespace {
+void* CountedAlloc(size_t size, size_t align) {
   g_alloc_count.fetch_add(1, std::memory_order_relaxed);
-  if (void* p = std::malloc(size)) {
+  if (size == 0) {
+    size = 1;
+  }
+  if (align <= alignof(std::max_align_t)) {
+    return std::malloc(size);
+  }
+  // aligned_alloc wants a size that is a multiple of the alignment.
+  return std::aligned_alloc(align, (size + align - 1) / align * align);
+}
+}  // namespace
+
+void* operator new(size_t size) {
+  if (void* p = CountedAlloc(size, 0)) {
     return p;
   }
   throw std::bad_alloc();
 }
 void* operator new[](size_t size) { return ::operator new(size); }
+void* operator new(size_t size, const std::nothrow_t&) noexcept {
+  return CountedAlloc(size, 0);
+}
+void* operator new[](size_t size, const std::nothrow_t&) noexcept {
+  return CountedAlloc(size, 0);
+}
+void* operator new(size_t size, std::align_val_t align) {
+  if (void* p = CountedAlloc(size, static_cast<size_t>(align))) {
+    return p;
+  }
+  throw std::bad_alloc();
+}
+void* operator new[](size_t size, std::align_val_t align) {
+  return ::operator new(size, align);
+}
+void* operator new(size_t size, std::align_val_t align, const std::nothrow_t&) noexcept {
+  return CountedAlloc(size, static_cast<size_t>(align));
+}
+void* operator new[](size_t size, std::align_val_t align, const std::nothrow_t&) noexcept {
+  return CountedAlloc(size, static_cast<size_t>(align));
+}
 void operator delete(void* p) noexcept { std::free(p); }
 void operator delete(void* p, size_t) noexcept { std::free(p); }
 void operator delete[](void* p) noexcept { std::free(p); }
 void operator delete[](void* p, size_t) noexcept { std::free(p); }
+void operator delete(void* p, const std::nothrow_t&) noexcept { std::free(p); }
+void operator delete[](void* p, const std::nothrow_t&) noexcept { std::free(p); }
+void operator delete(void* p, std::align_val_t) noexcept { std::free(p); }
+void operator delete[](void* p, std::align_val_t) noexcept { std::free(p); }
+void operator delete(void* p, size_t, std::align_val_t) noexcept { std::free(p); }
+void operator delete[](void* p, size_t, std::align_val_t) noexcept { std::free(p); }
+void operator delete(void* p, std::align_val_t, const std::nothrow_t&) noexcept {
+  std::free(p);
+}
+void operator delete[](void* p, std::align_val_t, const std::nothrow_t&) noexcept {
+  std::free(p);
+}
 
 namespace snorlax::engine {
 namespace {

@@ -1,10 +1,16 @@
 // Unit tests for trace processing (paper steps 2-3): the executed set, the
-// partially-ordered dynamic trace, failure-point handling.
+// partially-ordered dynamic trace, failure-point handling, and the instance
+// index on both of its build paths (linear-time merge and sorting fallback).
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <map>
+#include <set>
+#include <tuple>
 #include <unordered_set>
 
+#include "engine/artifact_codec.h"
+#include "faults/injector.h"
 #include "ir/builder.h"
 #include "pt/driver.h"
 #include "runtime/interpreter.h"
@@ -21,14 +27,15 @@ using ir::IrBuilder;
 using ir::Operand;
 using ir::Reg;
 
-// A crashing two-thread program: worker dereferences a slot main nulls.
+// A crashing program: `workers` threads run one worker function that
+// dereferences a slot main nulls.
 struct CrashProgram {
   std::unique_ptr<ir::Module> module;
   ir::InstId null_store = ir::kInvalidInstId;
   ir::InstId racy_load = ir::kInvalidInstId;
 };
 
-CrashProgram BuildCrashProgram() {
+CrashProgram BuildCrashProgram(int workers = 1) {
   CrashProgram out;
   out.module = std::make_unique<ir::Module>();
   ir::Module& m = *out.module;
@@ -66,7 +73,10 @@ CrashProgram BuildCrashProgram() {
   const Reg value = b.Alloca(i64);
   b.Store(Operand::MakeImm(5), value, i64);
   b.Store(value, mslot, ptr);
-  const Reg t = b.ThreadCreate(worker, Operand::MakeImm(0));
+  std::vector<Reg> threads;
+  for (int w = 0; w < workers; ++w) {
+    threads.push_back(b.ThreadCreate(worker, Operand::MakeImm(w)));
+  }
   // Branchy waiting loop: without branches a thread's trace has no timing
   // packets and its events cannot be ordered against other threads at all.
   const BlockId mhead = b.CreateBlock("mhead");
@@ -84,17 +94,19 @@ CrashProgram BuildCrashProgram() {
   b.SetInsertPoint(mexit);
   b.Store(Operand::MakeImm(0), mslot, ptr);
   out.null_store = b.last_inst();
-  b.ThreadJoin(t);
+  for (const Reg t : threads) {
+    b.ThreadJoin(t);
+  }
   b.RetVoid();
   b.EndFunction();
   return out;
 }
 
-pt::PtTraceBundle CaptureFailure(const CrashProgram& prog) {
+pt::PtTraceBundle CaptureFailure(const CrashProgram& prog, pt::PtConfig config = {}) {
   rt::InterpOptions opts;
   opts.work_jitter = 0.0;
   rt::Interpreter interp(prog.module.get(), opts);
-  pt::PtDriver driver(prog.module.get());
+  pt::PtDriver driver(prog.module.get(), config);
   driver.Attach(&interp);
   const rt::RunResult r = interp.Run("main");
   EXPECT_EQ(r.failure.kind, rt::FailureKind::kCrash);
@@ -217,10 +229,17 @@ TEST(ProcessedTrace, LastSeqOfTracksThreadFinals) {
   EXPECT_EQ(trace.LastSeqOf(9999), 0u);  // unknown thread
 }
 
-TEST(ProcessedTrace, DeadlockWaitersAppended) {
-  // Deterministic ABBA deadlock; both blocked acquisitions must appear.
-  auto m = std::make_unique<ir::Module>();
-  IrBuilder b(m.get());
+// A deterministic ABBA deadlock, captured.
+struct DeadlockCapture {
+  std::unique_ptr<ir::Module> module;
+  pt::PtTraceBundle bundle;
+};
+
+DeadlockCapture CaptureDeadlock() {
+  DeadlockCapture out;
+  out.module = std::make_unique<ir::Module>();
+  ir::Module* m = out.module.get();
+  IrBuilder b(m);
   const GlobalId la = b.CreateLockGlobal("A");
   const GlobalId lb = b.CreateLockGlobal("B");
   auto party = [&](const char* name, GlobalId first, GlobalId second) {
@@ -248,14 +267,23 @@ TEST(ProcessedTrace, DeadlockWaitersAppended) {
   b.RetVoid();
   b.EndFunction();
 
-  rt::Interpreter interp(m.get(), rt::InterpOptions{});
-  pt::PtDriver driver(m.get());
+  rt::Interpreter interp(m, rt::InterpOptions{});
+  pt::PtDriver driver(m);
   driver.Attach(&interp);
   const rt::RunResult r = interp.Run("main");
-  ASSERT_EQ(r.failure.kind, rt::FailureKind::kDeadlock);
-  ProcessedTrace trace(m.get(), *driver.captured());
-  ASSERT_EQ(r.failure.deadlock_cycle.size(), 2u);
-  for (const auto& waiter : r.failure.deadlock_cycle) {
+  EXPECT_EQ(r.failure.kind, rt::FailureKind::kDeadlock);
+  EXPECT_TRUE(driver.captured().has_value());
+  out.bundle = *driver.captured();
+  return out;
+}
+
+TEST(ProcessedTrace, DeadlockWaitersAppended) {
+  // Both blocked acquisitions must appear.
+  const DeadlockCapture cap = CaptureDeadlock();
+  ASSERT_EQ(cap.bundle.failure.kind, rt::FailureKind::kDeadlock);
+  ProcessedTrace trace(cap.module.get(), cap.bundle);
+  ASSERT_EQ(cap.bundle.failure.deadlock_cycle.size(), 2u);
+  for (const auto& waiter : cap.bundle.failure.deadlock_cycle) {
     const auto instances = trace.InstancesOf(waiter.inst);
     bool found = false;
     for (uint32_t d : instances) {
@@ -410,6 +438,376 @@ TEST(ProcessedTraceIndex, ThreadEventsAscendBySeqAndCoverTrace) {
     total += events.size();
   }
   EXPECT_EQ(total, trace.size());
+}
+
+// --- Both index build paths against brute force -----------------------------
+//
+// A bundle whose PerThread entries have distinct thread ids and in-order
+// clocks is indexed by merging the per-thread runs; anything else falls back
+// to sorting, as does a deserialized trace. Either way every accessor must
+// answer what a brute-force pass over the columns computes.
+
+// Every accessor of `t` against a reference computed from its columns alone.
+void ExpectIndexMatchesColumns(const ProcessedTrace& t) {
+  const uint32_t n = static_cast<uint32_t>(t.size());
+  // Trace order: at_failure last, then (ts, thread, seq). Keys tie only when
+  // two entries share a thread id.
+  const auto key = [&](uint32_t i) {
+    return std::make_tuple(t.at_failure(i), t.ts_ns(i), t.thread(i), t.seq(i));
+  };
+  for (uint32_t i = 1; i < n; ++i) {
+    EXPECT_LE(key(i - 1), key(i)) << "trace order broken at position " << i;
+  }
+
+  std::set<ir::InstId> insts;
+  std::set<rt::ThreadId> threads;
+  std::map<rt::ThreadId, uint32_t> last_seq;
+  for (uint32_t i = 0; i < n; ++i) {
+    insts.insert(t.inst(i));
+    threads.insert(t.thread(i));
+    last_seq[t.thread(i)] = std::max(last_seq[t.thread(i)], t.seq(i));
+  }
+  EXPECT_EQ(std::set<ir::InstId>(t.executed().begin(), t.executed().end()), insts);
+  EXPECT_EQ(std::vector<rt::ThreadId>(t.threads().begin(), t.threads().end()),
+            std::vector<rt::ThreadId>(threads.begin(), threads.end()));
+
+  const ir::InstId probe_end = insts.empty() ? 1 : *insts.rbegin() + 2;
+  size_t covered = 0;
+  for (ir::InstId inst = 0; inst < probe_end; ++inst) {
+    // InstancesOf: the positions of `inst`, stably ordered by ts.
+    std::vector<uint32_t> want;
+    for (uint32_t i = 0; i < n; ++i) {
+      if (t.inst(i) == inst) {
+        want.push_back(i);
+      }
+    }
+    std::stable_sort(want.begin(), want.end(),
+                     [&](uint32_t a, uint32_t b) { return t.ts_ns(a) < t.ts_ns(b); });
+    const auto got = t.InstancesOf(inst);
+    EXPECT_EQ(std::vector<uint32_t>(got.begin(), got.end()), want) << "inst " << inst;
+    EXPECT_EQ(t.WasExecuted(inst), !want.empty());
+    const InstanceSummary* summary = t.SummaryOf(inst);
+    if (want.empty()) {
+      EXPECT_EQ(summary, nullptr);
+      continue;
+    }
+    ASSERT_NE(summary, nullptr);
+    EXPECT_EQ(summary->count, want.size());
+    // Per-thread groups of the instruction, each in program order.
+    std::map<rt::ThreadId, std::vector<uint32_t>> by_thread;
+    for (uint32_t pos : want) {
+      by_thread[t.thread(pos)].push_back(pos);
+    }
+    uint64_t min_ts = UINT64_MAX, max_ts = 0, min_lo = UINT64_MAX, max_lo = 0;
+    const auto spans = t.ThreadSpansOf(*summary);
+    ASSERT_EQ(spans.size(), by_thread.size());
+    size_t k = 0;
+    for (auto& [thread, group] : by_thread) {
+      const ThreadSpan& span = spans[k++];
+      EXPECT_EQ(span.thread, thread);
+      const auto got_span = t.SpanInstances(span);
+      ASSERT_EQ(got_span.size(), group.size());
+      // Seq order is exact; positions only differ where seqs tie.
+      std::vector<uint32_t> got_seqs;
+      std::vector<uint32_t> want_seqs;
+      for (size_t j = 0; j < group.size(); ++j) {
+        got_seqs.push_back(t.seq(got_span[j]));
+        want_seqs.push_back(t.seq(group[j]));
+      }
+      std::sort(want_seqs.begin(), want_seqs.end());
+      EXPECT_EQ(got_seqs, want_seqs);
+      EXPECT_EQ(std::multiset<uint32_t>(got_span.begin(), got_span.end()),
+                std::multiset<uint32_t>(group.begin(), group.end()));
+      uint64_t s_min_ts = UINT64_MAX, s_max_ts = 0, s_min_lo = UINT64_MAX, s_max_lo = 0;
+      bool sorted = true;
+      bool has_failure = false;
+      uint64_t run_max = 0;
+      for (uint32_t abs = span.begin; abs < span.end; ++abs) {
+        const uint32_t d = got_span[abs - span.begin];
+        if (abs > span.begin) {
+          sorted = sorted && t.ts_ns(got_span[abs - span.begin - 1]) <= t.ts_ns(d);
+        }
+        s_min_ts = std::min(s_min_ts, t.ts_ns(d));
+        s_max_ts = std::max(s_max_ts, t.ts_ns(d));
+        s_min_lo = std::min(s_min_lo, t.ts_lo_ns(d));
+        s_max_lo = std::max(s_max_lo, t.ts_lo_ns(d));
+        has_failure = has_failure || t.at_failure(d);
+        run_max = std::max(run_max, t.ts_lo_ns(d));
+        EXPECT_EQ(t.PrefixMaxTsLo(abs), run_max);
+      }
+      uint64_t run_min = UINT64_MAX;
+      for (uint32_t abs = span.end; abs-- > span.begin;) {
+        run_min = std::min(run_min, t.ts_lo_ns(got_span[abs - span.begin]));
+        EXPECT_EQ(t.SuffixMinTsLo(abs), run_min);
+      }
+      EXPECT_EQ(span.min_ts_ns, s_min_ts);
+      EXPECT_EQ(span.max_ts_ns, s_max_ts);
+      EXPECT_EQ(span.min_ts_lo_ns, s_min_lo);
+      EXPECT_EQ(span.max_ts_lo_ns, s_max_lo);
+      EXPECT_EQ(span.ts_sorted, sorted);
+      EXPECT_EQ(span.has_at_failure, has_failure);
+      EXPECT_EQ(span.clock_suspect, t.ClockSuspect(thread));
+      min_ts = std::min(min_ts, s_min_ts);
+      max_ts = std::max(max_ts, s_max_ts);
+      min_lo = std::min(min_lo, s_min_lo);
+      max_lo = std::max(max_lo, s_max_lo);
+    }
+    EXPECT_EQ(summary->min_ts_ns, min_ts);
+    EXPECT_EQ(summary->max_ts_ns, max_ts);
+    EXPECT_EQ(summary->min_ts_lo_ns, min_lo);
+    EXPECT_EQ(summary->max_ts_lo_ns, max_lo);
+    covered += want.size();
+  }
+  EXPECT_EQ(covered, n);
+
+  // Per-thread cursors and final seqs; unknown threads answer empty / 0.
+  threads.insert(9999);
+  for (const rt::ThreadId thread : threads) {
+    std::vector<uint32_t> want_seqs;
+    std::multiset<uint32_t> want_positions;
+    for (uint32_t i = 0; i < n; ++i) {
+      if (t.thread(i) == thread) {
+        want_seqs.push_back(t.seq(i));
+        want_positions.insert(i);
+      }
+    }
+    std::sort(want_seqs.begin(), want_seqs.end());
+    const auto events = t.ThreadEventsOf(thread);
+    std::vector<uint32_t> got_seqs;
+    for (uint32_t pos : events) {
+      got_seqs.push_back(t.seq(pos));
+    }
+    EXPECT_EQ(got_seqs, want_seqs) << "thread " << thread;
+    EXPECT_EQ(std::multiset<uint32_t>(events.begin(), events.end()), want_positions);
+    EXPECT_EQ(t.LastSeqOf(thread), last_seq.count(thread) ? last_seq[thread] : 0u);
+  }
+
+  // The failing instance is the last instance matching the failure record.
+  uint32_t want_failing = ProcessedTrace::kNoInstance;
+  if (t.failure().IsFailure()) {
+    for (uint32_t i = 0; i < n; ++i) {
+      if (t.inst(i) == t.failure().failing_inst && t.thread(i) == t.failure().thread &&
+          t.ts_ns(i) == t.failure().time_ns) {
+        want_failing = i;
+      }
+    }
+  }
+  EXPECT_EQ(t.failing_instance(), want_failing);
+}
+
+// Two traces answer every accessor identically.
+void ExpectSameAnswers(const ProcessedTrace& a, const ProcessedTrace& b) {
+  ASSERT_EQ(a.size(), b.size());
+  for (uint32_t i = 0; i < a.size(); ++i) {
+    ASSERT_EQ(std::make_tuple(a.inst(i), a.thread(i), a.seq(i), a.ts_lo_ns(i), a.ts_ns(i),
+                              a.at_failure(i), a.access_kind(i)),
+              std::make_tuple(b.inst(i), b.thread(i), b.seq(i), b.ts_lo_ns(i), b.ts_ns(i),
+                              b.at_failure(i), b.access_kind(i)))
+        << "position " << i;
+  }
+  EXPECT_EQ(std::set<ir::InstId>(a.executed().begin(), a.executed().end()),
+            std::set<ir::InstId>(b.executed().begin(), b.executed().end()));
+  const auto same_span = [](std::span<const uint32_t> x, std::span<const uint32_t> y) {
+    return std::equal(x.begin(), x.end(), y.begin(), y.end());
+  };
+  for (ir::InstId inst : a.executed()) {
+    EXPECT_TRUE(same_span(a.InstancesOf(inst), b.InstancesOf(inst))) << "inst " << inst;
+    const InstanceSummary* sa = a.SummaryOf(inst);
+    const InstanceSummary* sb = b.SummaryOf(inst);
+    ASSERT_NE(sa, nullptr);
+    ASSERT_NE(sb, nullptr);
+    EXPECT_EQ(std::tie(sa->count, sa->min_ts_ns, sa->max_ts_ns, sa->min_ts_lo_ns,
+                       sa->max_ts_lo_ns, sa->spans_begin, sa->spans_end),
+              std::tie(sb->count, sb->min_ts_ns, sb->max_ts_ns, sb->min_ts_lo_ns,
+                       sb->max_ts_lo_ns, sb->spans_begin, sb->spans_end));
+    const auto spans_a = a.ThreadSpansOf(*sa);
+    const auto spans_b = b.ThreadSpansOf(*sb);
+    ASSERT_EQ(spans_a.size(), spans_b.size());
+    for (size_t k = 0; k < spans_a.size(); ++k) {
+      const ThreadSpan& x = spans_a[k];
+      const ThreadSpan& y = spans_b[k];
+      EXPECT_EQ(std::tie(x.thread, x.begin, x.end, x.min_ts_ns, x.max_ts_ns, x.min_ts_lo_ns,
+                         x.max_ts_lo_ns, x.ts_sorted, x.clock_suspect, x.has_at_failure),
+                std::tie(y.thread, y.begin, y.end, y.min_ts_ns, y.max_ts_ns, y.min_ts_lo_ns,
+                         y.max_ts_lo_ns, y.ts_sorted, y.clock_suspect, y.has_at_failure));
+      EXPECT_TRUE(same_span(a.SpanInstances(x), b.SpanInstances(y)));
+      for (uint32_t abs = x.begin; abs < x.end; ++abs) {
+        EXPECT_EQ(a.PrefixMaxTsLo(abs), b.PrefixMaxTsLo(abs));
+        EXPECT_EQ(a.SuffixMinTsLo(abs), b.SuffixMinTsLo(abs));
+      }
+    }
+  }
+  EXPECT_TRUE(std::equal(a.threads().begin(), a.threads().end(), b.threads().begin(),
+                         b.threads().end()));
+  for (const rt::ThreadId thread : a.threads()) {
+    EXPECT_TRUE(same_span(a.ThreadEventsOf(thread), b.ThreadEventsOf(thread)));
+    EXPECT_EQ(a.LastSeqOf(thread), b.LastSeqOf(thread));
+    EXPECT_EQ(a.ClockSuspect(thread), b.ClockSuspect(thread));
+  }
+  EXPECT_EQ(a.failing_instance(), b.failing_instance());
+  EXPECT_EQ(a.timestamps_unreliable(), b.timestamps_unreliable());
+  EXPECT_EQ(a.ContentKey(), b.ContentKey());
+}
+
+// Builds the trace, checks it against brute force, and checks that its
+// serialized form (rebuilt by the sorting fallback) answers the same.
+void ExpectBothPathsAgree(const ir::Module* module, const pt::PtTraceBundle& bundle) {
+  const ProcessedTrace trace(module, bundle);
+  ExpectIndexMatchesColumns(trace);
+  std::vector<uint8_t> bytes;
+  engine::EncodeProcessedTrace(trace, &bytes);
+  auto decoded = engine::DecodeProcessedTrace(bytes, module);
+  ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
+  ExpectIndexMatchesColumns(*decoded.value());
+  ExpectSameAnswers(trace, *decoded.value());
+}
+
+TEST(ProcessedTraceBuild, CleanBundleMatchesBruteForce) {
+  const CrashProgram prog = BuildCrashProgram();
+  ExpectBothPathsAgree(prog.module.get(), CaptureFailure(prog));
+}
+
+TEST(ProcessedTraceBuild, SharedCodeAcrossThreadsMatchesBruteForce) {
+  // Two threads run one function, so an instruction's thread postings, in
+  // (thread, seq) order, differ from its instances in trace order.
+  const CrashProgram prog = BuildCrashProgram(/*workers=*/2);
+  const pt::PtTraceBundle bundle = CaptureFailure(prog);
+  const ProcessedTrace trace(prog.module.get(), bundle);
+  bool reordered = false;
+  for (const ir::InstId inst : trace.executed()) {
+    const auto instances = trace.InstancesOf(inst);
+    for (size_t k = 1; k < instances.size(); ++k) {
+      reordered = reordered || trace.thread(instances[k]) < trace.thread(instances[k - 1]);
+    }
+  }
+  ASSERT_TRUE(reordered) << "no instruction runs on a lower thread id after a higher one";
+  ExpectBothPathsAgree(prog.module.get(), bundle);
+}
+
+TEST(ProcessedTraceBuild, CleanDeadlockMatchesBruteForce) {
+  // A waiter's block time can precede its thread's last decoded timestamp,
+  // which sends an uncorrupted bundle down the sorting fallback.
+  const DeadlockCapture cap = CaptureDeadlock();
+  ASSERT_EQ(cap.bundle.failure.deadlock_cycle.size(), 2u);
+  ExpectBothPathsAgree(cap.module.get(), cap.bundle);
+}
+
+TEST(ProcessedTraceBuild, DuplicateThreadIdsFallBackToSort) {
+  const CrashProgram prog = BuildCrashProgram();
+  const pt::PtTraceBundle bundle = CaptureFailure(prog);
+  ASSERT_GE(bundle.threads.size(), 2u);
+  // The same buffer twice: every key of the copy ties with the original.
+  pt::PtTraceBundle twice = bundle;
+  twice.threads.push_back(bundle.threads.front());
+  ExpectBothPathsAgree(prog.module.get(), twice);
+  // Two different buffers under one id: their seqs interleave.
+  pt::PtTraceBundle merged = bundle;
+  merged.threads[1].thread = merged.threads[0].thread;
+  const ProcessedTrace trace(prog.module.get(), merged);
+  EXPECT_EQ(trace.threads().size(), 1u);
+  ExpectBothPathsAgree(prog.module.get(), merged);
+}
+
+TEST(ProcessedTraceBuild, RegressingClockFallsBackToSort) {
+  const CrashProgram prog = BuildCrashProgram();
+  // Frequent sync points, so rewound PSB clocks land mid-stream.
+  pt::PtConfig config;
+  config.psb_period_bytes = 64;
+  pt::PtTraceBundle bundle = CaptureFailure(prog, config);
+  auto plan = faults::FaultPlan::Parse("clockregress@1", 3);
+  ASSERT_TRUE(plan.ok());
+  faults::FaultInjector(plan.take()).Apply(&bundle);
+  const ProcessedTrace trace(prog.module.get(), bundle);
+  ASSERT_TRUE(trace.timestamps_unreliable());
+  // Precondition: some thread's clock really runs backwards in program
+  // order, so its run cannot be merged.
+  bool regressed = false;
+  for (const rt::ThreadId thread : trace.threads()) {
+    const auto events = trace.ThreadEventsOf(thread);
+    for (size_t k = 1; k < events.size(); ++k) {
+      regressed = regressed || trace.ts_ns(events[k]) < trace.ts_ns(events[k - 1]);
+    }
+  }
+  ASSERT_TRUE(regressed);
+  ExpectBothPathsAgree(prog.module.get(), bundle);
+}
+
+TEST(ProcessedTraceBuild, WaitersBlockedBeforeTheirRunFallBackToSort) {
+  const DeadlockCapture cap = CaptureDeadlock();
+  ASSERT_FALSE(cap.bundle.failure.deadlock_cycle.empty());
+  // A second pending acquisition on the failing thread is appended after
+  // the at-failure point; with an early block time it lands out of order.
+  pt::PtTraceBundle bundle = cap.bundle;
+  rt::FailureInfo::DeadlockWaiter extra;
+  extra.thread = bundle.failure.thread;
+  extra.inst = 0;
+  extra.block_time_ns = 1;
+  bundle.failure.deadlock_cycle.push_back(extra);
+  for (rt::FailureInfo::DeadlockWaiter& w : bundle.failure.deadlock_cycle) {
+    w.block_time_ns = std::min<uint64_t>(w.block_time_ns, 1);
+  }
+  const ProcessedTrace trace(cap.module.get(), bundle);
+  const uint32_t failing = trace.failing_instance();
+  ASSERT_NE(failing, ProcessedTrace::kNoInstance);
+  EXPECT_EQ(failing, trace.size() - 1);
+  EXPECT_EQ(trace.LastSeqOf(bundle.failure.thread), trace.seq(failing) + 1)
+      << "the extra waiter follows the failure point in program order";
+  ExpectBothPathsAgree(cap.module.get(), bundle);
+}
+
+TEST(ProcessedTraceBuild, EmptyThreadBuffersAreSkipped) {
+  const CrashProgram prog = BuildCrashProgram();
+  pt::PtTraceBundle bundle = CaptureFailure(prog);
+  pt::PtTraceBundle::PerThread empty;
+  empty.thread = 77;
+  bundle.threads.insert(bundle.threads.begin(), empty);
+  std::reverse(bundle.threads.begin(), bundle.threads.end());
+  const ProcessedTrace trace(prog.module.get(), bundle);
+  EXPECT_TRUE(trace.ThreadEventsOf(77).empty());
+  EXPECT_EQ(trace.LastSeqOf(77), 0u);
+  EXPECT_EQ(std::count(trace.threads().begin(), trace.threads().end(), 77u), 0);
+  ExpectBothPathsAgree(prog.module.get(), bundle);
+  // The failing thread's buffer empty: its run is the failure point alone.
+  pt::PtTraceBundle lost = CaptureFailure(prog);
+  for (pt::PtTraceBundle::PerThread& per : lost.threads) {
+    if (per.thread == lost.failure.thread) {
+      per.bytes.clear();
+      per.total_written = 0;
+    }
+  }
+  const ProcessedTrace partial(prog.module.get(), lost);
+  ASSERT_NE(partial.failing_instance(), ProcessedTrace::kNoInstance);
+  EXPECT_EQ(partial.ThreadEventsOf(lost.failure.thread).size(), 1u);
+  ExpectBothPathsAgree(prog.module.get(), lost);
+}
+
+TEST(ProcessedTraceBuild, ZeroInstanceBundle) {
+  const CrashProgram prog = BuildCrashProgram();
+  pt::PtTraceBundle bundle;
+  bundle.threads.resize(2);
+  bundle.threads[0].thread = 0;
+  bundle.threads[1].thread = 1;
+  const ProcessedTrace trace(prog.module.get(), bundle);
+  EXPECT_FALSE(trace.HasEvidence());
+  EXPECT_EQ(trace.size(), 0u);
+  EXPECT_TRUE(trace.executed().empty());
+  EXPECT_TRUE(trace.threads().empty());
+  EXPECT_EQ(trace.failing_instance(), ProcessedTrace::kNoInstance);
+  ExpectBothPathsAgree(prog.module.get(), bundle);
+}
+
+TEST(ProcessedTraceBuild, ContentKeyIsStableAcrossRebuilds) {
+  const CrashProgram prog = BuildCrashProgram();
+  const pt::PtTraceBundle bundle = CaptureFailure(prog);
+  const ProcessedTrace a(prog.module.get(), bundle);
+  const ProcessedTrace b(prog.module.get(), bundle);
+  EXPECT_EQ(a.ContentKey(), b.ContentKey());
+  EXPECT_EQ(a.ContentKey(), a.ContentKey());
+  // A different partial order hashes differently.
+  pt::PtTraceBundle shifted = bundle;
+  shifted.failure.time_ns += 1;
+  const ProcessedTrace c(prog.module.get(), shifted);
+  EXPECT_NE(a.ContentKey(), c.ContentKey());
 }
 
 }  // namespace
