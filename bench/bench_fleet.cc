@@ -124,8 +124,8 @@ int main(int argc, char** argv) {
                     widths);
     std::printf("\nreports streamed: %zu; wire == in-process digests: %s\n",
                 result.reports_received, result.digests_match ? "yes" : "NO");
-    std::printf("wire: %zu bytes total, %.0f B/bundle at protocol v%u\n",
-                result.wire_bytes_sent, result.bytes_per_bundle, result.negotiated_version);
+    std::printf("wire: %zu bytes total, %.0f B/bundle\n", result.wire_bytes_sent,
+                result.bytes_per_bundle);
     if (!result.status.ok()) {
       std::printf("fleet status: %s\n", result.status.ToString().c_str());
     }

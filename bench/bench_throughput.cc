@@ -62,11 +62,8 @@ int main(int argc, char** argv) {
                 serial.bundles_per_sec > 0 ? parallel.bundles_per_sec / serial.bundles_per_sec
                                            : 0.0,
                 serial.report_digest == parallel.report_digest ? "yes" : "NO");
-    std::printf(
-        "wire: %.0f B/bundle (v1 fixed-width) -> %.0f B/bundle (v2 compressed), "
-        "%.2fx smaller; decode %.0f events/s\n",
-        profile.v1_bytes_per_bundle, profile.v2_bytes_per_bundle,
-        profile.compression_ratio, profile.decode_events_per_sec);
+    std::printf("wire: %.0f B/bundle; decode %.0f events/s\n", profile.bytes_per_bundle,
+                profile.decode_events_per_sec);
   });
   if (!emitted.ok()) {
     return 2;

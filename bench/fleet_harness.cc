@@ -132,8 +132,6 @@ FleetResult RunFleet(const std::vector<CapturedSite>& sites, const FleetConfig& 
     result.frames_chaos_corrupted += stats.frames_chaos_corrupted;
     result.reconnects += stats.reconnects;
     result.wire_bytes_sent += stats.bundle_bytes_sent;
-    result.negotiated_version =
-        std::max(result.negotiated_version, agents[t]->negotiated_version());
     const std::vector<double>& lat = agents[t]->ack_latencies_ms();
     all_lat.insert(all_lat.end(), lat.begin(), lat.end());
     if (!statuses[t].ok() && result.status.ok()) {
@@ -427,7 +425,6 @@ std::string FleetJson(const FleetConfig& config, size_t sites, const FleetResult
   w.Field("p99_ms", result.p99_ms, 3);
   w.Field("wire_bytes", static_cast<uint64_t>(result.wire_bytes_sent));
   w.Field("bytes_per_bundle", result.bytes_per_bundle, 1);
-  w.Field("negotiated_version", result.negotiated_version);
   w.Field("reports", static_cast<uint64_t>(result.reports_received));
   w.Field("identical_reports", result.digests_match);
   w.Field("status", result.status.ok() ? "ok" : result.status.ToString());

@@ -54,10 +54,9 @@ struct FleetResult {
   double p99_ms = 0.0;
   // Encoded bundle-frame bytes the agents handed to their sockets
   // (retransmissions included) and the per-acked-bundle average: the wire
-  // footprint of the negotiated payload format.
+  // footprint of the bundle payload format.
   size_t wire_bytes_sent = 0;
   double bytes_per_bundle = 0.0;
-  uint32_t negotiated_version = 0;  // protocol version the fleet settled on
   size_t reports_received = 0;  // shard reports streamed back over the wire
   std::string wire_digest;       // digest of the streamed reports
   std::string inprocess_digest;  // same multiset fed directly to a fresh pool

@@ -217,8 +217,6 @@ ThroughputResult RunThroughput(const std::vector<CapturedSite>& sites,
 
 IngestProfile ProfileIngest(const std::vector<CapturedSite>& sites) {
   IngestProfile profile;
-  size_t v1_total = 0;
-  size_t v2_total = 0;
   for (const CapturedSite& site : sites) {
     std::vector<const pt::PtTraceBundle*> bundles;
     bundles.push_back(&site.failing);
@@ -227,22 +225,15 @@ IngestProfile ProfileIngest(const std::vector<CapturedSite>& sites) {
     }
     for (const pt::PtTraceBundle* bundle : bundles) {
       std::vector<uint8_t> bytes;
-      wire::EncodeBundle(*bundle, &bytes, wire::kPayloadFormatV1);
-      v1_total += bytes.size();
-      bytes.clear();
-      wire::EncodeBundle(*bundle, &bytes, wire::kPayloadFormatV2);
-      v2_total += bytes.size();
+      wire::EncodeBundle(*bundle, &bytes);
+      profile.bytes += bytes.size();
       ++profile.bundles;
     }
   }
   if (profile.bundles > 0) {
-    profile.v1_bytes_per_bundle =
-        static_cast<double>(v1_total) / static_cast<double>(profile.bundles);
-    profile.v2_bytes_per_bundle =
-        static_cast<double>(v2_total) / static_cast<double>(profile.bundles);
+    profile.bytes_per_bundle =
+        static_cast<double>(profile.bytes) / static_cast<double>(profile.bundles);
   }
-  profile.compression_ratio =
-      v2_total > 0 ? static_cast<double>(v1_total) / static_cast<double>(v2_total) : 0.0;
 
   // Decode rate over the same bundles, a handful of repetitions so the number
   // is not dominated by one cold pass. The per-site decoder and the reused
@@ -334,9 +325,7 @@ std::string ThroughputJson(const ThroughputConfig& config, size_t sites,
   w.Field("identical_reports", serial.report_digest == parallel.report_digest);
   w.Key("wire").BeginObject();
   w.Field("bundles", static_cast<uint64_t>(profile.bundles));
-  w.Field("v1_bytes_per_bundle", profile.v1_bytes_per_bundle, 1);
-  w.Field("v2_bytes_per_bundle", profile.v2_bytes_per_bundle, 1);
-  w.Field("compression_ratio", profile.compression_ratio, 2);
+  w.Field("bytes_per_bundle", profile.bytes_per_bundle, 1);
   w.Field("decode_events_per_sec", profile.decode_events_per_sec, 0);
   w.EndObject();
   w.EndObject();

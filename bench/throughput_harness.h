@@ -73,15 +73,13 @@ struct ThroughputResult {
 ThroughputResult RunThroughput(const std::vector<CapturedSite>& sites,
                                const ThroughputConfig& config);
 
-// Wire-size and decode-rate profile of a captured bundle set: bytes per
-// bundle in the v1 (fixed-width) and v2 (varint/delta-compressed) payload
-// formats -- the compression claim, measured on real workload traffic -- plus
-// raw PT decode throughput in events/sec over the same bundles.
+// Wire-size and decode-rate profile of a captured bundle set: encoded bundle
+// payload bytes (varint/delta-compressed), measured on real workload traffic,
+// plus raw PT decode throughput in events/sec over the same bundles.
 struct IngestProfile {
   size_t bundles = 0;
-  double v1_bytes_per_bundle = 0.0;
-  double v2_bytes_per_bundle = 0.0;
-  double compression_ratio = 0.0;  // v1 / v2
+  size_t bytes = 0;  // summed wire::EncodeBundle sizes
+  double bytes_per_bundle = 0.0;
   size_t decoded_events = 0;
   double decode_events_per_sec = 0.0;
 };

@@ -3,7 +3,8 @@
 # labeled suites the acceptance gates care about. This is what CI runs; run
 # it locally before pushing.
 #
-# Usage: scripts/check.sh [build-dir]       (default: build)
+# Usage: scripts/check.sh [build-dir]       (default: build; the benchmark
+#                                           harness builds in <build-dir>-perfbench)
 #   SNORLAX_CHECK_TSAN=1 scripts/check.sh   additionally builds with
 #                                           -DSNORLAX_SANITIZE=thread and runs
 #                                           the concurrency label under TSan.
@@ -47,6 +48,14 @@ echo "== SARIF render sanity (jq, 2.1.0 shape) =="
 jq -e '.version == "2.1.0" and (.runs | length) >= 1
        and (.runs[0].results | length) >= 1
        and (.runs[0].tool.driver.name == "snorlax")' sample_report.sarif > /dev/null
+
+echo "== benchmark harness (perfbench build + unit tests) =="
+# perfbench/ compiles bench/throughput_harness.cc and reads the net and wire
+# APIs, so build it from this checkout and run its own C++ and Python tests.
+cmake -B "${BUILD_DIR}-perfbench" -S perfbench -DCMAKE_BUILD_TYPE=Release
+cmake --build "${BUILD_DIR}-perfbench" -j "${JOBS}" --target perfbench perfbench_test
+"${BUILD_DIR}-perfbench/perfbench_test"
+python3 -m unittest discover -s perfbench/tests
 
 if [[ "${SNORLAX_CHECK_TSAN:-0}" == "1" ]]; then
   echo "== TSan: concurrency label =="

@@ -25,15 +25,11 @@ bool Retryable(const Status& status) {
 
 DiagnosisAgent::DiagnosisAgent(AgentOptions options)
     : options_(options),
-      hello_version_(options.protocol_version),
       chaos_(options.chaos),
       jitter_rng_(options.jitter_seed) {}
 
 void DiagnosisAgent::Enqueue(wire::BundleKind kind, ir::InstId site,
                              const pt::PtTraceBundle& bundle) {
-  // No encoding here: the payload format is a property of the connection
-  // (negotiated at handshake), and this bundle may be flushed over a
-  // different connection than the current one.
   PendingBundle pending;
   pending.seq = next_seq_++;
   pending.kind = kind;
@@ -94,7 +90,6 @@ support::Status DiagnosisAgent::ConnectOnce() {
   hello.type = wire::FrameType::kHello;
   hello.seq = out_frame_seq_++;
   wire::HelloPayload payload;
-  payload.protocol_version = hello_version_;
   payload.agent_id = options_.agent_id;
   wire::EncodeHello(payload, &hello.payload);
   std::vector<uint8_t> bytes;
@@ -129,9 +124,6 @@ support::Status DiagnosisAgent::ConnectOnce() {
     Disconnect();
     return status;
   }
-  // The connection speaks the lower of the two advertisements (never below
-  // 1, even against a daemon that acks nonsense).
-  negotiated_version_ = std::max(1u, std::min(ack.protocol_version, hello_version_));
   // A fresh handshake is the authoritative ring view: adopt it even when the
   // epoch regressed (this daemon may be a different fleet than the last one).
   if (ack.has_topology) {
@@ -153,16 +145,7 @@ support::Status DiagnosisAgent::EnsureConnected() {
   if (connected_) {
     return Status::Ok();
   }
-  Status status = ConnectOnce();
-  if (status.code() == StatusCode::kVersionMismatch &&
-      hello_version_ == wire::kProtocolVersion && hello_version_ > 1) {
-    // An older daemon cannot accept our default advertisement; fall back to
-    // the floor version for the life of this agent. Explicitly overridden
-    // versions never downgrade (skew tests depend on the hard reject).
-    hello_version_ = 1;
-    status = ConnectOnce();
-  }
-  return status;
+  return ConnectOnce();
 }
 
 support::Status DiagnosisAgent::WriteAll(const std::vector<uint8_t>& bytes) {
@@ -237,27 +220,22 @@ support::Status DiagnosisAgent::FlushOnce() {
   // individually chaos-mutated (the fault model corrupts frames, and a
   // duplicated frame is sent back to back, as a retransmitting link would).
   std::vector<uint8_t> batch;
-  const uint8_t format = negotiated_version_ >= 2 ? wire::kPayloadFormatV2
-                                                  : wire::kPayloadFormatV1;
   const auto now = std::chrono::steady_clock::now();
   for (PendingBundle& pending : pending_) {
     if (!pending.sent) {
       pending.first_sent = now;
       pending.sent = true;
     }
-    if (pending.encoded_format != format) {
-      // First send, or a reconnect negotiated a different payload format.
-      pending.frame_bytes.clear();
+    if (pending.frame_bytes.empty()) {
       wire::BundlePayload payload;
       payload.kind = pending.kind;
       payload.target_site = pending.site;
-      wire::EncodeBundle(pending.bundle, &payload.bundle_bytes, format);
+      wire::EncodeBundle(pending.bundle, &payload.bundle_bytes);
       wire::Frame frame;
       frame.type = wire::FrameType::kBundle;
       frame.seq = pending.seq;
       wire::EncodeBundlePayload(payload, &frame.payload);
       wire::EncodeFrame(frame, &pending.frame_bytes);
-      pending.encoded_format = format;
     }
     stats_.bundle_bytes_sent += pending.frame_bytes.size();
     std::vector<uint8_t> frame_bytes = pending.frame_bytes;
@@ -405,28 +383,17 @@ support::Result<std::vector<RemoteReport>> DiagnosisAgent::Diagnose() {
         if (!status.ok()) {
           return status;
         }
+        auto full = wire::DecodeFullReport(payload.report_bytes);
+        if (!full.ok()) {
+          return full.status();
+        }
+        auto owned = std::make_shared<report::Report>(full.take());
+        owned->transport.reconnects = stats_.reconnects;
         RemoteReport remote;
         remote.module_fingerprint = payload.module_fingerprint;
         remote.failing_inst = payload.failing_inst;
-        if (!payload.report_bytes.empty() &&
-            payload.report_bytes[0] == wire::kPayloadFormatV3) {
-          // Full typed aggregate (protocol >= 4 daemon): keep it, and project
-          // the legacy shape out of it so existing call sites see no change.
-          auto full = wire::DecodeFullReport(payload.report_bytes);
-          if (!full.ok()) {
-            return full.status();
-          }
-          auto owned = std::make_shared<report::Report>(full.take());
-          owned->transport.reconnects = stats_.reconnects;
-          remote.report = owned->diagnosis;
-          remote.full = std::move(owned);
-        } else {
-          auto report = wire::DecodeReport(payload.report_bytes);
-          if (!report.ok()) {
-            return report.status();
-          }
-          remote.report = report.take();
-        }
+        remote.report = owned->diagnosis;
+        remote.full = std::move(owned);
         reports.push_back(std::move(remote));
         break;
       }

@@ -33,8 +33,6 @@ struct AgentOptions {
   // Stable identity across reconnects; the daemon's dedup state is keyed by
   // it, so two agents must not share one id.
   uint64_t agent_id = 1;
-  // Advertised at handshake. Overridable so tests can exercise version skew.
-  uint32_t protocol_version = wire::kProtocolVersion;
   // Connect/flush retry budget: attempts are spaced backoff_initial_ms * 2^n
   // plus uniform jitter in [0, backoff), capped at backoff_max_ms.
   size_t max_attempts = 8;
@@ -69,10 +67,9 @@ struct AgentStats {
   size_t bundle_bytes_sent = 0;
 };
 
-// One shard's diagnosis as received over the wire. `report` is always
-// populated; `full` is the typed aggregate and is set only when the daemon
-// spoke payload format v3 (protocol >= 4) -- against an older daemon it is
-// null and only the legacy projection is available.
+// One shard's diagnosis as received over the wire. `full` is the typed
+// aggregate the daemon sent and is always set; `report` is its embedded
+// DiagnosisReport, copied out for digest and ranking call sites.
 struct RemoteReport {
   uint64_t module_fingerprint = 0;
   ir::InstId failing_inst = ir::kInvalidInstId;
@@ -113,13 +110,9 @@ class DiagnosisAgent {
   // Shed notices received from the daemon (slow-reader backpressure).
   const std::vector<std::string>& shed_notices() const { return shed_notices_; }
 
-  // Protocol version this connection settled on (min of both sides'
-  // advertisements); meaningful after the first successful handshake.
-  uint32_t negotiated_version() const { return negotiated_version_; }
-
   // Newest ring view heard from the daemon (HelloAck trailing block or a
-  // kTopology push). Empty against a v2 daemon or a single-daemon fleet --
-  // then everything routes to the dialed port.
+  // kTopology push). Empty in a single-daemon fleet -- then everything routes
+  // to the dialed port.
   const wire::RingTopology& topology() const { return topology_; }
 
   // Bundles the daemon bounced with kWrongShard. Unlike rejections these are
@@ -133,16 +126,15 @@ class DiagnosisAgent {
   std::vector<WrongShardBundle> TakeWrongShard();
 
  private:
-  // A queued bundle keeps its structured form; the wire encoding is produced
-  // lazily at flush time in the *negotiated* payload format and re-encoded if
-  // a reconnect lands on a daemon speaking a different version.
+  // A queued bundle keeps its structured form (a wrong-shard bounce hands it
+  // back for re-routing); its frame is encoded once, at first flush, and
+  // retransmitted verbatim after a reconnect.
   struct PendingBundle {
     uint64_t seq = 0;
     wire::BundleKind kind = wire::BundleKind::kFailing;
     ir::InstId site = ir::kInvalidInstId;
     pt::PtTraceBundle bundle;
     std::vector<uint8_t> frame_bytes;  // encoded kBundle frame, or empty
-    uint8_t encoded_format = 0;        // payload format of frame_bytes; 0 = stale
     std::chrono::steady_clock::time_point first_sent{};
     bool sent = false;
   };
@@ -163,12 +155,6 @@ class DiagnosisAgent {
   AgentOptions options_;
   Socket sock_;
   bool connected_ = false;
-  // Version advertised in the next Hello. Starts at options_.protocol_version
-  // and drops to 1 after a version-mismatch reject when the default was
-  // advertised (talking to an older daemon); explicit overrides are sent
-  // verbatim so tests can force unresolvable skew.
-  uint32_t hello_version_ = wire::kProtocolVersion;
-  uint32_t negotiated_version_ = 1;
   uint64_t next_seq_ = 1;
   uint64_t out_frame_seq_ = 1;  // non-bundle frames' header sequence
   std::deque<PendingBundle> pending_;

@@ -2,7 +2,7 @@
 //
 // A cluster runs one DiagnosisDaemon per ring member; every failure site is
 // owned by exactly one of them (wire/ring.h). This wrapper keeps one
-// DiagnosisAgent per member port, learns the ring from the v3 handshake of
+// DiagnosisAgent per member port, learns the ring from the handshake of
 // whichever seed it reaches first, and routes each bundle to its owner by
 // consistent hash -- the same RingSiteHash the daemons check, so a routed
 // bundle is accepted on arrival.
@@ -70,7 +70,7 @@ class ClusterAgent {
 
  private:
   // The member port owning (fingerprint, site), or the first seed when the
-  // topology is empty (single daemon / v2 fleet).
+  // topology is empty (single daemon).
   uint16_t RoutePort(uint64_t module_fingerprint, ir::InstId site) const;
   // Adopts the newest topology any per-daemon agent has heard.
   void AdoptNewest();

@@ -502,10 +502,9 @@ void DiagnosisDaemon::HandleHello(Connection& c, const wire::FrameView& frame) {
     RejectAndClose(c, status);
     return;
   }
-  // Any version in [1, ours] is negotiable: the connection runs at the
-  // agent's version and the ack says so. Only a version from the future is a
-  // rejection -- this daemon cannot know how to speak it.
-  if (hello.protocol_version < 1 || hello.protocol_version > options_.protocol_version) {
+  // One protocol generation is spoken: any other version, older or newer, is
+  // a clean rejection of this connection alone.
+  if (hello.protocol_version != wire::kProtocolVersion) {
     {
       std::lock_guard<std::mutex> lock(mu_);
       ++stats_.handshakes_rejected;
@@ -513,18 +512,14 @@ void DiagnosisDaemon::HandleHello(Connection& c, const wire::FrameView& frame) {
     RejectAndClose(
         c, Status::Error(StatusCode::kVersionMismatch,
                          StrFormat("agent speaks protocol %u, this daemon speaks %u",
-                                   hello.protocol_version, options_.protocol_version)));
+                                   hello.protocol_version, wire::kProtocolVersion)));
     return;
   }
   c.handshaken = true;
   c.agent_id = hello.agent_id;
-  c.negotiated_version = std::min(hello.protocol_version, options_.protocol_version);
   wire::HelloAckPayload ack;
-  ack.protocol_version = c.negotiated_version;
   ack.last_acked_seq = agents_[hello.agent_id].max_contiguous;
-  // Topology only goes to peers whose Hello advertised v3: older decoders
-  // reject trailing HelloAck bytes.
-  if (cluster_mode() && hello.protocol_version >= 3) {
+  if (cluster_mode()) {
     std::lock_guard<std::mutex> lock(mu_);
     ack.has_topology = true;
     ack.topology = topology_;
@@ -585,16 +580,14 @@ void DiagnosisDaemon::HandleBundle(Connection& c, const wire::FrameView& frame) 
                          /*sheddable=*/false);
               // Tell the agent where to go: the current ring rides along so
               // the re-route needs no second round trip.
-              if (c.negotiated_version >= 3) {
-                std::vector<uint8_t> ring_bytes;
-                {
-                  std::lock_guard<std::mutex> lock(mu_);
-                  wire::EncodeTopology(topology_, &ring_bytes);
-                  ++stats_.topology_pushes;
-                }
-                QueueFrame(c, wire::FrameType::kTopology, std::move(ring_bytes),
-                           /*sheddable=*/false);
+              std::vector<uint8_t> ring_bytes;
+              {
+                std::lock_guard<std::mutex> lock(mu_);
+                wire::EncodeTopology(topology_, &ring_bytes);
+                ++stats_.topology_pushes;
               }
+              QueueFrame(c, wire::FrameType::kTopology, std::move(ring_bytes),
+                         /*sheddable=*/false);
               return;
             }
           }
@@ -646,26 +639,19 @@ void DiagnosisDaemon::HandleDiagnose(Connection& c) {
     wire::ReportPayload rp;
     rp.module_fingerprint = sr.key.module_fingerprint;
     rp.failing_inst = sr.key.failing_inst;
-    if (c.negotiated_version >= 4) {
-      // Protocol >= 4 peers get the full typed aggregate (payload format v3):
-      // pass/artifact telemetry, transport stats, and the repair plan survive
-      // the wire instead of being stripped to the legacy projection.
-      report::Report full =
-          report::MakeReport(sr.report, sr.key.module_fingerprint, std::string());
-      full.transport.remote = true;
-      full.transport.negotiated_version = c.negotiated_version;
-      full.transport.payload_format = wire::kPayloadFormatV3;
-      full.transport.bundles_acked = agents_[c.agent_id].max_contiguous;
-      {
-        std::lock_guard<std::mutex> lock(mu_);
-        full.transport.bundles_duplicate = stats_.bundles_duplicate;
-      }
-      wire::EncodeFullReport(full, &rp.report_bytes);
-    } else {
-      const uint8_t format = c.negotiated_version >= 2 ? wire::kPayloadFormatV2
-                                                       : wire::kPayloadFormatV1;
-      wire::EncodeReport(sr.report, &rp.report_bytes, format);
+    // The full typed aggregate: pass/artifact telemetry, transport stats and
+    // the repair plan all survive the wire.
+    report::Report full =
+        report::MakeReport(sr.report, sr.key.module_fingerprint, std::string());
+    full.transport.remote = true;
+    full.transport.negotiated_version = wire::kProtocolVersion;
+    full.transport.payload_format = wire::kReportFormat;
+    full.transport.bundles_acked = agents_[c.agent_id].max_contiguous;
+    {
+      std::lock_guard<std::mutex> lock(mu_);
+      full.transport.bundles_duplicate = stats_.bundles_duplicate;
     }
+    wire::EncodeFullReport(full, &rp.report_bytes);
     std::vector<uint8_t> payload;
     wire::EncodeReportPayload(rp, &payload);
     const size_t sheds_before = c.sheds_this_stream;
@@ -701,7 +687,7 @@ void DiagnosisDaemon::BroadcastTopology() {
     wire::EncodeTopology(topology_, &ring_bytes);
   }
   for (const auto& peer : connections_) {
-    if (!peer->handshaken || peer->closing || peer->negotiated_version < 3) {
+    if (!peer->handshaken || peer->closing) {
       continue;
     }
     QueueFrame(*peer, wire::FrameType::kTopology, ring_bytes, /*sheddable=*/false);
@@ -713,7 +699,7 @@ void DiagnosisDaemon::BroadcastTopology() {
 void DiagnosisDaemon::HandleTopology(Connection& c, const wire::FrameView& frame) {
   // Nominally a server->client frame, but a draining peer daemon (acting as
   // a client) pushes its post-departure ring here ahead of a hand-off.
-  if (!cluster_mode() || c.negotiated_version < 3) {
+  if (!cluster_mode()) {
     RejectAndClose(c, Status::Error(StatusCode::kInvalidArgument,
                                     "topology push outside cluster mode"));
     return;
@@ -756,7 +742,7 @@ void DiagnosisDaemon::HandleHandoffBegin(Connection& c, const wire::FrameView& f
     RejectAndClose(c, status);
     return;
   }
-  if (!cluster_mode() || c.negotiated_version < 3) {
+  if (!cluster_mode()) {
     SendHandoffAck(c, begin.module_fingerprint, begin.failing_inst,
                    Status::Error(StatusCode::kFailedPrecondition,
                                  "hand-off to a daemon outside cluster mode"));
@@ -864,7 +850,6 @@ support::Status DiagnosisDaemon::HandoffSite(const wire::RingMember& target,
   uint64_t seq = 1;
 
   wire::HelloPayload hello;
-  hello.protocol_version = 3;
   hello.agent_id = options_.node_id;
   std::vector<uint8_t> payload;
   wire::EncodeHello(hello, &payload);

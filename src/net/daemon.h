@@ -49,16 +49,12 @@ struct DaemonOptions {
   // non-draining reader behind kernel memory -- clamping makes the shed
   // policy bite at a bounded backlog (and makes it testable).
   int sndbuf_bytes = 0;
-  // Newest protocol version this daemon speaks; each connection runs at
-  // min(agent, daemon). Lowering it simulates an older daemon (tests exercise
-  // both directions of the v1<->v2 skew this way).
-  uint32_t protocol_version = wire::kProtocolVersion;
   // Options for the shared ServerPool the daemon ingests into.
   core::ServerPoolOptions pool;
 
   // -- Cluster mode --
   // Stable ring identity of this daemon. Cluster mode is on when node_id != 0
-  // and `members` (which must include this daemon) is non-empty: the v3
+  // and `members` (which must include this daemon) is non-empty: the
   // handshake then advertises the ring, bundles for sites another member owns
   // bounce with kWrongShard, and hand-off frames are accepted from peers.
   uint64_t node_id = 0;
@@ -149,9 +145,6 @@ class DiagnosisDaemon {
     bool handshaken = false;
     bool closing = false;  // flush outbound, then close
     uint64_t agent_id = 0;
-    // min(agent's hello, our protocol_version); fixes the payload format the
-    // daemon writes back (>= 2 means compressed v2 reports).
-    uint32_t negotiated_version = 1;
     uint64_t out_seq = 0;
     std::vector<uint8_t> outbound;
     size_t outbound_start = 0;
@@ -181,7 +174,7 @@ class DiagnosisDaemon {
   void HandleBundle(Connection& c, const wire::FrameView& frame);
   void HandleDiagnose(Connection& c);
   // Cluster handlers (poll thread). A topology push with a newer epoch is
-  // adopted and re-broadcast to every connected v3 peer.
+  // adopted and re-broadcast to every handshaken peer.
   void HandleTopology(Connection& c, const wire::FrameView& frame);
   void HandleHandoffBegin(Connection& c, const wire::FrameView& frame);
   void HandleHandoffRecord(Connection& c, const wire::FrameView& frame);

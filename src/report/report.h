@@ -9,7 +9,7 @@
 //   - the ranked patterns with their F1 scores,
 //   - the full degradation ladder: analysis-side (trace::DegradationReport)
 //     AND transport-side (what the wire path added -- duplicates, reconnects,
-//     the negotiated protocol generation that may have stripped fields),
+//     the protocol generation and payload format that carried it),
 //   - per-pass and artifact-store statistics,
 //   - the optional RepairPlan from the kRepair pass.
 //
@@ -20,8 +20,8 @@
 //
 // Layering: report sits between core and wire. It depends on core (the
 // aggregate embeds DiagnosisReport) and engine (pass stats, RepairPlan); the
-// wire layer depends on report to ship the full aggregate as payload format
-// v3. Report must never include wire headers.
+// wire layer depends on report to ship the full aggregate as its report
+// payload. Report must never include wire headers.
 #ifndef SNORLAX_REPORT_REPORT_H_
 #define SNORLAX_REPORT_REPORT_H_
 
@@ -51,9 +51,10 @@ struct TransportStats {
   uint64_t bundles_acked = 0;
   uint64_t bundles_duplicate = 0;
   uint64_t reconnects = 0;
-  // False when a legacy peer spoke an older payload format and this aggregate
-  // was reconstructed from the stripped legacy shape (pass stats zeroed, no
-  // repair plan) -- the transport analogue of ConfidenceTier::kDegraded.
+  // False when this aggregate was reconstructed from a stripped shape (pass
+  // stats zeroed, no repair plan) -- the transport analogue of
+  // ConfidenceTier::kDegraded. The wire carries the full aggregate, so no
+  // producer in this build clears it; it stays part of the encoding.
   bool full_fidelity = true;
 };
 

@@ -87,8 +87,7 @@ support::Status DecodeHello(std::span<const uint8_t> payload, HelloPayload* out)
 void EncodeHelloAck(const HelloAckPayload& ack, std::vector<uint8_t>* out) {
   AppendU32(out, ack.protocol_version);
   AppendU64(out, ack.last_acked_seq);
-  // Trailing v3 block -- the caller must only set this for peers that spoke
-  // version >= 3 in their Hello (older decoders reject trailing bytes).
+  // Trailing cluster block, present only when a cluster-mode daemon set it.
   if (ack.has_topology) {
     AppendTopology(out, ack.topology);
   }
@@ -227,7 +226,7 @@ support::Status DecodeShed(std::span<const uint8_t> payload, ShedPayload* out) {
   return r.ok() ? r.ExpectExhausted() : r.status();
 }
 
-// --- v3 cluster payloads -----------------------------------------------------
+// --- cluster payloads --------------------------------------------------------
 
 void EncodeHandoffBegin(const HandoffBeginPayload& payload, std::vector<uint8_t>* out) {
   AppendU64(out, payload.module_fingerprint);

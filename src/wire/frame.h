@@ -39,14 +39,13 @@
 namespace snorlax::wire {
 
 // Protocol version exchanged in the handshake. Bump on any frame-level,
-// message-flow, or payload-format change. Both sides advertise the newest
-// version they speak and the connection runs at the minimum of the two
-// (DESIGN.md section 13): version >= 2 means the peer accepts compressed v2
-// payloads; version >= 3 adds the cluster extension (ring topology in the
-// HelloAck, kTopology pushes, site hand-off frames); version >= 4 means the
-// peer accepts full typed reports (payload format v3: pass telemetry,
-// transport stats, repair plan). A v1/v2/v3 peer keeps getting its layout,
-// so fleets upgrade one process at a time.
+// message-flow, or payload-format change. Both sides must speak exactly this
+// version; a Hello carrying any other value gets a kVersionMismatch Reject
+// (DESIGN.md section 13). Version 4 means compressed bundle payloads
+// (kBundleFormat), the cluster extension (ring topology in the HelloAck,
+// kTopology pushes, site hand-off frames) and full typed report payloads
+// (kReportFormat). Every agent and daemon is built from this repository, so
+// there is no older peer to negotiate down to.
 inline constexpr uint32_t kProtocolVersion = 4;
 
 inline constexpr uint8_t kFrameMagic[4] = {0x53, 0x4e, 0x4c, 0x58};  // "SNLX"
@@ -60,10 +59,10 @@ enum class FrameType : uint8_t {
   kBundle = 4,     // client->server: one serialized trace bundle
   kBundleAck = 5,  // server->client: per-bundle ingest outcome
   kDiagnose = 6,   // client->server: diagnose-everything request
-  kReport = 7,     // server->client: one shard's serialized DiagnosisReport
+  kReport = 7,     // server->client: one shard's serialized report::Report
   kReportEnd = 8,  // server->client: report stream complete
   kShed = 9,       // server->client: backpressure dropped report frames
-  // -- v3 cluster extension --
+  // -- cluster extension --
   kTopology = 10,       // server->client: ring changed; re-route future bundles
   kHandoffBegin = 11,   // daemon->daemon: site transfer starts (site + count)
   kHandoffRecord = 12,  // daemon->daemon: one serialized SiteRecord
@@ -107,12 +106,10 @@ struct HelloAckPayload {
   // Highest bundle sequence the server has already ingested for this agent;
   // the agent drops pending retransmissions at or below it.
   uint64_t last_acked_seq = 0;
-  // v3 cluster extension, appended only when `has_topology` is set AND the
-  // peer's Hello advertised version >= 3 (older decoders reject trailing
-  // bytes) -- the encode side trusts the caller to have checked. On decode,
-  // `has_topology` reflects whether the block was present: absent means a
-  // v2 daemon or single-daemon mode, and the agent routes everything to the
-  // daemon it dialed.
+  // Cluster extension, appended when `has_topology` is set (a cluster-mode
+  // daemon). On decode, `has_topology` reflects whether the block was
+  // present: absent means single-daemon mode, and the agent routes
+  // everything to the daemon it dialed.
   bool has_topology = false;
   RingTopology topology;
 };
@@ -160,7 +157,7 @@ support::Status DecodeBundleAck(std::span<const uint8_t> payload,
 struct ReportPayload {
   uint64_t module_fingerprint = 0;
   uint32_t failing_inst = 0;
-  std::vector<uint8_t> report_bytes;  // EncodeReport output
+  std::vector<uint8_t> report_bytes;  // EncodeFullReport output
 };
 void EncodeReportPayload(const ReportPayload& payload, std::vector<uint8_t>* out);
 support::Status DecodeReportPayload(std::span<const uint8_t> payload,
@@ -182,7 +179,7 @@ struct ShedPayload {
 void EncodeShed(const ShedPayload& shed, std::vector<uint8_t>* out);
 support::Status DecodeShed(std::span<const uint8_t> payload, ShedPayload* out);
 
-// --- v3 cluster payloads -----------------------------------------------------
+// --- cluster payloads --------------------------------------------------------
 // Site hand-off: when the ring reassigns a failure site, the old owner
 // streams the site's serialized state -- kHandoffBegin, then one
 // kHandoffRecord per engine::SiteRecord (opaque bytes at this layer; the net

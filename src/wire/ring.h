@@ -8,7 +8,7 @@
 // every mover is shipped its accumulated state over the hand-off frames
 // rather than recomputed.
 //
-// The topology travels in the v3 handshake (HelloAck trailing block) and in
+// The topology travels in the handshake (HelloAck trailing block) and in
 // kTopology pushes; `epoch` increases on every membership change so agents
 // and daemons can order competing views and reject stale hand-offs. Members
 // are kept sorted by node id and the encoding is canonical, so two daemons

@@ -1,9 +1,8 @@
 #include "wire/serialize.h"
 
-#include <cstring>
+#include <optional>
 
 #include "pt/packets.h"
-#include "support/check.h"
 #include "support/str.h"
 
 namespace snorlax::wire {
@@ -14,115 +13,64 @@ using support::StatusCode;
 // Byte-level primitives (Crc32, Append*, ByteReader) live in support/binio.cc;
 // serialize.h re-exports them into this namespace.
 
-// --- format-aware field access -----------------------------------------------
+// --- varint field access -----------------------------------------------------
 //
-// Every record codec below is written once against these wrappers. In v1
-// (packed == false) they produce the original fixed-width layout byte for
-// byte; in v2 integers become varints (zigzag for signed) and lengths/counts
-// shrink with them. F64 stays as raw IEEE bits in both: timing floats are
-// high-entropy, and bit-exactness is what the digest checks rely on.
+// Integers travel as LEB128 varints (zigzag for signed), strings and counts
+// behind a varint length. The read helpers add the range and cap checks a
+// bare ByteReader::Varint() cannot know about.
 
 namespace {
 
-struct Writer {
-  std::vector<uint8_t>* out;
-  bool packed;
+void AppendVarString(std::vector<uint8_t>* out, const std::string& s) {
+  AppendVarint(out, s.size());
+  out->insert(out->end(), s.begin(), s.end());
+}
 
-  void U8(uint8_t v) const { AppendU8(out, v); }
-  void U32(uint32_t v) const {
-    if (packed) {
-      AppendVarint(out, v);
-    } else {
-      AppendU32(out, v);
-    }
+uint32_t ReadU32(ByteReader* r) {
+  const uint64_t v = r->Varint();
+  if (r->ok() && v > UINT32_MAX) {
+    r->MarkCorrupt("u32 varint out of range");
+    return 0;
   }
-  void U64(uint64_t v) const {
-    if (packed) {
-      AppendVarint(out, v);
-    } else {
-      AppendU64(out, v);
-    }
-  }
-  void I64(int64_t v) const {
-    if (packed) {
-      AppendVarint(out, ZigzagEncode(v));
-    } else {
-      AppendI64(out, v);
-    }
-  }
-  void F64(double v) const { AppendF64(out, v); }
-  void Str(const std::string& s) const {
-    if (packed) {
-      AppendVarint(out, s.size());
-      out->insert(out->end(), s.begin(), s.end());
-    } else {
-      AppendString(out, s);
-    }
-  }
-  void Count(size_t n) const { U32(static_cast<uint32_t>(n)); }
-};
+  return static_cast<uint32_t>(v);
+}
 
-struct Reader {
-  ByteReader* r;
-  bool packed;
+std::string ReadString(ByteReader* r) {
+  const uint64_t len = r->Varint();
+  if (!r->ok()) {
+    return {};
+  }
+  if (len > kMaxStringBytes) {
+    r->MarkCorrupt("string length over cap");
+    return {};
+  }
+  const std::span<const uint8_t> v = r->View(static_cast<size_t>(len));
+  if (v.empty()) {
+    return {};
+  }
+  return std::string(reinterpret_cast<const char*>(v.data()), v.size());
+}
 
-  uint8_t U8() const { return r->U8(); }
-  uint32_t U32() const {
-    if (!packed) {
-      return r->U32();
-    }
-    const uint64_t v = r->Varint();
-    if (r->ok() && v > UINT32_MAX) {
-      r->MarkCorrupt("u32 varint out of range");
-      return 0;
-    }
-    return static_cast<uint32_t>(v);
+// Capped before any allocation: a forged count is a clean kCorruptData.
+size_t ReadCount(ByteReader* r, size_t max = kMaxVectorElements) {
+  const uint64_t n = r->Varint();
+  if (!r->ok()) {
+    return 0;
   }
-  uint64_t U64() const { return packed ? r->Varint() : r->U64(); }
-  int64_t I64() const { return packed ? ZigzagDecode(r->Varint()) : r->I64(); }
-  double F64() const { return r->F64(); }
-  std::string Str() const {
-    if (!packed) {
-      return r->String();
-    }
-    const uint64_t len = r->Varint();
-    if (!r->ok()) {
-      return {};
-    }
-    if (len > kMaxStringBytes) {
-      r->MarkCorrupt("string length over cap");
-      return {};
-    }
-    const std::span<const uint8_t> v = r->View(static_cast<size_t>(len));
-    if (v.empty()) {
-      return {};
-    }
-    return std::string(reinterpret_cast<const char*>(v.data()), v.size());
+  if (n > max) {
+    r->MarkCorrupt("element count over cap");
+    return 0;
   }
-  size_t Count(size_t max = kMaxVectorElements) const {
-    if (!packed) {
-      return r->Count(max);
-    }
-    const uint64_t n = r->Varint();
-    if (!r->ok()) {
-      return 0;
-    }
-    if (n > max) {
-      r->MarkCorrupt("element count over cap");
-      return 0;
-    }
-    if (n > r->remaining()) {
-      r->MarkCorrupt("element count exceeds remaining bytes");
-      return 0;
-    }
-    return static_cast<size_t>(n);
+  if (n > r->remaining()) {
+    r->MarkCorrupt("element count exceeds remaining bytes");
+    return 0;
   }
-  bool ok() const { return r->ok(); }
-};
+  return static_cast<size_t>(n);
+}
 
 }  // namespace
 
-// --- PT packet stream transcoding (format v2) --------------------------------
+// --- PT packet stream transcoding --------------------------------------------
 //
 // Token byte: low 3 bits = tag, high 5 bits = arg (31 = "escape", the real
 // value follows). Delta context persists across the whole stream: PSB/TIP
@@ -373,24 +321,24 @@ support::Status DecompressPtStream(ByteReader* r, size_t raw_size,
   return Status::Ok();
 }
 
-// --- shared sub-records ------------------------------------------------------
+// --- bundle sub-records ------------------------------------------------------
 
 namespace {
 
-void EncodeValueRec(const rt::Value& v, const Writer& w) {
-  w.U8(static_cast<uint8_t>(v.kind));
-  w.I64(v.ival);
-  w.U32(v.obj);
-  w.U32(v.off);
+void EncodeValueRec(const rt::Value& v, std::vector<uint8_t>* out) {
+  AppendU8(out, static_cast<uint8_t>(v.kind));
+  AppendVarint(out, ZigzagEncode(v.ival));
+  AppendVarint(out, v.obj);
+  AppendVarint(out, v.off);
 }
 
-Status DecodeValueRec(const Reader& r, rt::Value* out) {
-  const uint8_t kind = r.U8();
-  out->ival = r.I64();
-  out->obj = r.U32();
-  out->off = r.U32();
-  if (!r.ok()) {
-    return r.r->status();
+Status DecodeValueRec(ByteReader* r, rt::Value* out) {
+  const uint8_t kind = r->U8();
+  out->ival = ZigzagDecode(r->Varint());
+  out->obj = ReadU32(r);
+  out->off = ReadU32(r);
+  if (!r->ok()) {
+    return r->status();
   }
   if (kind > static_cast<uint8_t>(rt::Value::Kind::kFunc)) {
     return Status::Error(StatusCode::kCorruptData, "value kind out of range");
@@ -399,131 +347,91 @@ Status DecodeValueRec(const Reader& r, rt::Value* out) {
   return Status::Ok();
 }
 
-void EncodePtConfig(const pt::PtConfig& c, const Writer& w) {
-  w.U64(c.buffer_bytes);
-  w.U64(c.mtc_period_ns);
-  w.U64(c.cyc_unit_ns);
-  w.U64(c.psb_period_bytes);
-  w.U8(c.enable_timing ? 1 : 0);
-  w.U64(c.bytes_per_ns);
-  w.U64(c.work_trace_bytes_per_us);
-  w.U8(c.persist_to_storage ? 1 : 0);
-  w.U64(c.storage_flush_ns_per_kb);
+void EncodePtConfig(const pt::PtConfig& c, std::vector<uint8_t>* out) {
+  AppendVarint(out, c.buffer_bytes);
+  AppendVarint(out, c.mtc_period_ns);
+  AppendVarint(out, c.cyc_unit_ns);
+  AppendVarint(out, c.psb_period_bytes);
+  AppendU8(out, c.enable_timing ? 1 : 0);
+  AppendVarint(out, c.bytes_per_ns);
+  AppendVarint(out, c.work_trace_bytes_per_us);
+  AppendU8(out, c.persist_to_storage ? 1 : 0);
+  AppendVarint(out, c.storage_flush_ns_per_kb);
 }
 
-void DecodePtConfig(const Reader& r, pt::PtConfig* c) {
-  c->buffer_bytes = r.U64();
-  c->mtc_period_ns = r.U64();
-  c->cyc_unit_ns = r.U64();
-  c->psb_period_bytes = r.U64();
-  c->enable_timing = r.U8() != 0;
-  c->bytes_per_ns = r.U64();
-  c->work_trace_bytes_per_us = r.U64();
-  c->persist_to_storage = r.U8() != 0;
-  c->storage_flush_ns_per_kb = r.U64();
+void DecodePtConfig(ByteReader* r, pt::PtConfig* c) {
+  c->buffer_bytes = r->Varint();
+  c->mtc_period_ns = r->Varint();
+  c->cyc_unit_ns = r->Varint();
+  c->psb_period_bytes = r->Varint();
+  c->enable_timing = r->U8() != 0;
+  c->bytes_per_ns = r->Varint();
+  c->work_trace_bytes_per_us = r->Varint();
+  c->persist_to_storage = r->U8() != 0;
+  c->storage_flush_ns_per_kb = r->Varint();
 }
 
-void EncodePtStats(const pt::PtStats& s, const Writer& w) {
-  w.U64(s.total_bytes);
-  w.U64(s.shadow_bytes);
-  w.U64(s.timing_bytes);
-  w.U64(s.control_packets);
-  w.U64(s.timing_packets);
-  w.U64(s.psb_packets);
-  w.U64(s.branch_events);
-  w.U64(s.storage_bytes);
-  w.U64(s.storage_flushes);
+void EncodePtStats(const pt::PtStats& s, std::vector<uint8_t>* out) {
+  AppendVarint(out, s.total_bytes);
+  AppendVarint(out, s.shadow_bytes);
+  AppendVarint(out, s.timing_bytes);
+  AppendVarint(out, s.control_packets);
+  AppendVarint(out, s.timing_packets);
+  AppendVarint(out, s.psb_packets);
+  AppendVarint(out, s.branch_events);
+  AppendVarint(out, s.storage_bytes);
+  AppendVarint(out, s.storage_flushes);
 }
 
-void DecodePtStats(const Reader& r, pt::PtStats* s) {
-  s->total_bytes = r.U64();
-  s->shadow_bytes = r.U64();
-  s->timing_bytes = r.U64();
-  s->control_packets = r.U64();
-  s->timing_packets = r.U64();
-  s->psb_packets = r.U64();
-  s->branch_events = r.U64();
-  s->storage_bytes = r.U64();
-  s->storage_flushes = r.U64();
+void DecodePtStats(ByteReader* r, pt::PtStats* s) {
+  s->total_bytes = r->Varint();
+  s->shadow_bytes = r->Varint();
+  s->timing_bytes = r->Varint();
+  s->control_packets = r->Varint();
+  s->timing_packets = r->Varint();
+  s->psb_packets = r->Varint();
+  s->branch_events = r->Varint();
+  s->storage_bytes = r->Varint();
+  s->storage_flushes = r->Varint();
 }
 
-void EncodeDegradation(const trace::DegradationReport& d, const Writer& w) {
-  w.U64(d.threads_total);
-  w.U64(d.threads_dropped);
-  w.U64(d.decode_errors);
-  w.U64(d.stream_resyncs);
-  w.U64(d.clock_anomalies);
-  w.U64(d.sanitized_failure_fields);
-  w.U64(d.rejected_bundles);
-  w.U8(d.lost_prefix ? 1 : 0);
-  w.U8(d.timestamps_unreliable ? 1 : 0);
-  w.U8(d.hypothesis_fallback ? 1 : 0);
-  w.U8(d.slice_fallback ? 1 : 0);
-  w.U8(d.failure_record_unusable ? 1 : 0);
-  w.Count(d.notes.size());
-  for (const std::string& note : d.notes) {
-    w.Str(note);
-  }
-}
-
-void DecodeDegradation(const Reader& r, trace::DegradationReport* d) {
-  d->threads_total = r.U64();
-  d->threads_dropped = r.U64();
-  d->decode_errors = r.U64();
-  d->stream_resyncs = r.U64();
-  d->clock_anomalies = r.U64();
-  d->sanitized_failure_fields = r.U64();
-  d->rejected_bundles = r.U64();
-  d->lost_prefix = r.U8() != 0;
-  d->timestamps_unreliable = r.U8() != 0;
-  d->hypothesis_fallback = r.U8() != 0;
-  d->slice_fallback = r.U8() != 0;
-  d->failure_record_unusable = r.U8() != 0;
-  const size_t notes = r.Count();
-  d->notes.clear();
-  d->notes.reserve(notes);
-  for (size_t i = 0; i < notes && r.ok(); ++i) {
-    d->notes.push_back(r.Str());
-  }
-}
-
-void EncodeFailureInfoRec(const rt::FailureInfo& failure, const Writer& w) {
-  w.U8(static_cast<uint8_t>(failure.kind));
-  w.U32(failure.failing_inst);
-  w.U32(failure.thread);
-  EncodeValueRec(failure.operand, w);
-  w.U64(failure.time_ns);
-  w.Count(failure.deadlock_cycle.size());
+void EncodeFailureInfoRec(const rt::FailureInfo& failure, std::vector<uint8_t>* out) {
+  AppendU8(out, static_cast<uint8_t>(failure.kind));
+  AppendVarint(out, failure.failing_inst);
+  AppendVarint(out, failure.thread);
+  EncodeValueRec(failure.operand, out);
+  AppendVarint(out, failure.time_ns);
+  AppendVarint(out, failure.deadlock_cycle.size());
   for (const rt::FailureInfo::DeadlockWaiter& waiter : failure.deadlock_cycle) {
-    w.U32(waiter.thread);
-    w.U32(waiter.inst);
-    w.U64(waiter.block_time_ns);
+    AppendVarint(out, waiter.thread);
+    AppendVarint(out, waiter.inst);
+    AppendVarint(out, waiter.block_time_ns);
   }
-  w.Str(failure.description);
+  AppendVarString(out, failure.description);
 }
 
-Status DecodeFailureInfoRec(const Reader& r, rt::FailureInfo* out) {
-  const uint8_t kind = r.U8();
-  out->failing_inst = r.U32();
-  out->thread = r.U32();
+Status DecodeFailureInfoRec(ByteReader* r, rt::FailureInfo* out) {
+  const uint8_t kind = r->U8();
+  out->failing_inst = ReadU32(r);
+  out->thread = ReadU32(r);
   Status status = DecodeValueRec(r, &out->operand);
   if (!status.ok()) {
     return status;
   }
-  out->time_ns = r.U64();
-  const size_t waiters = r.Count();
+  out->time_ns = r->Varint();
+  const size_t waiters = ReadCount(r);
   out->deadlock_cycle.clear();
   out->deadlock_cycle.reserve(waiters);
-  for (size_t i = 0; i < waiters && r.ok(); ++i) {
+  for (size_t i = 0; i < waiters && r->ok(); ++i) {
     rt::FailureInfo::DeadlockWaiter w;
-    w.thread = r.U32();
-    w.inst = r.U32();
-    w.block_time_ns = r.U64();
+    w.thread = ReadU32(r);
+    w.inst = ReadU32(r);
+    w.block_time_ns = r->Varint();
     out->deadlock_cycle.push_back(w);
   }
-  out->description = r.Str();
-  if (!r.ok()) {
-    return r.r->status();
+  out->description = ReadString(r);
+  if (!r->ok()) {
+    return r->status();
   }
   if (kind > static_cast<uint8_t>(rt::FailureKind::kTimeout)) {
     return Status::Error(StatusCode::kCorruptData, "failure kind out of range");
@@ -534,89 +442,63 @@ Status DecodeFailureInfoRec(const Reader& r, rt::FailureInfo* out) {
 
 }  // namespace
 
-// --- FailureInfo -------------------------------------------------------------
-//
-// The standalone FailureInfo codec (crash-dump sidecar files) stays in the v1
-// fixed-width layout: those records have no format byte of their own.
-
-void EncodeFailureInfo(const rt::FailureInfo& failure, std::vector<uint8_t>* out) {
-  EncodeFailureInfoRec(failure, Writer{out, /*packed=*/false});
-}
-
-support::Status DecodeFailureInfo(ByteReader* r, rt::FailureInfo* out) {
-  return DecodeFailureInfoRec(Reader{r, /*packed=*/false}, out);
-}
-
 // --- PtTraceBundle -----------------------------------------------------------
 
-void EncodeBundle(const pt::PtTraceBundle& bundle, std::vector<uint8_t>* out,
-                  uint8_t format) {
-  SNORLAX_CHECK(format == kPayloadFormatV1 || format == kPayloadFormatV2);
-  AppendU8(out, format);
-  const Writer w{out, format >= kPayloadFormatV2};
-  w.U32(bundle.trace_version);
-  w.U64(bundle.module_fingerprint);
-  EncodePtConfig(bundle.config, w);
-  w.Count(bundle.threads.size());
+void EncodeBundle(const pt::PtTraceBundle& bundle, std::vector<uint8_t>* out) {
+  AppendU8(out, kBundleFormat);
+  AppendVarint(out, bundle.trace_version);
+  AppendVarint(out, bundle.module_fingerprint);
+  EncodePtConfig(bundle.config, out);
+  AppendVarint(out, bundle.threads.size());
   for (const pt::PtTraceBundle::PerThread& per : bundle.threads) {
-    w.U32(per.thread);
-    if (w.packed) {
-      AppendVarint(out, per.bytes.size());
-      CompressPtStream(per.bytes, out);
-    } else {
-      AppendBytes(out, per.bytes);
-    }
-    w.U64(per.total_written);
-    w.U32(per.last_retired);
+    AppendVarint(out, per.thread);
+    AppendVarint(out, per.bytes.size());
+    CompressPtStream(per.bytes, out);
+    AppendVarint(out, per.total_written);
+    AppendVarint(out, per.last_retired);
   }
-  w.U64(bundle.snapshot_time_ns);
-  EncodePtStats(bundle.stats, w);
-  EncodeFailureInfoRec(bundle.failure, w);
+  AppendVarint(out, bundle.snapshot_time_ns);
+  EncodePtStats(bundle.stats, out);
+  EncodeFailureInfoRec(bundle.failure, out);
 }
 
 support::Result<pt::PtTraceBundle> DecodeBundle(std::span<const uint8_t> bytes) {
   ByteReader r(bytes);
   const uint8_t format = r.U8();
-  if (r.ok() && format != kPayloadFormatV1 && format != kPayloadFormatV2) {
+  if (r.ok() && format != kBundleFormat) {
     return Status::Error(StatusCode::kVersionMismatch,
-                         StrFormat("bundle payload format %u, this build speaks <=%u",
-                                   format, kPayloadFormatVersion));
+                         StrFormat("bundle payload format %u, this build speaks %u",
+                                   format, kBundleFormat));
   }
-  const Reader rd{&r, format >= kPayloadFormatV2};
   pt::PtTraceBundle bundle;
-  bundle.trace_version = rd.U32();
-  bundle.module_fingerprint = rd.U64();
-  DecodePtConfig(rd, &bundle.config);
-  const size_t threads = rd.Count(4096);
+  bundle.trace_version = ReadU32(&r);
+  bundle.module_fingerprint = r.Varint();
+  DecodePtConfig(&r, &bundle.config);
+  const size_t threads = ReadCount(&r, 4096);
   bundle.threads.clear();
   bundle.threads.reserve(threads);
   for (size_t i = 0; i < threads && r.ok(); ++i) {
     pt::PtTraceBundle::PerThread per;
-    per.thread = rd.U32();
-    if (rd.packed) {
-      const uint64_t raw_size = r.Varint();
-      if (!r.ok()) {
-        break;
-      }
-      if (raw_size > kMaxByteBlob) {
-        r.MarkCorrupt("thread stream over cap");
-        break;
-      }
-      Status status =
-          DecompressPtStream(&r, static_cast<size_t>(raw_size), &per.bytes);
-      if (!status.ok()) {
-        return status;
-      }
-    } else {
-      per.bytes = r.Bytes();
+    per.thread = ReadU32(&r);
+    const uint64_t raw_size = r.Varint();
+    if (!r.ok()) {
+      break;
     }
-    per.total_written = rd.U64();
-    per.last_retired = rd.U32();
+    if (raw_size > kMaxByteBlob) {
+      r.MarkCorrupt("thread stream over cap");
+      break;
+    }
+    Status status = DecompressPtStream(&r, static_cast<size_t>(raw_size), &per.bytes);
+    if (!status.ok()) {
+      return status;
+    }
+    per.total_written = r.Varint();
+    per.last_retired = ReadU32(&r);
     bundle.threads.push_back(std::move(per));
   }
-  bundle.snapshot_time_ns = rd.U64();
-  DecodePtStats(rd, &bundle.stats);
-  Status status = DecodeFailureInfoRec(rd, &bundle.failure);
+  bundle.snapshot_time_ns = r.Varint();
+  DecodePtStats(&r, &bundle.stats);
+  Status status = DecodeFailureInfoRec(&r, &bundle.failure);
   if (!status.ok()) {
     return status;
   }
@@ -627,152 +509,10 @@ support::Result<pt::PtTraceBundle> DecodeBundle(std::span<const uint8_t> bytes) 
   return bundle;
 }
 
-// --- DiagnosisReport ---------------------------------------------------------
-
-namespace {
-
-void EncodePattern(const core::DiagnosedPattern& p, const Writer& w) {
-  w.U8(static_cast<uint8_t>(p.pattern.kind));
-  w.U8(p.pattern.ordered ? 1 : 0);
-  w.Count(p.pattern.events.size());
-  for (const core::PatternEvent& e : p.pattern.events) {
-    w.U32(e.inst);
-    w.U8(e.thread_slot);
-    w.U8(e.thread_final ? 1 : 0);
-  }
-  w.F64(p.precision);
-  w.F64(p.recall);
-  w.F64(p.f1);
-  w.U64(p.counts.true_positive);
-  w.U64(p.counts.false_positive);
-  w.U64(p.counts.false_negative);
-}
-
-Status DecodePattern(const Reader& r, core::DiagnosedPattern* p) {
-  const uint8_t kind = r.U8();
-  p->pattern.ordered = r.U8() != 0;
-  const size_t events = r.Count();
-  p->pattern.events.clear();
-  p->pattern.events.reserve(events);
-  for (size_t i = 0; i < events && r.ok(); ++i) {
-    core::PatternEvent e;
-    e.inst = r.U32();
-    e.thread_slot = r.U8();
-    e.thread_final = r.U8() != 0;
-    p->pattern.events.push_back(e);
-  }
-  p->precision = r.F64();
-  p->recall = r.F64();
-  p->f1 = r.F64();
-  p->counts.true_positive = r.U64();
-  p->counts.false_positive = r.U64();
-  p->counts.false_negative = r.U64();
-  if (!r.ok()) {
-    return r.r->status();
-  }
-  if (kind > static_cast<uint8_t>(core::PatternKind::kAtomicityWRW)) {
-    return Status::Error(StatusCode::kCorruptData, "pattern kind out of range");
-  }
-  p->pattern.kind = static_cast<core::PatternKind>(kind);
-  return Status::Ok();
-}
-
-}  // namespace
-
-void EncodeReport(const core::DiagnosisReport& report, std::vector<uint8_t>* out,
-                  uint8_t format) {
-  SNORLAX_CHECK(format == kPayloadFormatV1 || format == kPayloadFormatV2);
-  AppendU8(out, format);
-  const Writer w{out, format >= kPayloadFormatV2};
-  EncodeFailureInfoRec(report.failure, w);
-  w.Count(report.patterns.size());
-  for (const core::DiagnosedPattern& p : report.patterns) {
-    EncodePattern(p, w);
-  }
-  w.U8(report.hypothesis_violated ? 1 : 0);
-  EncodeDegradation(report.degradation, w);
-  w.U8(static_cast<uint8_t>(report.confidence));
-  w.U64(report.stages.module_instructions);
-  w.U64(report.stages.executed_instructions);
-  w.U64(report.stages.candidate_instructions);
-  w.U64(report.stages.rank1_candidates);
-  w.U64(report.stages.patterns_generated);
-  w.U64(report.stages.top_f1_patterns);
-  w.F64(report.stages.trace_seconds);
-  w.F64(report.stages.points_to_seconds);
-  w.F64(report.stages.rank_seconds);
-  w.F64(report.stages.pattern_seconds);
-  w.F64(report.stages.score_seconds);
-  w.F64(report.analysis_seconds);
-  w.F64(report.total_analysis_seconds);
-  w.U64(report.failing_traces);
-  w.U64(report.success_traces);
-}
-
-support::Result<core::DiagnosisReport> DecodeReport(std::span<const uint8_t> bytes) {
-  if (!bytes.empty() && bytes[0] == kPayloadFormatV3) {
-    // A full typed report from a protocol >= 4 peer; down-convert to the
-    // legacy projection this call site asked for.
-    support::Result<report::Report> full = DecodeFullReport(bytes);
-    if (!full.ok()) {
-      return full.status();
-    }
-    return std::move(full.value().diagnosis);
-  }
-  ByteReader r(bytes);
-  const uint8_t format = r.U8();
-  if (r.ok() && format != kPayloadFormatV1 && format != kPayloadFormatV2) {
-    return Status::Error(StatusCode::kVersionMismatch,
-                         StrFormat("report payload format %u, this build speaks <=%u",
-                                   format, kPayloadFormatV3));
-  }
-  const Reader rd{&r, format >= kPayloadFormatV2};
-  core::DiagnosisReport report;
-  Status status = DecodeFailureInfoRec(rd, &report.failure);
-  if (!status.ok()) {
-    return status;
-  }
-  const size_t patterns = rd.Count();
-  report.patterns.reserve(patterns);
-  for (size_t i = 0; i < patterns && r.ok(); ++i) {
-    core::DiagnosedPattern p;
-    status = DecodePattern(rd, &p);
-    if (!status.ok()) {
-      return status;
-    }
-    report.patterns.push_back(std::move(p));
-  }
-  report.hypothesis_violated = rd.U8() != 0;
-  DecodeDegradation(rd, &report.degradation);
-  const uint8_t confidence = rd.U8();
-  report.stages.module_instructions = rd.U64();
-  report.stages.executed_instructions = rd.U64();
-  report.stages.candidate_instructions = rd.U64();
-  report.stages.rank1_candidates = rd.U64();
-  report.stages.patterns_generated = rd.U64();
-  report.stages.top_f1_patterns = rd.U64();
-  report.stages.trace_seconds = rd.F64();
-  report.stages.points_to_seconds = rd.F64();
-  report.stages.rank_seconds = rd.F64();
-  report.stages.pattern_seconds = rd.F64();
-  report.stages.score_seconds = rd.F64();
-  report.analysis_seconds = rd.F64();
-  report.total_analysis_seconds = rd.F64();
-  report.failing_traces = rd.U64();
-  report.success_traces = rd.U64();
-  status = r.ExpectExhausted();
-  if (!status.ok()) {
-    return status;
-  }
-  if (confidence > static_cast<uint8_t>(trace::ConfidenceTier::kLow)) {
-    return Status::Error(StatusCode::kCorruptData, "confidence tier out of range");
-  }
-  report.confidence = static_cast<trace::ConfidenceTier>(confidence);
-  return report;
-}
+// --- report::Report ----------------------------------------------------------
 
 void EncodeFullReport(const report::Report& report, std::vector<uint8_t>* out) {
-  AppendU8(out, kPayloadFormatV3);
+  AppendU8(out, kReportFormat);
   report::EncodeReport(report, out);
 }
 
@@ -783,10 +523,10 @@ support::Result<report::Report> DecodeFullReport(std::span<const uint8_t> bytes,
   if (!r.ok()) {
     return r.status();
   }
-  if (format != kPayloadFormatV3) {
+  if (format != kReportFormat) {
     return Status::Error(StatusCode::kVersionMismatch,
-                         StrFormat("full report wants payload format %u, got %u",
-                                   kPayloadFormatV3, format));
+                         StrFormat("report payload format %u, this build speaks %u",
+                                   format, kReportFormat));
   }
   report::Report out;
   const Status status = report::DecodeReport(bytes.subspan(1), module, &out);

@@ -1,7 +1,7 @@
 // Wire serialization of the diagnosis payloads (explicit little-endian).
 //
-// The in-process structs (PtTraceBundle, FailureInfo, DiagnosisReport) never
-// cross a trust boundary today; over the fleet protocol they do, so every
+// The in-process structs (PtTraceBundle, report::Report) never cross a trust
+// boundary in-process; over the fleet protocol they do, so every
 // field is written byte-by-byte in little-endian order (no memcpy of structs:
 // layout, padding and endianness must not leak into the format) and every
 // decode path is bounds-checked through a sticky-error ByteReader. Hostile
@@ -10,21 +10,20 @@
 // bit pattern, so encode->decode round-trips are bit-exact -- the fleet bench
 // relies on remote ingest producing digest-identical reports.
 //
-// Each payload codec leads with its own format version byte, independent of
-// the frame-level protocol version: a frame can be perfectly framed yet carry
-// a payload encoded by a newer build, and that skew must be a kVersionMismatch
-// rejection, not a misdecode.
-//
-// Two payload formats are spoken (DESIGN.md section 13):
-//   v1: fixed-width little-endian fields, PT streams shipped verbatim.
-//   v2: LEB128 varints for integer fields (zigzag for signed), and the PT
-//       packet streams transcoded into a delta-compressed token stream --
-//       timestamps and block ids are monotone/clustered (the coarse
-//       interleaving regime), so deltas are small and varints short.
-// Decoders dispatch on the leading format byte and accept both; encoders take
-// the format as a parameter (default v2). v2 transcoding is lossless to the
-// byte: decode(encode_v2(b)) == decode(encode_v1(b)) == b, including streams
-// with corrupt/undecodable regions (shipped as raw escape runs).
+// Each payload leads with its own format byte, independent of the frame-level
+// protocol version: a frame can be perfectly framed yet carry a payload
+// encoded by a different build, and that skew must be a kVersionMismatch
+// rejection, not a misdecode. One format of each kind is spoken (DESIGN.md
+// section 13):
+//   bundle (byte 2): LEB128 varints for integer fields (zigzag for signed),
+//       and the PT packet streams transcoded into a delta-compressed token
+//       stream -- timestamps and block ids are monotone/clustered (the coarse
+//       interleaving regime), so deltas are small and varints short. The
+//       transcoding is lossless to the byte, including streams with
+//       corrupt/undecodable regions (shipped as raw escape runs).
+//   report (byte 3): the typed report::Report aggregate, encoded with the
+//       canonical report codec.
+// Every other leading byte is a kVersionMismatch.
 #ifndef SNORLAX_WIRE_SERIALIZE_H_
 #define SNORLAX_WIRE_SERIALIZE_H_
 
@@ -33,26 +32,18 @@
 #include <string>
 #include <vector>
 
-#include "core/server.h"
 #include "pt/encoder.h"
 #include "report/report.h"
-#include "runtime/failure.h"
 #include "support/binio.h"
 #include "support/status.h"
 
 namespace snorlax::wire {
 
-// Payload format generations. kPayloadFormatVersion is the preferred (newest)
-// format this build writes for *bundles*; all are accepted on decode.
-// v3 exists only for report payloads: it carries the full typed
-// report::Report aggregate (canonical report codec) instead of the stripped
-// v1/v2 DiagnosisReport projection, adding pass/artifact telemetry, transport
-// stats, and the optional repair plan. Spoken only when the frame-level
-// handshake negotiated protocol >= 4; legacy peers keep the v1/v2 shape.
-inline constexpr uint8_t kPayloadFormatV1 = 1;
-inline constexpr uint8_t kPayloadFormatV2 = 2;
-inline constexpr uint8_t kPayloadFormatV3 = 3;
-inline constexpr uint8_t kPayloadFormatVersion = kPayloadFormatV2;
+// Leading format byte of each payload kind. The values continue the numbering
+// of retired layouts (1 was fixed-width); they are part of the wire format and
+// change only with the layout they name.
+inline constexpr uint8_t kBundleFormat = 2;
+inline constexpr uint8_t kReportFormat = 3;
 
 // The byte-level primitives (Crc32, Append*, Zigzag, ByteReader, decode caps)
 // moved to support/binio.h so the engine-side codecs and the durable segment
@@ -75,7 +66,7 @@ using support::ZigzagEncode;
 using support::ZigzagDecode;
 using support::ByteReader;
 
-// --- PT packet stream transcoding (format v2) --------------------------------
+// --- PT packet stream transcoding --------------------------------------------
 
 // Re-encodes a raw PT packet stream as a delta-compressed token stream:
 // packets are parsed with the canonical codec, their fields delta-encoded
@@ -92,26 +83,13 @@ support::Status DecompressPtStream(ByteReader* r, size_t raw_size,
 
 // --- payload codecs ----------------------------------------------------------
 
-void EncodeFailureInfo(const rt::FailureInfo& failure, std::vector<uint8_t>* out);
-support::Status DecodeFailureInfo(ByteReader* r, rt::FailureInfo* out);
-
-// The full client->server evidence payload. Encoders write `format` (v1 or
-// v2); decoders dispatch on the payload's own leading format byte.
-void EncodeBundle(const pt::PtTraceBundle& bundle, std::vector<uint8_t>* out,
-                  uint8_t format = kPayloadFormatVersion);
+// The client->server evidence payload.
+void EncodeBundle(const pt::PtTraceBundle& bundle, std::vector<uint8_t>* out);
 support::Result<pt::PtTraceBundle> DecodeBundle(std::span<const uint8_t> bytes);
 
-// The server->client diagnosis payload (legacy v1/v2 projection). A v3
-// payload is accepted too: it is decoded through the report codec and
-// down-converted to its embedded DiagnosisReport, so call sites that only
-// want the legacy shape keep working against new peers.
-void EncodeReport(const core::DiagnosisReport& report, std::vector<uint8_t>* out,
-                  uint8_t format = kPayloadFormatVersion);
-support::Result<core::DiagnosisReport> DecodeReport(std::span<const uint8_t> bytes);
-
-// Format v3: the full typed aggregate, encoded with the canonical report
-// codec behind the usual leading format byte. `module` (optional) lets the
-// decoder bounds-check repair-plan instruction anchors.
+// The server->client diagnosis payload: the full typed aggregate behind the
+// leading format byte. `module` (optional) lets the decoder bounds-check
+// repair-plan instruction anchors.
 void EncodeFullReport(const report::Report& report, std::vector<uint8_t>* out);
 support::Result<report::Report> DecodeFullReport(std::span<const uint8_t> bytes,
                                                  const ir::Module* module = nullptr);

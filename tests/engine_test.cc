@@ -199,7 +199,7 @@ pt::PtTraceBundle ChaosRoundTrip(const pt::PtTraceBundle& bundle, uint64_t seq,
   frame.seq = seq;
   wire::BundlePayload payload;
   payload.kind = wire::BundleKind::kFailing;
-  wire::EncodeBundle(bundle, &payload.bundle_bytes, wire::kPayloadFormatV2);
+  wire::EncodeBundle(bundle, &payload.bundle_bytes);
   wire::EncodeBundlePayload(payload, &frame.payload);
   std::vector<uint8_t> clean;
   wire::EncodeFrame(frame, &clean);

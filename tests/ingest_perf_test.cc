@@ -1,10 +1,10 @@
 // Perf-smoke acceptance for the compact trace-ingest path (runs under the
 // perf-smoke ctest label):
-//   - v2 (varint/delta-compressed) bundles are at least 2x smaller than the
-//     v1 fixed-width encoding on real workload traces,
-//   - diagnosis is digest-identical whether bundles travel as v1 or v2, and
-//     whether the receive side decodes them through the copying or the
-//     zero-copy (FrameView / BundlePayloadView) path.
+//   - the varint/delta-compressed bundle encoding of real workload traces is
+//     pinned to its golden byte total,
+//   - diagnosis is digest-identical whether bundles are submitted directly or
+//     travel the wire, and whether the receive side decodes them through the
+//     copying or the zero-copy (FrameView / BundlePayloadView) path.
 #include <gtest/gtest.h>
 
 #include <chrono>
@@ -26,16 +26,15 @@ const std::vector<bench::CapturedSite>& Sites() {
 }
 
 // Ships one bundle through the full wire stack (payload encode -> frame ->
-// assembler -> payload decode -> bundle decode) in the given format, using
-// either the copying Frame path or the zero-copy view path.
-pt::PtTraceBundle WireRoundTrip(const pt::PtTraceBundle& bundle, uint8_t format,
-                                bool zero_copy) {
+// assembler -> payload decode -> bundle decode), using either the copying
+// Frame path or the zero-copy view path.
+pt::PtTraceBundle WireRoundTrip(const pt::PtTraceBundle& bundle, bool zero_copy) {
   wire::Frame frame;
   frame.type = wire::FrameType::kBundle;
   frame.seq = 1;
   wire::BundlePayload payload;
   payload.kind = wire::BundleKind::kFailing;
-  wire::EncodeBundle(bundle, &payload.bundle_bytes, format);
+  wire::EncodeBundle(bundle, &payload.bundle_bytes);
   wire::EncodeBundlePayload(payload, &frame.payload);
   std::vector<uint8_t> stream;
   wire::EncodeFrame(frame, &stream);
@@ -75,14 +74,17 @@ std::string DigestVia(
   return bench::DigestReports(pool.DiagnoseAll());
 }
 
+// Golden bytes: the 22 captured bundles encode to exactly this many bytes.
+// When the retired fixed-width layout still existed, the same bundles took
+// 24,829 B there, so this total is the 2.10x compression the gate used to
+// assert as a ratio. Any change to the bundle encoding, the PT transcoder or
+// the captured traffic moves it.
 TEST(IngestPerfSmoke, CompressedBundlesAreAtLeastTwiceAsSmall) {
   const auto& sites = Sites();
   ASSERT_FALSE(sites.empty());
   const bench::IngestProfile profile = bench::ProfileIngest(sites);
-  ASSERT_GT(profile.bundles, 0u);
-  EXPECT_GE(profile.compression_ratio, 2.0)
-      << profile.v1_bytes_per_bundle << " B/bundle (v1) vs "
-      << profile.v2_bytes_per_bundle << " B/bundle (v2)";
+  EXPECT_EQ(profile.bundles, 22u);
+  EXPECT_EQ(profile.bytes, 11850u) << profile.bytes_per_bundle << " B/bundle";
   EXPECT_GT(profile.decode_events_per_sec, 0.0);
 }
 
@@ -90,22 +92,14 @@ TEST(IngestPerfSmoke, DigestsIdenticalAcrossFormatsAndDecodePaths) {
   ASSERT_FALSE(Sites().empty());
   const std::string direct = DigestVia([](const pt::PtTraceBundle& b) { return b; });
   ASSERT_FALSE(direct.empty());
-  const std::string v1_copy = DigestVia([](const pt::PtTraceBundle& b) {
-    return WireRoundTrip(b, wire::kPayloadFormatV1, /*zero_copy=*/false);
+  const std::string copied = DigestVia([](const pt::PtTraceBundle& b) {
+    return WireRoundTrip(b, /*zero_copy=*/false);
   });
-  const std::string v2_copy = DigestVia([](const pt::PtTraceBundle& b) {
-    return WireRoundTrip(b, wire::kPayloadFormatV2, /*zero_copy=*/false);
+  const std::string viewed = DigestVia([](const pt::PtTraceBundle& b) {
+    return WireRoundTrip(b, /*zero_copy=*/true);
   });
-  const std::string v1_view = DigestVia([](const pt::PtTraceBundle& b) {
-    return WireRoundTrip(b, wire::kPayloadFormatV1, /*zero_copy=*/true);
-  });
-  const std::string v2_view = DigestVia([](const pt::PtTraceBundle& b) {
-    return WireRoundTrip(b, wire::kPayloadFormatV2, /*zero_copy=*/true);
-  });
-  EXPECT_EQ(direct, v1_copy);
-  EXPECT_EQ(direct, v2_copy);
-  EXPECT_EQ(direct, v1_view);
-  EXPECT_EQ(direct, v2_view);
+  EXPECT_EQ(direct, copied);
+  EXPECT_EQ(direct, viewed);
 }
 
 // Steady-state re-diagnosis gate for the pass-pipeline engine: once a site

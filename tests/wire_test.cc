@@ -10,6 +10,7 @@
 #include <gtest/gtest.h>
 
 #include "pt/packets.h"
+#include "report/report.h"
 #include "support/rng.h"
 #include "wire/frame.h"
 #include "wire/ring.h"
@@ -143,25 +144,40 @@ TEST(WireSerializeTest, BundleRoundTripIsBitStable) {
 TEST(WireSerializeTest, ReportRoundTripIsBitStable) {
   Rng rng(11);
   for (int i = 0; i < 50; ++i) {
-    const core::DiagnosisReport report = RandomReport(rng);
+    const report::Report report =
+        report::MakeReport(RandomReport(rng), rng.NextU64(), "scenario " + std::to_string(i));
     std::vector<uint8_t> encoded;
-    wire::EncodeReport(report, &encoded);
-    auto decoded = wire::DecodeReport(encoded);
+    wire::EncodeFullReport(report, &encoded);
+    ASSERT_EQ(encoded[0], wire::kReportFormat);
+    auto decoded = wire::DecodeFullReport(encoded);
     ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
     std::vector<uint8_t> re;
-    wire::EncodeReport(decoded.value(), &re);
+    wire::EncodeFullReport(decoded.value(), &re);
     ASSERT_EQ(encoded, re) << "round trip not bit-stable at iteration " << i;
   }
 }
 
 TEST(WireSerializeTest, PayloadFormatSkewIsVersionMismatch) {
+  // Only one format of each payload kind is spoken; every other leading byte
+  // -- the retired older generations and a future one alike -- is skew.
   Rng rng(3);
-  std::vector<uint8_t> encoded;
-  wire::EncodeBundle(RandomBundle(rng), &encoded);
-  encoded[0] = wire::kPayloadFormatVersion + 1;
-  auto decoded = wire::DecodeBundle(encoded);
-  ASSERT_FALSE(decoded.ok());
-  EXPECT_EQ(decoded.status().code(), support::StatusCode::kVersionMismatch);
+  std::vector<uint8_t> bundle;
+  wire::EncodeBundle(RandomBundle(rng), &bundle);
+  ASSERT_EQ(bundle[0], wire::kBundleFormat);
+  for (const uint8_t lead : {uint8_t{1}, static_cast<uint8_t>(wire::kBundleFormat + 1)}) {
+    bundle[0] = lead;
+    auto decoded = wire::DecodeBundle(bundle);
+    ASSERT_FALSE(decoded.ok()) << "bundle led by " << int{lead};
+    EXPECT_EQ(decoded.status().code(), support::StatusCode::kVersionMismatch);
+  }
+  std::vector<uint8_t> report;
+  wire::EncodeFullReport(report::MakeReport(RandomReport(rng), 7, ""), &report);
+  for (const uint8_t lead : {uint8_t{1}, uint8_t{2}}) {
+    report[0] = lead;
+    auto decoded = wire::DecodeFullReport(report);
+    ASSERT_FALSE(decoded.ok()) << "report led by " << int{lead};
+    EXPECT_EQ(decoded.status().code(), support::StatusCode::kVersionMismatch);
+  }
 }
 
 TEST(WireSerializeTest, TruncatedBundleNeverDecodes) {
@@ -176,28 +192,33 @@ TEST(WireSerializeTest, TruncatedBundleNeverDecodes) {
 }
 
 TEST(WireSerializeTest, ForgedCountIsCleanRejection) {
-  // A bundle whose thread count claims 4 billion entries must be rejected
-  // before any allocation happens (count > remaining bytes). The hand-built
-  // layout below is the fixed-width one, so pin the v1 format byte.
-  std::vector<uint8_t> bytes;
-  wire::AppendU8(&bytes, wire::kPayloadFormatV1);
-  wire::AppendU32(&bytes, 1);        // trace_version
-  wire::AppendU64(&bytes, 42);       // fingerprint
-  for (int i = 0; i < 7; ++i) {
-    wire::AppendU64(&bytes, 0);      // config u64 fields
+  // A bundle whose varint thread count claims 4 billion entries (over the
+  // cap), or merely more entries than bytes remain, must be rejected before
+  // any allocation happens.
+  for (const uint64_t forged : {uint64_t{0xfffffff0u}, uint64_t{4000}}) {
+    std::vector<uint8_t> bytes;
+    wire::AppendU8(&bytes, wire::kBundleFormat);
+    wire::AppendVarint(&bytes, 1);   // trace_version
+    wire::AppendVarint(&bytes, 42);  // fingerprint
+    for (int i = 0; i < 4; ++i) {
+      wire::AppendVarint(&bytes, 0);  // buffer, mtc, cyc, psb period
+    }
+    wire::AppendU8(&bytes, 0);        // enable_timing
+    wire::AppendVarint(&bytes, 0);    // bytes_per_ns
+    wire::AppendVarint(&bytes, 0);    // work_trace_bytes_per_us
+    wire::AppendU8(&bytes, 0);        // persist_to_storage
+    wire::AppendVarint(&bytes, 0);    // storage_flush_ns_per_kb
+    wire::AppendVarint(&bytes, forged);  // thread count
+    auto decoded = wire::DecodeBundle(bytes);
+    ASSERT_FALSE(decoded.ok()) << "forged count " << forged;
+    EXPECT_EQ(decoded.status().code(), support::StatusCode::kCorruptData);
   }
-  wire::AppendU8(&bytes, 0);
-  wire::AppendU8(&bytes, 0);         // config bools
-  wire::AppendU32(&bytes, 0xfffffff0u);  // forged thread count
-  auto decoded = wire::DecodeBundle(bytes);
-  ASSERT_FALSE(decoded.ok());
-  EXPECT_EQ(decoded.status().code(), support::StatusCode::kCorruptData);
 }
 
 // A packet stream shaped like the encoder's real output: PSB sync points
 // followed by MTC/CYC timing pairs interleaved with TNT runs and occasional
 // TIPs, timestamps advancing smoothly. This is the delta-friendly shape the
-// v2 token transcoder is built for.
+// token transcoder is built for.
 std::vector<uint8_t> RealisticPtStream(Rng& rng, size_t target_bytes) {
   std::vector<uint8_t> raw;
   uint64_t tsc = 1000000 + rng.NextBelow(1u << 20);
@@ -279,51 +300,6 @@ TEST(WireSerializeTest, RealisticPtStreamCompressesAtLeastTwofold) {
       << "only " << raw.size() << " -> " << compressed.size();
 }
 
-TEST(WireSerializeTest, BundleFormatsAreInteroperable) {
-  // The same bundle encoded as v1 and as v2 must decode to the same value:
-  // re-encoding both decodes in a common format is byte-identical, and each
-  // format round-trips bit-stably through its own layout.
-  Rng rng(31);
-  for (int i = 0; i < 20; ++i) {
-    const pt::PtTraceBundle bundle = RandomBundle(rng);
-    std::vector<uint8_t> v1, v2;
-    wire::EncodeBundle(bundle, &v1, wire::kPayloadFormatV1);
-    wire::EncodeBundle(bundle, &v2, wire::kPayloadFormatV2);
-    ASSERT_EQ(v1[0], wire::kPayloadFormatV1);
-    ASSERT_EQ(v2[0], wire::kPayloadFormatV2);
-    auto d1 = wire::DecodeBundle(v1);
-    auto d2 = wire::DecodeBundle(v2);
-    ASSERT_TRUE(d1.ok()) << d1.status().ToString();
-    ASSERT_TRUE(d2.ok()) << d2.status().ToString();
-    std::vector<uint8_t> c1, c2, r1;
-    wire::EncodeBundle(d1.value(), &c1, wire::kPayloadFormatV2);
-    wire::EncodeBundle(d2.value(), &c2, wire::kPayloadFormatV2);
-    EXPECT_EQ(c1, c2) << "formats decoded differently at iteration " << i;
-    wire::EncodeBundle(d1.value(), &r1, wire::kPayloadFormatV1);
-    EXPECT_EQ(r1, v1) << "v1 round trip not bit-stable at iteration " << i;
-  }
-}
-
-TEST(WireSerializeTest, ReportFormatsAreInteroperable) {
-  Rng rng(37);
-  for (int i = 0; i < 20; ++i) {
-    const core::DiagnosisReport report = RandomReport(rng);
-    std::vector<uint8_t> v1, v2;
-    wire::EncodeReport(report, &v1, wire::kPayloadFormatV1);
-    wire::EncodeReport(report, &v2, wire::kPayloadFormatV2);
-    auto d1 = wire::DecodeReport(v1);
-    auto d2 = wire::DecodeReport(v2);
-    ASSERT_TRUE(d1.ok()) << d1.status().ToString();
-    ASSERT_TRUE(d2.ok()) << d2.status().ToString();
-    std::vector<uint8_t> c1, c2, r1;
-    wire::EncodeReport(d1.value(), &c1, wire::kPayloadFormatV2);
-    wire::EncodeReport(d2.value(), &c2, wire::kPayloadFormatV2);
-    EXPECT_EQ(c1, c2) << "formats decoded differently at iteration " << i;
-    wire::EncodeReport(d1.value(), &r1, wire::kPayloadFormatV1);
-    EXPECT_EQ(r1, v1) << "v1 round trip not bit-stable at iteration " << i;
-  }
-}
-
 TEST(WireSerializeTest, HostilePtTokenStreamsAreCleanRejections) {
   // Token byte = tag (low 3 bits) | arg << 3. Every forged stream below must
   // come back as a clean error -- never an abort (the decompressor validates
@@ -372,13 +348,13 @@ TEST(WireSerializeTest, FlippedCompressedStreamNeverAborts) {
 }
 
 TEST(WireSerializeTest, FlippedBundleBytesNeverAbort) {
-  // Same property one layer up: DecodeBundle over every single-byte flip of a
-  // v2 encoding returns cleanly. (A flip may still decode -- payload-level
+  // Same property one layer up: DecodeBundle over every single-byte flip of an
+  // encoded bundle returns cleanly. (A flip may still decode -- payload-level
   // integrity is the frame CRC's job -- but it must never trap or hang.)
   Rng rng(43);
   const pt::PtTraceBundle bundle = RandomBundle(rng);
   std::vector<uint8_t> encoded;
-  wire::EncodeBundle(bundle, &encoded, wire::kPayloadFormatV2);
+  wire::EncodeBundle(bundle, &encoded);
   for (size_t at = 0; at < encoded.size(); ++at) {
     std::vector<uint8_t> bad = encoded;
     bad[at] ^= static_cast<uint8_t>(1u << rng.NextBelow(8));
@@ -467,7 +443,7 @@ TEST(WireFrameTest, EverySingleByteFlipIsDetected) {
 }
 
 TEST(WireFrameTest, EveryByteFlipIsDetectedOnCompressedBundles) {
-  // Re-run of the flip sweep with a real v2 (compressed) bundle payload: the
+  // Re-run of the flip sweep with a real (compressed) bundle payload: the
   // end-to-end guarantee is that a corrupted compressed bundle either fails
   // the frame CRC or is dropped -- whatever the assembler delivers must be
   // the pristine original, and must still decompress to the original bundle.
@@ -480,13 +456,13 @@ TEST(WireFrameTest, EveryByteFlipIsDetectedOnCompressedBundles) {
   frame.type = wire::FrameType::kBundle;
   frame.seq = 7;
   wire::BundlePayload payload;
-  wire::EncodeBundle(bundle, &payload.bundle_bytes, wire::kPayloadFormatV2);
+  wire::EncodeBundle(bundle, &payload.bundle_bytes);
   wire::EncodeBundlePayload(payload, &frame.payload);
   std::vector<uint8_t> clean;
   wire::EncodeFrame(frame, &clean);
 
   std::vector<uint8_t> canonical;
-  wire::EncodeBundle(bundle, &canonical, wire::kPayloadFormatV2);
+  wire::EncodeBundle(bundle, &canonical);
 
   for (size_t at = 0; at < clean.size(); ++at) {
     wire::FrameAssembler assembler;
@@ -502,7 +478,7 @@ TEST(WireFrameTest, EveryByteFlipIsDetectedOnCompressedBundles) {
       auto decoded = wire::DecodeBundle(view.bundle_bytes);
       ASSERT_TRUE(decoded.ok()) << "flip at byte " << at;
       std::vector<uint8_t> re;
-      wire::EncodeBundle(decoded.value(), &re, wire::kPayloadFormatV2);
+      wire::EncodeBundle(decoded.value(), &re);
       EXPECT_EQ(re, canonical) << "corrupted bundle surfaced, flip at byte " << at;
     }
   }
@@ -671,16 +647,16 @@ TEST(WireRingTest, HelloAckCarriesTopologyOnlyWhenAsked) {
   EXPECT_EQ(out.topology, ack.topology);
   EXPECT_EQ(out.last_acked_seq, 17u);
 
-  // A v2-style ack (no trailing block) decodes with has_topology false: the
-  // agent then routes everything to the daemon it dialed.
+  // A single-daemon ack (no trailing block) decodes with has_topology false:
+  // the agent then routes everything to the daemon it dialed.
   ack.has_topology = false;
   std::vector<uint8_t> without_block;
   wire::EncodeHelloAck(ack, &without_block);
   EXPECT_LT(without_block.size(), with_block.size());
-  wire::HelloAckPayload v2;
-  ASSERT_TRUE(wire::DecodeHelloAck(without_block, &v2).ok());
-  EXPECT_FALSE(v2.has_topology);
-  EXPECT_TRUE(v2.topology.empty());
+  wire::HelloAckPayload single;
+  ASSERT_TRUE(wire::DecodeHelloAck(without_block, &single).ok());
+  EXPECT_FALSE(single.has_topology);
+  EXPECT_TRUE(single.topology.empty());
 }
 
 TEST(WireRingTest, OwnershipIsDeterministicBalancedAndStable) {
