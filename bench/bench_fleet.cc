@@ -4,8 +4,8 @@
 // reports streamed back over the wire are digest-identical to feeding the
 // same bundle multiset to an in-process ServerPool.
 //
-// Flags: --agents=M --rounds=K --pool-threads=P --faults=kind@rate[,...]
-// --fault-seed=N --json --json=<path> (--faults adds wire chaos; digest
+// Flags: --agents=M --rounds=K --faults=kind@rate[,...] --fault-seed=N
+// --json --json=<path> (--faults adds wire chaos; digest
 // identity must survive it -- retransmission and dedup recover every
 // corrupted frame; --json=<path> writes the JSON line to <path>).
 //
@@ -30,7 +30,6 @@ int main(int argc, char** argv) {
   bench::HarnessFlags flags;
   flags.agents = 4;
   flags.config.rounds = 2;
-  flags.config.pool_threads = 0;
   const support::Status parsed = bench::ParseHarnessFlags(argc, argv, 1, &flags);
   if (!parsed.ok()) {
     std::fprintf(stderr, "%s\n", parsed.ToString().c_str());
@@ -39,7 +38,6 @@ int main(int argc, char** argv) {
   bench::FleetConfig config;
   config.agents = flags.agents;
   config.rounds = flags.config.rounds;
-  config.pool_threads = flags.config.pool_threads;
   if (!flags.faults.empty()) {
     auto plan = faults::FaultPlan::Parse(flags.faults, flags.fault_seed);
     if (!plan.ok()) {
@@ -62,7 +60,6 @@ int main(int argc, char** argv) {
     bench::ClusterConfig cconfig;
     cconfig.daemons = flags.daemons;
     cconfig.rounds = flags.config.rounds;
-    cconfig.pool_threads = flags.config.pool_threads;
     cconfig.kill_restart = flags.kill_restart;
     cconfig.data_dir = flags.data_dir;
     if (cconfig.kill_restart && cconfig.data_dir.empty()) {

@@ -1,9 +1,10 @@
 // Ingest throughput: bundles/sec and failing-submit latency of the sharded
-// diagnosis service, serial baseline vs concurrent ingest. Acceptance bar for
-// the parallel front-end: >= 4x bundles/sec at 8 client threads on the
-// chaos-free workload mix, with bit-identical diagnoses.
+// diagnosis service, serial baseline vs concurrent ingest. The exit code
+// checks one thing: serial and concurrent ingest of the same bundle multiset
+// must produce digest-identical diagnoses (1 = divergence). The speedup is
+// reported, not gated.
 //
-// Flags: --clients=N --threads=M --pool-threads=P --rounds=R --json
+// Flags: --clients=N --threads=M --rounds=R --json
 // --json=<path> (--json restricts stdout to the single-line JSON object;
 // --json=<path> additionally writes it to <path>, e.g. BENCH_ingest.json).
 // Parsed by the shared ParseHarnessFlags, so this binary and the
@@ -38,7 +39,6 @@ int main(int argc, char** argv) {
 
   bench::ThroughputConfig serial_config = config;
   serial_config.threads = 1;
-  serial_config.pool_threads = 0;
   const bench::ThroughputResult serial = bench::RunThroughput(sites, serial_config);
   const bench::ThroughputResult parallel = bench::RunThroughput(sites, config);
   const bench::IngestProfile profile = bench::ProfileIngest(sites);
@@ -46,8 +46,8 @@ int main(int argc, char** argv) {
   const support::Status emitted = bench::EmitBenchJson(flags, json, [&] {
     bench::PrintHeader(StrFormat(
         "Ingest throughput: %zu sites, %zu client streams x %zu rounds\n"
-        "(serial = 1 thread, no pool; concurrent = %zu threads + %zu pool workers)",
-        sites.size(), config.clients, config.rounds, config.threads, config.pool_threads));
+        "(serial = 1 thread; concurrent = %zu threads)",
+        sites.size(), config.clients, config.rounds, config.threads));
     const std::vector<int> widths = {12, 10, 12, 10, 10};
     bench::PrintRow({"mode", "bundles", "bundles/s", "p50[ms]", "p99[ms]"}, widths);
     bench::PrintRow({"serial", StrFormat("%zu", serial.bundles_submitted),

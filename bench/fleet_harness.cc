@@ -11,7 +11,6 @@
 #include "net/daemon.h"
 #include "support/json.h"
 #include "support/str.h"
-#include "support/thread_pool.h"
 
 namespace snorlax::bench {
 
@@ -55,13 +54,7 @@ FleetResult RunFleet(const std::vector<CapturedSite>& sites, const FleetConfig& 
     return result;
   }
 
-  std::unique_ptr<support::ThreadPool> analysis_pool;
-  net::DaemonOptions dopts;
-  if (config.pool_threads > 0) {
-    analysis_pool = std::make_unique<support::ThreadPool>(config.pool_threads);
-    dopts.pool.server.pool = analysis_pool.get();
-  }
-  net::DiagnosisDaemon daemon(dopts);
+  net::DiagnosisDaemon daemon;
   for (const CapturedSite& site : sites) {
     daemon.RegisterModule(site.workload.module.get());
   }
@@ -240,11 +233,6 @@ ClusterResult RunCluster(const std::vector<CapturedSite>& sites,
     std::filesystem::remove_all(config.data_dir, ec);  // fresh run, fresh logs
   }
 
-  std::unique_ptr<support::ThreadPool> analysis_pool;
-  if (config.pool_threads > 0) {
-    analysis_pool = std::make_unique<support::ThreadPool>(config.pool_threads);
-  }
-
   // Ring membership must be known before any daemon starts, so ports are
   // reserved up front and every member gets the full roster.
   std::vector<uint16_t> ports(config.daemons);
@@ -263,9 +251,6 @@ ClusterResult RunCluster(const std::vector<CapturedSite>& sites,
     dopts.port = ports[i];
     dopts.node_id = i + 1;
     dopts.members = members;
-    if (analysis_pool != nullptr) {
-      dopts.pool.server.pool = analysis_pool.get();
-    }
     if (!config.data_dir.empty()) {
       dopts.data_dir = StrFormat("%s/node-%zu", config.data_dir.c_str(), i + 1);
       dopts.fsync_each_append = true;  // a killed daemon must lose nothing
@@ -381,7 +366,6 @@ std::string ClusterJson(const ClusterConfig& config, size_t sites,
   w.BeginObject();
   w.Field("daemons", static_cast<uint64_t>(config.daemons));
   w.Field("rounds", static_cast<uint64_t>(config.rounds));
-  w.Field("pool_threads", static_cast<uint64_t>(config.pool_threads));
   w.Field("sites", static_cast<uint64_t>(sites));
   w.Field("kill_restart", config.kill_restart);
   w.Field("bundles", static_cast<uint64_t>(result.bundles_sent));
@@ -410,7 +394,6 @@ std::string FleetJson(const FleetConfig& config, size_t sites, const FleetResult
   w.BeginObject();
   w.Field("agents", static_cast<uint64_t>(config.agents));
   w.Field("rounds", static_cast<uint64_t>(config.rounds));
-  w.Field("pool_threads", static_cast<uint64_t>(config.pool_threads));
   w.Field("sites", static_cast<uint64_t>(sites));
   w.Field("chaos", config.chaos.faults.empty() ? std::string() : config.chaos.ToString());
   w.Field("bundles", static_cast<uint64_t>(result.bundles_sent));

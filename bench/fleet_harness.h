@@ -29,8 +29,6 @@ struct FleetConfig {
   // Times each agent replays its per-site script (1 failing bundle per site,
   // plus -- first round only -- that agent's share of the success bundles).
   size_t rounds = 2;
-  // Worker threads for the daemon's analysis pool; 0 = none.
-  size_t pool_threads = 0;
   // Chaos plan applied by every agent to its outgoing frames (kFrameCorrupt
   // specs; empty = clean wire). Each agent derives its own seed from
   // plan.seed + agent index so the fleet does not corrupt in lockstep.
@@ -82,7 +80,6 @@ struct ClusterConfig {
   size_t daemons = 3;
   // Times the (single, ring-aware) cluster agent replays the per-site script.
   size_t rounds = 2;
-  size_t pool_threads = 0;
   int io_timeout_ms = 5000;
   size_t max_attempts = 10;
   // Kill one daemon (no drain) after the first round and restart it on the

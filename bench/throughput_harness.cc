@@ -11,7 +11,6 @@
 #include "pt/decoder.h"
 #include "support/json.h"
 #include "support/str.h"
-#include "support/thread_pool.h"
 #include "wire/serialize.h"
 
 namespace snorlax::bench {
@@ -58,8 +57,6 @@ support::Status ParseHarnessFlags(int argc, char** argv, int first, HarnessFlags
       flags->config.threads = flags->config.clients;
     } else if (flag.rfind("--threads=", 0) == 0) {
       flags->config.threads = std::strtoull(flag.c_str() + 10, nullptr, 10);
-    } else if (flag.rfind("--pool-threads=", 0) == 0) {
-      flags->config.pool_threads = std::strtoull(flag.c_str() + 15, nullptr, 10);
     } else if (flag.rfind("--rounds=", 0) == 0) {
       flags->config.rounds = std::strtoull(flag.c_str() + 9, nullptr, 10);
     } else if (flag.rfind("--agents=", 0) == 0) {
@@ -135,13 +132,7 @@ ThroughputResult RunThroughput(const std::vector<CapturedSite>& sites,
     return result;
   }
 
-  std::unique_ptr<support::ThreadPool> analysis_pool;
-  core::ServerPoolOptions popts;
-  if (config.pool_threads > 0) {
-    analysis_pool = std::make_unique<support::ThreadPool>(config.pool_threads);
-    popts.server.pool = analysis_pool.get();
-  }
-  core::ServerPool pool(popts);
+  core::ServerPool pool;
   for (const CapturedSite& site : sites) {
     pool.RegisterModule(site.workload.module.get());
   }
@@ -316,7 +307,6 @@ std::string ThroughputJson(const ThroughputConfig& config, size_t sites,
   w.BeginObject();
   w.Field("clients", static_cast<uint64_t>(config.clients));
   w.Field("threads", static_cast<uint64_t>(config.threads));
-  w.Field("pool_threads", static_cast<uint64_t>(config.pool_threads));
   w.Field("rounds", static_cast<uint64_t>(config.rounds));
   w.Field("sites", static_cast<uint64_t>(sites));
   WriteRunJson(&w, "serial", serial);

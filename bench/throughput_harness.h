@@ -44,8 +44,6 @@ struct ThroughputConfig {
   // OS threads driving the streams (streams are dealt round-robin). 1 = the
   // serial baseline.
   size_t threads = 8;
-  // Worker threads for the analysis pool handed to the shards; 0 = none.
-  size_t pool_threads = 8;
   // Times each stream replays its per-site script (1 failing bundle followed
   // by that stream's share of the success bundles).
   size_t rounds = 4;

@@ -7,7 +7,8 @@
 #                                           harness builds in <build-dir>-perfbench)
 #   SNORLAX_CHECK_TSAN=1 scripts/check.sh   additionally builds with
 #                                           -DSNORLAX_SANITIZE=thread and runs
-#                                           the concurrency label under TSan.
+#                                           the concurrency and net labels
+#                                           under TSan.
 #   SNORLAX_CHECK_ASAN=1 scripts/check.sh   additionally builds with
 #                                           -DSNORLAX_SANITIZE=address and runs
 #                                           every test but the fuzz and
@@ -58,11 +59,11 @@ cmake --build "${BUILD_DIR}-perfbench" -j "${JOBS}" --target perfbench perfbench
 python3 -m unittest discover -s perfbench/tests
 
 if [[ "${SNORLAX_CHECK_TSAN:-0}" == "1" ]]; then
-  echo "== TSan: concurrency label =="
+  echo "== TSan: concurrency and net labels =="
   cmake -B "${BUILD_DIR}-tsan" -S . -DSNORLAX_SANITIZE=thread \
         -DCMAKE_BUILD_TYPE=RelWithDebInfo
   cmake --build "${BUILD_DIR}-tsan" -j "${JOBS}"
-  ctest --test-dir "${BUILD_DIR}-tsan" --output-on-failure -L concurrency
+  ctest --test-dir "${BUILD_DIR}-tsan" --output-on-failure -L "concurrency|net"
 fi
 
 if [[ "${SNORLAX_CHECK_ASAN:-0}" == "1" ]]; then

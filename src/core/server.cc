@@ -31,7 +31,6 @@ engine::EngineOptions DiagnosisServer::MakeEngineOptions(const Options& options)
   eopts.pta_node_budget = options.pta_node_budget;
   eopts.pta_ab_check = options.pta_ab_check;
   eopts.use_artifact_store = options.use_analysis_cache;
-  eopts.pool = options.pool;
   eopts.durable_log = options.durable_log;
   eopts.durable_site = options.durable_site;
   eopts.repair = options.repair;
@@ -505,7 +504,7 @@ engine::ArtifactStore::Stats DiagnosisServer::CombinedStoreStatsLocked() const {
 
 DiagnosisReport DiagnosisServer::Diagnose() const {
   // Held across scoring: appending a trace mid-score would make the counts
-  // depend on scheduling. The pool workers only read trace/pattern state.
+  // depend on scheduling.
   std::lock_guard<std::mutex> lock(mu_);
   DiagnosisReport report;
   if (engine_.failing_traces().empty()) {

@@ -35,7 +35,6 @@
 #include "engine/durable_log.h"
 #include "engine/site_engine.h"
 #include "support/status.h"
-#include "support/thread_pool.h"
 #include "trace/degradation.h"
 #include "trace/processed_trace.h"
 
@@ -145,9 +144,6 @@ class DiagnosisServer {
     // are skipped, the bundle still counts as scoring evidence, and the
     // submit returns kDeadlineExceeded with a degradation note. 0 = off.
     double analysis_deadline_seconds = 0.0;
-    // When set, Diagnose() scores patterns in parallel on this pool (results
-    // identical to serial scoring). Not owned; must outlive the server.
-    support::ThreadPool* pool = nullptr;
     // Cluster durability: when set, accepted evidence, rejections, and every
     // newly computed engine artifact are appended to this log under
     // `durable_site`, and RestoreSiteRecords() rebuilds the server from a

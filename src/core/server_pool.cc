@@ -134,17 +134,10 @@ std::vector<ServerPool::ShardReport> ServerPool::DiagnoseAll() const {
     }
     return a.key.failing_inst < b.key.failing_inst;
   });
-  std::vector<ShardReport> out(entries.size());
-  auto diagnose_one = [&](size_t i) {
-    out[i].key = entries[i].key;
-    out[i].report = entries[i].server->Diagnose();
-  };
-  if (options_.server.pool != nullptr && entries.size() > 1) {
-    options_.server.pool->ParallelFor(entries.size(), diagnose_one);
-  } else {
-    for (size_t i = 0; i < entries.size(); ++i) {
-      diagnose_one(i);
-    }
+  std::vector<ShardReport> out;
+  out.reserve(entries.size());
+  for (const Entry& entry : entries) {
+    out.push_back(ShardReport{entry.key, entry.server->Diagnose()});
   }
   return out;
 }

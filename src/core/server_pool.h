@@ -25,9 +25,7 @@
 namespace snorlax::core {
 
 struct ServerPoolOptions {
-  // Applied to every shard the pool creates. The embedded `pool` pointer (if
-  // any) is shared by all shards for parallel scoring, and also drives
-  // DiagnoseAll's fan-out.
+  // Applied to every shard the pool creates.
   DiagnosisServer::Options server;
   // One durable log per daemon, shared by every shard (records carry the site
   // key). When set, each shard persists its state as it accumulates and
@@ -71,9 +69,9 @@ class ServerPool {
   std::vector<std::pair<ir::InstId, int>> RequestedDumpPoints(
       uint64_t module_fingerprint, ir::InstId failing_inst) const;
 
-  // Diagnoses every shard (in parallel when the server options carry a thread
-  // pool) and returns the reports sorted by (fingerprint, failing PC) so the
-  // output is deterministic regardless of shard-creation order.
+  // Diagnoses every shard on the calling thread and returns the reports sorted
+  // by (fingerprint, failing PC) so the output is deterministic regardless of
+  // shard-creation order.
   std::vector<ShardReport> DiagnoseAll() const;
 
   // -- Cluster durability and hand-off --

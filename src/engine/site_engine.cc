@@ -547,7 +547,7 @@ ScoreOutcome SiteEngine::Score() {
   // Fold only the traces each pattern has not consumed yet (all of them for a
   // pattern discovered this round). Counts commute over traces, so the totals
   // equal a from-scratch scoring pass.
-  auto fold = [&](size_t i) {
+  for (size_t i = 0; i < patterns_.size(); ++i) {
     ScoreState& state = score_states_[i];
     const BugPattern& pattern = patterns_[i];
     for (size_t j = state.failing_seen; j < failing_traces_.size(); ++j) {
@@ -564,13 +564,6 @@ ScoreOutcome SiteEngine::Score() {
     }
     state.failing_seen = failing_traces_.size();
     state.success_seen = success_traces_.size();
-  };
-  if (options_.pool != nullptr && patterns_.size() > 1) {
-    options_.pool->ParallelFor(patterns_.size(), fold);
-  } else {
-    for (size_t i = 0; i < patterns_.size(); ++i) {
-      fold(i);
-    }
   }
 
   F1ScoresArtifact scores;

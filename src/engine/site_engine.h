@@ -43,7 +43,6 @@
 #include "engine/repair.h"
 #include "engine/statistical.h"
 #include "support/status.h"
-#include "support/thread_pool.h"
 #include "trace/processed_trace.h"
 
 namespace snorlax::engine {
@@ -74,9 +73,6 @@ struct EngineOptions {
   // cheap but interpreter validation re-executes the failing scenario across
   // timing bands, which only the diagnose-with---suggest-fix path should pay.
   RepairOptions repair;
-  // When set, scoring runs per-pattern on this pool (results identical to
-  // serial). Not owned; must outlive the engine.
-  support::ThreadPool* pool = nullptr;
   // Durability: when set (and the artifact store is on), every newly computed
   // artifact is appended to this log under `durable_site` the moment the
   // store accepts it, so a restarted daemon replays it instead of recomputing.

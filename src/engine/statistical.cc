@@ -63,17 +63,11 @@ DiagnosedPattern ScoreOne(const BugPattern& pattern,
 std::vector<DiagnosedPattern> ScorePatterns(
     const std::vector<BugPattern>& patterns,
     const std::vector<const trace::ProcessedTrace*>& failing_traces,
-    const std::vector<const trace::ProcessedTrace*>& success_traces,
-    support::ThreadPool* pool) {
-  std::vector<DiagnosedPattern> out(patterns.size());
-  if (pool != nullptr && patterns.size() > 1) {
-    pool->ParallelFor(patterns.size(), [&](size_t i) {
-      out[i] = ScoreOne(patterns[i], failing_traces, success_traces);
-    });
-  } else {
-    for (size_t i = 0; i < patterns.size(); ++i) {
-      out[i] = ScoreOne(patterns[i], failing_traces, success_traces);
-    }
+    const std::vector<const trace::ProcessedTrace*>& success_traces) {
+  std::vector<DiagnosedPattern> out;
+  out.reserve(patterns.size());
+  for (const BugPattern& pattern : patterns) {
+    out.push_back(ScoreOne(pattern, failing_traces, success_traces));
   }
   std::sort(out.begin(), out.end(), DiagnosedPatternBetter);
   return out;

@@ -14,7 +14,6 @@
 
 #include "engine/pattern.h"
 #include "support/stats.h"
-#include "support/thread_pool.h"
 
 namespace snorlax::engine {
 
@@ -29,16 +28,10 @@ struct DiagnosedPattern {
 // Scores `patterns` against the traces; returns the list sorted by descending
 // F1 (ties broken by pattern size descending -- a more specific pattern with
 // equal evidence is the better root-cause statement -- then by key).
-//
-// Patterns score independently, so when `pool` is non-null each one is scored
-// as a parallel task; the result (including tie-break order) is identical to
-// the serial run because each slot is written in place and sorted after the
-// barrier with a total-order comparator.
 std::vector<DiagnosedPattern> ScorePatterns(
     const std::vector<BugPattern>& patterns,
     const std::vector<const trace::ProcessedTrace*>& failing_traces,
-    const std::vector<const trace::ProcessedTrace*>& success_traces,
-    support::ThreadPool* pool = nullptr);
+    const std::vector<const trace::ProcessedTrace*>& success_traces);
 
 // The total order ScorePatterns sorts by, exposed so the incremental scorer
 // (engine/site_engine.cc) provably produces the same report order as a full

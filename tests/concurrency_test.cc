@@ -6,13 +6,15 @@
 // deterministic); everything the diagnosis *means* is compared.
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <map>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "core/server_pool.h"
 #include "core/snorlax.h"
 #include "pt/encoder.h"
-#include "support/thread_pool.h"
 #include "trace/processed_trace.h"
 #include "workloads/workload.h"
 
@@ -130,22 +132,28 @@ TEST(Concurrency, ParallelIngestMatchesSerialBaseline) {
   ExpectSameDiagnosis(server.Diagnose(), want);
 }
 
-TEST(Concurrency, ParallelScoringMatchesSerialScoring) {
-  const Captured site = CaptureSite("pbzip2_main", 8);
-  ASSERT_TRUE(site.bundle.failure.IsFailure());
-
-  DiagnosisServer plain(site.workload.module.get());
-  support::ThreadPool pool(4);
-  DiagnosisServer::Options with_pool;
-  with_pool.pool = &pool;
-  DiagnosisServer pooled(site.workload.module.get(), with_pool);
-  for (DiagnosisServer* s : {&plain, &pooled}) {
-    ASSERT_TRUE(s->SubmitFailingTrace(site.bundle).ok());
-    for (const pt::PtTraceBundle& success : site.successes) {
-      ASSERT_TRUE(s->SubmitSuccessTrace(success).ok());
+// Thread t's share of a two-site pool workload: per site, the failing bundle
+// first (so the shard exists before any of t's successes arrive), then every
+// kThreads-th success bundle starting at t.
+void DrivePool(ServerPool* pool, const Captured& a, const Captured& b, int t) {
+  for (const Captured* site : {&a, &b}) {
+    EXPECT_TRUE(pool->SubmitFailingTrace(site->bundle).ok());
+    for (size_t i = static_cast<size_t>(t); i < site->successes.size(); i += kThreads) {
+      EXPECT_TRUE(
+          pool->SubmitSuccessTrace(site->bundle.failure.failing_inst, site->successes[i])
+              .ok());
     }
   }
-  ExpectSameDiagnosis(pooled.Diagnose(), plain.Diagnose());
+}
+
+void ExpectSameShardReports(const std::vector<ServerPool::ShardReport>& got,
+                            const std::vector<ServerPool::ShardReport>& want) {
+  ASSERT_EQ(got.size(), want.size());
+  for (size_t i = 0; i < want.size(); ++i) {
+    EXPECT_EQ(got[i].key.module_fingerprint, want[i].key.module_fingerprint);
+    EXPECT_EQ(got[i].key.failing_inst, want[i].key.failing_inst);
+    ExpectSameDiagnosis(got[i].report, want[i].report);
+  }
 }
 
 TEST(Concurrency, ServerPoolParallelIngestMatchesSerial) {
@@ -155,22 +163,14 @@ TEST(Concurrency, ServerPoolParallelIngestMatchesSerial) {
   ASSERT_TRUE(sq.bundle.failure.IsFailure());
 
   auto drive = [&](ServerPool* pool, int t) {
-    for (const Captured* site : {&pb, &sq}) {
-      EXPECT_TRUE(pool->SubmitFailingTrace(site->bundle).ok());
-      for (size_t i = static_cast<size_t>(t); i < site->successes.size(); i += kThreads) {
-        EXPECT_TRUE(pool->SubmitSuccessTrace(site->bundle.failure.failing_inst,
-                                             site->successes[i])
-                        .ok());
-      }
-    }
+    DrivePool(pool, pb, sq, t);
     // Unroutable garbage must bounce without disturbing the shards.
     pt::PtTraceBundle unknown = pb.bundle;
     unknown.module_fingerprint ^= 0xdeadbeef;
     EXPECT_FALSE(pool->SubmitFailingTrace(unknown).ok());
   };
 
-  ServerPoolOptions serial_opts;
-  ServerPool serial(serial_opts);
+  ServerPool serial;
   serial.RegisterModule(pb.workload.module.get());
   serial.RegisterModule(sq.workload.module.get());
   for (int t = 0; t < kThreads; ++t) {
@@ -179,11 +179,7 @@ TEST(Concurrency, ServerPoolParallelIngestMatchesSerial) {
   const std::vector<ServerPool::ShardReport> want = serial.DiagnoseAll();
   ASSERT_EQ(want.size(), 2u);
 
-  // Concurrent run, with DiagnoseAll itself fanning out on a thread pool.
-  support::ThreadPool work_pool(4);
-  ServerPoolOptions opts;
-  opts.server.pool = &work_pool;
-  ServerPool pool(opts);
+  ServerPool pool;
   pool.RegisterModule(pb.workload.module.get());
   pool.RegisterModule(sq.workload.module.get());
   std::vector<std::thread> threads;
@@ -195,14 +191,63 @@ TEST(Concurrency, ServerPoolParallelIngestMatchesSerial) {
     th.join();
   }
   EXPECT_EQ(pool.routing_rejects(), static_cast<size_t>(kThreads));
+  ExpectSameShardReports(pool.DiagnoseAll(), want);
+}
 
-  const std::vector<ServerPool::ShardReport> got = pool.DiagnoseAll();
-  ASSERT_EQ(got.size(), want.size());
-  for (size_t i = 0; i < want.size(); ++i) {
-    EXPECT_EQ(got[i].key.module_fingerprint, want[i].key.module_fingerprint);
-    EXPECT_EQ(got[i].key.failing_inst, want[i].key.failing_inst);
-    ExpectSameDiagnosis(got[i].report, want[i].report);
+// Diagnosis runs on the caller's thread while submitters keep arriving: every
+// mid-flight snapshot must be a consistent prefix of the evidence (never more
+// failing traces than were sent, and no shard's trace counts going backwards),
+// and once the submitters finish the result must be exactly the serial one.
+TEST(Concurrency, DiagnoseAllRacingSubmissions) {
+  const Captured pb = CaptureSite("pbzip2_main", 4);
+  const Captured sq = CaptureSite("sqlite_1672", 4);
+  ASSERT_TRUE(pb.bundle.failure.IsFailure());
+  ASSERT_TRUE(sq.bundle.failure.IsFailure());
+
+  ServerPool serial;
+  serial.RegisterModule(pb.workload.module.get());
+  serial.RegisterModule(sq.workload.module.get());
+  for (int t = 0; t < kThreads; ++t) {
+    DrivePool(&serial, pb, sq, t);
   }
+  const std::vector<ServerPool::ShardReport> want = serial.DiagnoseAll();
+  ASSERT_EQ(want.size(), 2u);
+
+  ServerPool pool;
+  pool.RegisterModule(pb.workload.module.get());
+  pool.RegisterModule(sq.workload.module.get());
+  std::atomic<bool> submitting{true};
+  size_t snapshots = 0;
+  std::thread diagnoser([&] {
+    // Last seen (failing, success) trace counts per shard.
+    std::map<std::pair<uint64_t, ir::InstId>, std::pair<size_t, size_t>> seen;
+    do {
+      const std::vector<ServerPool::ShardReport> snapshot = pool.DiagnoseAll();
+      EXPECT_LE(snapshot.size(), want.size());
+      for (const ServerPool::ShardReport& sr : snapshot) {
+        EXPECT_LE(sr.report.failing_traces, static_cast<size_t>(kThreads));
+        std::pair<size_t, size_t>& last =
+            seen[{sr.key.module_fingerprint, sr.key.failing_inst}];
+        EXPECT_GE(sr.report.failing_traces, last.first);
+        EXPECT_GE(sr.report.success_traces, last.second);
+        last = {sr.report.failing_traces, sr.report.success_traces};
+      }
+      ++snapshots;
+    } while (submitting.load(std::memory_order_acquire));
+  });
+  std::vector<std::thread> threads;
+  threads.reserve(kThreads);
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back(DrivePool, &pool, std::cref(pb), std::cref(sq), t);
+  }
+  for (std::thread& th : threads) {
+    th.join();
+  }
+  submitting.store(false, std::memory_order_release);
+  diagnoser.join();
+  EXPECT_GE(snapshots, 1u);
+
+  ExpectSameShardReports(pool.DiagnoseAll(), want);
 }
 
 // One immutable trace shared by many threads -- the decode memo hands the

@@ -1,17 +1,13 @@
-// Unit tests for the support library: statistics, RNG, string helpers, and
-// the work-stealing thread pool.
+// Unit tests for the support library: statistics, RNG and string helpers.
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <atomic>
 #include <cmath>
-#include <numeric>
 #include <vector>
 
 #include "support/rng.h"
 #include "support/stats.h"
 #include "support/str.h"
-#include "support/thread_pool.h"
 
 namespace snorlax {
 namespace {
@@ -171,65 +167,6 @@ TEST_P(OrderingAccuracyProperty, BoundedAndConsistent) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, OrderingAccuracyProperty, ::testing::Range<uint64_t>(1, 33));
-
-TEST(ThreadPool, SubmitRunsEveryTask) {
-  support::ThreadPool pool(4);
-  EXPECT_EQ(pool.num_threads(), 4u);
-  std::atomic<int> hits{0};
-  for (int i = 0; i < 1000; ++i) {
-    pool.Submit([&hits] { hits.fetch_add(1, std::memory_order_relaxed); });
-  }
-  pool.WaitIdle();
-  EXPECT_EQ(hits.load(), 1000);
-}
-
-TEST(ThreadPool, NestedSubmissionFromWorkers) {
-  support::ThreadPool pool(3);
-  std::atomic<int> hits{0};
-  for (int i = 0; i < 50; ++i) {
-    pool.Submit([&pool, &hits] {
-      pool.Submit([&hits] { hits.fetch_add(1, std::memory_order_relaxed); });
-    });
-  }
-  pool.WaitIdle();
-  EXPECT_EQ(hits.load(), 50);
-}
-
-TEST(ThreadPool, ParallelForCoversEveryIndexOnce) {
-  support::ThreadPool pool(4);
-  std::vector<std::atomic<int>> hits(257);
-  pool.ParallelFor(hits.size(), [&hits](size_t i) {
-    hits[i].fetch_add(1, std::memory_order_relaxed);
-  });
-  for (size_t i = 0; i < hits.size(); ++i) {
-    EXPECT_EQ(hits[i].load(), 1) << "index " << i;
-  }
-  // n = 0 must be a no-op, not a hang.
-  pool.ParallelFor(0, [](size_t) { ADD_FAILURE() << "called for n=0"; });
-}
-
-TEST(ThreadPool, NestedParallelForFromWorkerDoesNotDeadlock) {
-  // ParallelFor's caller participates in its own loop, so a worker running a
-  // task may itself fan out on the same pool (DiagnoseAll -> Diagnose ->
-  // ScorePatterns does exactly this).
-  support::ThreadPool pool(2);
-  std::atomic<int> total{0};
-  pool.ParallelFor(8, [&pool, &total](size_t) {
-    pool.ParallelFor(16, [&total](size_t) {
-      total.fetch_add(1, std::memory_order_relaxed);
-    });
-  });
-  EXPECT_EQ(total.load(), 8 * 16);
-}
-
-TEST(ThreadPool, SingleThreadPoolStillCompletes) {
-  support::ThreadPool pool(1);
-  std::vector<int> out(64, 0);
-  pool.ParallelFor(out.size(), [&out](size_t i) { out[i] = static_cast<int>(i); });
-  std::vector<int> want(64);
-  std::iota(want.begin(), want.end(), 0);
-  EXPECT_EQ(out, want);
-}
 
 }  // namespace
 }  // namespace snorlax

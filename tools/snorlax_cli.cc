@@ -79,8 +79,8 @@ int Usage() {
       "  bench-throughput measure concurrent vs serial ingest on the built-in\n"
       "           workload mix (--clients=N, --threads=M, --rounds=R, --json,\n"
       "           --json=<path> to also write the JSON line to a file)\n"
-      "  serve    run the TCP diagnosis daemon (--port=P, --pool-threads=N,\n"
-      "           --deadline-ms=D per-site analysis deadline, --workloads=a,b,c,\n"
+      "  serve    run the TCP diagnosis daemon (--port=P, --deadline-ms=D\n"
+      "           per-site analysis deadline, --workloads=a,b,c,\n"
       "           --pta-tier=exhaustive|demand|auto, --pta-budget=N, --pta-ab;\n"
       "           cluster mode: --node-id=N --peers=id@port[,id@port...];\n"
       "           durability: --data-dir=DIR [--fsync]; default port 7433,\n"
@@ -89,8 +89,7 @@ int Usage() {
       "  send     capture a workload's failing + success traces and ship them\n"
       "           to a daemon (<workload>, --port=P, --agent-id=N, --diagnose)\n"
       "  bench-fleet measure loopback-TCP fleet ingest (--agents=M, --rounds=K,\n"
-      "           --pool-threads=P, --faults=kind@rate[,...], --json,\n"
-      "           --json=<path>)\n");
+      "           --faults=kind@rate[,...], --json, --json=<path>)\n");
   return 2;
 }
 
@@ -472,7 +471,6 @@ int CmdBenchThroughput(int argc, char** argv) {
   bench::HarnessFlags flags;
   flags.config.clients = 8;
   flags.config.threads = 8;
-  flags.config.pool_threads = 8;
   flags.config.rounds = 2;
   const support::Status parsed = bench::ParseHarnessFlags(argc, argv, 2, &flags);
   if (!parsed.ok()) {
@@ -492,14 +490,12 @@ int CmdBenchThroughput(int argc, char** argv) {
   }
   bench::ThroughputConfig serial = config;
   serial.threads = 1;
-  serial.pool_threads = 0;
   const bench::ThroughputResult s = bench::RunThroughput(sites, serial);
   const bench::ThroughputResult p = bench::RunThroughput(sites, config);
   const bench::IngestProfile profile = bench::ProfileIngest(sites);
   const std::string json = bench::ThroughputJson(config, sites.size(), s, p, profile);
   const support::Status emitted = bench::EmitBenchJson(flags, json, [&] {
-    std::printf("speedup scales with available cores; diagnoses identical: %s\n",
-                s.report_digest == p.report_digest ? "yes" : "NO");
+    std::printf("diagnoses identical: %s\n", s.report_digest == p.report_digest ? "yes" : "NO");
   });
   if (!emitted.ok()) {
     return 2;
@@ -531,15 +527,12 @@ void RequestDrain(int) { g_drain_requested = 1; }
 int CmdServe(int argc, char** argv) {
   net::DaemonOptions dopts;
   dopts.port = 7433;
-  size_t pool_threads = 0;
   std::vector<std::string> names = {"pbzip2_main", "sqlite_1672", "memcached_127"};
   std::vector<std::string> peer_specs;
   for (int i = 2; i < argc; ++i) {
     const std::string flag = argv[i];
     if (flag.rfind("--port=", 0) == 0) {
       dopts.port = static_cast<uint16_t>(std::strtoul(flag.c_str() + 7, nullptr, 10));
-    } else if (flag.rfind("--pool-threads=", 0) == 0) {
-      pool_threads = std::strtoull(flag.c_str() + 15, nullptr, 10);
     } else if (flag.rfind("--deadline-ms=", 0) == 0) {
       dopts.pool.server.analysis_deadline_seconds =
           static_cast<double>(std::strtoull(flag.c_str() + 14, nullptr, 10)) / 1000.0;
@@ -598,11 +591,6 @@ int CmdServe(int argc, char** argv) {
   catalogue.reserve(names.size());
   for (const std::string& name : names) {
     catalogue.push_back(workloads::Build(name));
-  }
-  std::unique_ptr<support::ThreadPool> analysis_pool;
-  if (pool_threads > 0) {
-    analysis_pool = std::make_unique<support::ThreadPool>(pool_threads);
-    dopts.pool.server.pool = analysis_pool.get();
   }
   net::DiagnosisDaemon daemon(dopts);
   for (const workloads::Workload& w : catalogue) {
@@ -739,7 +727,6 @@ int CmdBenchFleet(int argc, char** argv) {
   bench::HarnessFlags flags;
   flags.agents = 4;
   flags.config.rounds = 2;
-  flags.config.pool_threads = 0;
   const support::Status parsed = bench::ParseHarnessFlags(argc, argv, 2, &flags);
   if (!parsed.ok()) {
     std::printf("%s\n", parsed.ToString().c_str());
@@ -748,7 +735,6 @@ int CmdBenchFleet(int argc, char** argv) {
   bench::FleetConfig config;
   config.agents = flags.agents;
   config.rounds = flags.config.rounds;
-  config.pool_threads = flags.config.pool_threads;
   if (!flags.faults.empty()) {
     auto plan = faults::FaultPlan::Parse(flags.faults, flags.fault_seed);
     if (!plan.ok()) {
