@@ -47,10 +47,6 @@ struct SweepFlags {
   // routing is exercised, small enough that generated modules don't all stay
   // resident at once.
   size_t batch = 8;
-  // Diagnose with the legacy nested-rescan pattern engine instead of the
-  // timestamp-indexed one (DESIGN.md §18) -- the before/after latency
-  // comparison on an identical scenario grid.
-  bool legacy_patterns = false;
 };
 
 // One scenario's outcome, accumulated into per-class and aggregate stats.
@@ -211,8 +207,6 @@ int main(int argc, char** argv) {
       sweep.base_seed = std::strtoull(arg.c_str() + 12, nullptr, 10);
     } else if (arg.rfind("--repro-budget=", 0) == 0) {
       sweep.repro_budget = std::strtoull(arg.c_str() + 15, nullptr, 10);
-    } else if (arg == "--legacy-patterns") {
-      sweep.legacy_patterns = true;
     } else {
       rest.push_back(argv[i]);
     }
@@ -235,9 +229,7 @@ int main(int argc, char** argv) {
   std::vector<ScenarioResult> results;
   for (size_t base = 0; base < sweep.scenarios; base += sweep.batch) {
     const size_t batch_end = std::min(base + sweep.batch, sweep.scenarios);
-    core::ServerPoolOptions pool_options;
-    pool_options.server.patterns.legacy_engine = sweep.legacy_patterns;
-    core::ServerPool pool(pool_options);
+    core::ServerPool pool;
     std::vector<PendingScenario> batch;
     batch.reserve(batch_end - base);
     for (size_t i = base; i < batch_end; ++i) {

@@ -6,6 +6,7 @@
 
 #include "ir/builder.h"
 #include "support/str.h"
+#include "workloads/generator.h"
 
 namespace snorlax::bench {
 
@@ -144,6 +145,33 @@ size_t ColdInstructionsFor(const std::string& system) {
   if (system == "pbzip2") return 120;     // 2 KLOC
   if (system == "aget") return 60;        // 842 LOC
   return 300;
+}
+
+std::vector<NamedWorkload> PatternBenchWorkloads() {
+  std::vector<NamedWorkload> cases;
+  for (const workloads::WorkloadInfo& info : workloads::AllWorkloads()) {
+    cases.push_back(NamedWorkload{info.name, workloads::Build(info.name)});
+  }
+  const workloads::GeneratedBug oltp_bugs[] = {workloads::GeneratedBug::kOltpRace,
+                                               workloads::GeneratedBug::kOltpAtomicity,
+                                               workloads::GeneratedBug::kOltpOrder};
+  for (const workloads::GeneratedBug bug : oltp_bugs) {
+    for (uint64_t seed = 1; seed <= 2; ++seed) {
+      workloads::GeneratorOptions gopts;
+      gopts.seed = seed;
+      gopts.bug = bug;
+      gopts.oltp.threads = 8;
+      gopts.oltp.txns_per_thread = 32;
+      gopts.oltp.keyspace = 4;
+      gopts.oltp.hot_key_skew = 0.8;
+      gopts.oltp.long_txn_ratio = 0.4;
+      gopts.oltp.max_restarts = 16;
+      cases.push_back(NamedWorkload{StrFormat("%s/s%llu@skew0.8", workloads::GeneratedBugName(bug),
+                                              (unsigned long long)seed),
+                                    workloads::GenerateWorkload(gopts)});
+    }
+  }
+  return cases;
 }
 
 void PrintHeader(const std::string& title) {

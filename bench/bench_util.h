@@ -44,6 +44,18 @@ void AddColdLibrary(ir::Module* module, size_t instructions);
 // code size.
 size_t ColdInstructionsFor(const std::string& system);
 
+// One named workload of a bench cohort.
+struct NamedWorkload {
+  std::string name;
+  workloads::Workload workload;
+};
+
+// micro_patterns' cohort, also frozen as tests/golden/patterns.txt: the 16
+// catalogue workloads plus generated OLTP scenarios at hot-key skew 0.8, whose
+// long per-thread schedules over a tiny keyspace maximize dynamic instances
+// per racy instruction.
+std::vector<NamedWorkload> PatternBenchWorkloads();
+
 // --- table formatting -------------------------------------------------------
 void PrintHeader(const std::string& title);
 void PrintRow(const std::vector<std::string>& cells, const std::vector<int>& widths);

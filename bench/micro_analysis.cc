@@ -57,37 +57,27 @@ void BM_AndersenExecutedScope(benchmark::State& state) {
 }
 BENCHMARK(BM_AndersenExecutedScope)->Arg(0)->Arg(2000)->Arg(20000);
 
-void BM_AndersenSolverOverhaul(benchmark::State& state) {
-  // Before/after for the solver overhaul on the largest micro workload:
-  //   Arg 0 = pre-overhaul solver (full-set re-propagation, processed
-  //           bitsets, Elements() vector per worklist pop),
-  //   Arg 1 = overhauled solver, SCC collapsing off (difference propagation
-  //           + allocation-free ForEach only),
-  //   Arg 2 = overhauled solver, SCC collapsing on.
-  // All three produce identical points-to sets; the delta is solver wall
-  // time. The synthetic cold library is acyclic, so 1 vs 2 isolates the
-  // collapse overhead on cycle-free inputs; 0 vs 1/2 is the overhaul win.
+void BM_AndersenSccCollapse(benchmark::State& state) {
+  // SCC collapsing off (Arg 0: difference propagation + allocation-free
+  // ForEach only) against on (Arg 1) on the largest micro workload. Both
+  // produce identical points-to sets; the delta is solver wall time. The
+  // synthetic cold library is acyclic, so this isolates the collapse
+  // overhead on cycle-free inputs.
   workloads::Workload w = workloads::Build("mysql_169");
   bench::AddColdLibrary(w.module.get(), 20000);
   analysis::PointsToOptions opts;
   opts.scope = analysis::PointsToOptions::Scope::kWholeProgram;
-  opts.legacy_solver = state.range(0) == 0;
-  opts.collapse_sccs = state.range(0) == 2;
+  opts.collapse_sccs = state.range(0) == 1;
   size_t collapsed = 0;
   for (auto _ : state) {
     const analysis::PointsToResult r = RunPointsTo(*w.module, opts);
     collapsed = r.stats().scc_vars_collapsed;
     benchmark::DoNotOptimize(r.stats().delta_propagations);
   }
-  if (opts.legacy_solver) {
-    state.SetLabel("legacy solver (pre-overhaul baseline)");
-  } else {
-    state.SetLabel(opts.collapse_sccs
-                       ? StrFormat("overhaul, scc collapse on (%zu vars folded)", collapsed)
-                       : "overhaul, scc collapse off");
-  }
+  state.SetLabel(opts.collapse_sccs ? StrFormat("scc collapse on (%zu vars folded)", collapsed)
+                                    : "scc collapse off");
 }
-BENCHMARK(BM_AndersenSolverOverhaul)->Arg(0)->Arg(1)->Arg(2);
+BENCHMARK(BM_AndersenSccCollapse)->Arg(0)->Arg(1);
 
 void BM_BackwardSlice(benchmark::State& state) {
   workloads::Workload w = workloads::Build("pbzip2_main");

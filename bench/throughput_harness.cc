@@ -28,23 +28,28 @@ double PercentileMs(std::vector<double>& sorted_ms, double p) {
 
 }  // namespace
 
-std::string DigestReports(const std::vector<core::ServerPool::ShardReport>& reports) {
+std::string DigestReport(const core::DiagnosisReport& report) {
   // Everything order-stable and content-derived; no wall times, no
   // degradation notes (their order depends on thread interleaving even
   // though their counts do not).
+  std::string digest = StrFormat(
+      "failing=%zu success=%zu conf=%d rej=%zu hyp=%d\n", report.failing_traces,
+      report.success_traces, static_cast<int>(report.confidence),
+      report.degradation.rejected_bundles, report.hypothesis_violated ? 1 : 0);
+  for (const core::DiagnosedPattern& p : report.patterns) {
+    digest += StrFormat("  %s f1=%.9f tp=%zu fp=%zu fn=%zu\n", p.pattern.Key().c_str(), p.f1,
+                        p.counts.true_positive, p.counts.false_positive,
+                        p.counts.false_negative);
+  }
+  return digest;
+}
+
+std::string DigestReports(const std::vector<core::ServerPool::ShardReport>& reports) {
   std::string digest;
   for (const core::ServerPool::ShardReport& sr : reports) {
-    digest += StrFormat("site=%llx/%u failing=%zu success=%zu conf=%d rej=%zu hyp=%d\n",
-                        (unsigned long long)sr.key.module_fingerprint, sr.key.failing_inst,
-                        sr.report.failing_traces, sr.report.success_traces,
-                        static_cast<int>(sr.report.confidence),
-                        sr.report.degradation.rejected_bundles,
-                        sr.report.hypothesis_violated ? 1 : 0);
-    for (const core::DiagnosedPattern& p : sr.report.patterns) {
-      digest += StrFormat("  %s f1=%.9f tp=%zu fp=%zu fn=%zu\n", p.pattern.Key().c_str(),
-                          p.f1, p.counts.true_positive, p.counts.false_positive,
-                          p.counts.false_negative);
-    }
+    digest += StrFormat("site=%llx/%u ", (unsigned long long)sr.key.module_fingerprint,
+                        sr.key.failing_inst);
+    digest += DigestReport(sr.report);
   }
   return digest;
 }

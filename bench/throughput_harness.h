@@ -93,11 +93,15 @@ std::string ThroughputJson(const ThroughputConfig& config, size_t sites,
                            const ThroughputResult& serial, const ThroughputResult& parallel,
                            const IngestProfile& profile);
 
-// Order-insensitive content digest of a DiagnoseAll() result (pattern keys,
-// F1, confusion counts, confidence, trace counts; no wall times). Equal
-// digests mean two ingest paths diagnosed bit-for-bit identically -- shared
-// by the throughput bench (serial vs concurrent) and the fleet bench
-// (loopback TCP vs in-process).
+// Order-stable content digest of one diagnosis (pattern keys, F1, confusion
+// counts, confidence, trace counts; no wall times): equal digests mean two
+// diagnoses are bit-for-bit identical. The golden digests under tests/golden/
+// and micro_patterns hash this text.
+std::string DigestReport(const core::DiagnosisReport& report);
+
+// DigestReport of every shard of a DiagnoseAll() result, each prefixed with
+// its site key -- shared by the throughput bench (serial vs concurrent) and
+// the fleet bench (loopback TCP vs in-process).
 std::string DigestReports(const std::vector<core::ServerPool::ShardReport>& reports);
 
 // Flags shared by every throughput-style front-end (bench_throughput,

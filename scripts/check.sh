@@ -28,7 +28,7 @@ ctest --test-dir "${BUILD_DIR}" --output-on-failure -j "${JOBS}"
 
 # The labeled suites run as part of the full suite above; re-running them
 # by label keeps their pass/fail visible as separate CI steps.
-for label in chaos net cluster concurrency perf-smoke fuzz; do
+for label in chaos net cluster concurrency perf-smoke fuzz golden; do
   echo "== label: ${label} =="
   ctest --test-dir "${BUILD_DIR}" --output-on-failure -L "${label}"
 done
@@ -36,7 +36,7 @@ done
 echo "== accuracy sweep (64-scenario CI subset) =="
 "${BUILD_DIR}/bench/bench_accuracy_sweep" --scenarios=64 --json=BENCH_accuracy.json
 
-echo "== pattern engine bench (indexed vs legacy, digest + speedup gate) =="
+echo "== pattern engine bench (step-5/6 latency per workload; no gate) =="
 "${BUILD_DIR}/bench/micro_patterns" --rounds=1 --json=BENCH_patterns.json
 
 echo "== repair loop (catalogue + 64-scenario cohort, validated-fix gate) =="

@@ -14,8 +14,8 @@
 // generate-and-solve produced, so its results are unchanged. The demand
 // solver (demand_pta.h) indexes the same lists in reverse and explores only
 // the cone a query reaches. Building once and sharing keeps the two tiers
-// answering over an identical constraint system -- the property the engine's
-// A/B digest check relies on.
+// answering over an identical constraint system, so they diagnose
+// identically (tests/golden/catalogue.txt checks both against one line).
 #ifndef SNORLAX_ANALYSIS_CONSTRAINT_GRAPH_H_
 #define SNORLAX_ANALYSIS_CONSTRAINT_GRAPH_H_
 

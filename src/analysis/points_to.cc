@@ -223,12 +223,6 @@ class AndersenSolver {
   void Unite(uint32_t a, uint32_t b);
 
   // --- constraint recording --------------------------------------------------
-  // Pre-solve copy edge (legacy indirect-call expansion): recorded only, the
-  // caller pulls the source set across explicitly.
-  void AddCopyEdge(uint32_t from, uint32_t to) {
-    copy_out_[from].push_back(to);
-    ++result_.stats_.constraints;
-  }
   // Solve-time copy edge (from load/store/indirect-call expansion): the
   // source may already have drained its delta, so pull its full set across.
   void AddCopyEdgeDynamic(uint32_t from, uint32_t to) {
@@ -267,11 +261,9 @@ class AndersenSolver {
   }
 
   void BindCallArguments(const ir::Function& caller, const ir::Instruction& call,
-                         const ir::Function& callee, size_t first_arg_operand,
-                         bool dynamic);
+                         const ir::Function& callee, size_t first_arg_operand);
   void CollapseCycles();
   void Solve();
-  void SolveLegacy();
 
   const ir::Module& module_;
   const PointsToOptions& options_;
@@ -299,8 +291,7 @@ class AndersenSolver {
 };
 
 void AndersenSolver::BindCallArguments(const ir::Function& caller, const ir::Instruction& call,
-                                       const ir::Function& callee, size_t first_arg_operand,
-                                       bool dynamic) {
+                                       const ir::Function& callee, size_t first_arg_operand) {
   for (size_t i = first_arg_operand; i < call.num_operands(); ++i) {
     const size_t param = i - first_arg_operand;
     if (param >= callee.num_params()) {
@@ -309,13 +300,13 @@ void AndersenSolver::BindCallArguments(const ir::Function& caller, const ir::Ins
     if (call.operand(i).IsReg()) {
       const uint32_t from = Var(caller.id(), call.operand(i).reg);
       const uint32_t to = Var(callee.id(), static_cast<ir::Reg>(param));
-      dynamic ? AddCopyEdgeDynamic(from, to) : AddCopyEdge(from, to);
+      AddCopyEdgeDynamic(from, to);
     }
   }
   if (call.HasResult()) {
     const uint32_t from = RetVar(callee.id());
     const uint32_t to = Var(caller.id(), call.result());
-    dynamic ? AddCopyEdgeDynamic(from, to) : AddCopyEdge(from, to);
+    AddCopyEdgeDynamic(from, to);
   }
 }
 
@@ -451,87 +442,7 @@ void AndersenSolver::CollapseCycles() {
   }
 }
 
-void AndersenSolver::SolveLegacy() {
-  // The pre-overhaul algorithm, preserved as the benchmark baseline (see
-  // PointsToOptions::legacy_solver): every worklist pop materializes an
-  // Elements() vector, complex-constraint expansion is gated on per-variable
-  // `processed` bitsets, and copy edges re-propagate the FULL points-to set
-  // of the source each time. Computes the same least fixed point.
-  std::vector<ObjectSet> processed(num_vars_);
-  auto add_edge = [this](uint32_t from, uint32_t to) {
-    copy_out_[from].push_back(to);
-    ++result_.stats_.constraints;
-  };
-  auto pull = [this](uint32_t from, uint32_t to) {
-    if (pts_[to].UnionWith(pts_[from])) {
-      Enqueue(to);
-    }
-  };
-  while (!worklist_.empty()) {
-    const uint32_t v = worklist_.front();
-    worklist_.pop_front();
-    in_worklist_[v] = false;
-    ++result_.stats_.solver_iterations;
-
-    // Expand complex constraints for objects newly seen at v. Allocation-free
-    // ForEach: bits added to pts_[v] mid-iteration (a pull whose target is v)
-    // may be skipped by the word snapshot, but every such pull re-enqueues v,
-    // and the `processed` gate expands them on that later pop.
-    pts_[v].ForEach([&](uint32_t obj) {
-      if (!processed[v].Set(obj)) {
-        return;
-      }
-      const uint32_t ov = ObjVar(obj);
-      auto lit = load_edges_.find(v);
-      if (lit != load_edges_.end()) {
-        for (uint32_t result_var : lit->second) {
-          add_edge(ov, result_var);
-          pull(ov, result_var);
-        }
-      }
-      auto sit = store_edges_.find(v);
-      if (sit != store_edges_.end()) {
-        for (uint32_t value_var : sit->second) {
-          add_edge(value_var, ov);
-          pull(value_var, ov);
-        }
-      }
-      auto iit = indirect_sites_.find(v);
-      if (iit != indirect_sites_.end()) {
-        const AbstractObject& o = result_.objects_[obj];
-        if (o.kind == AbstractObject::Kind::kFunction) {
-          const ir::Function* callee = module_.function(o.id);
-          for (const IndirectSite& site : iit->second) {
-            BindCallArguments(*site.caller, *site.call, *callee, 1, /*dynamic=*/false);
-            // Pull already-computed argument sets across the new edges.
-            for (size_t a = 1; a < site.call->num_operands(); ++a) {
-              const size_t param = a - 1;
-              if (param >= callee->num_params() || !site.call->operand(a).IsReg()) {
-                continue;
-              }
-              pull(Var(site.caller->id(), site.call->operand(a).reg),
-                   Var(callee->id(), static_cast<ir::Reg>(param)));
-            }
-            if (site.call->HasResult()) {
-              pull(RetVar(callee->id()), Var(site.caller->id(), site.call->result()));
-            }
-          }
-        }
-      }
-    });
-
-    // Propagate the full set along copy edges (no appends happen here).
-    for (const uint32_t to : copy_out_[v]) {
-      pull(v, to);
-    }
-  }
-}
-
 void AndersenSolver::Solve() {
-  if (options_.legacy_solver) {
-    SolveLegacy();
-    return;
-  }
   if (options_.collapse_sccs) {
     CollapseCycles();
   }
@@ -572,7 +483,7 @@ void AndersenSolver::Solve() {
           if (o.kind == AbstractObject::Kind::kFunction) {
             const ir::Function* callee = module_.function(o.id);
             for (const IndirectSite& site : iit->second) {
-              BindCallArguments(*site.caller, *site.call, *callee, 1, /*dynamic=*/true);
+              BindCallArguments(*site.caller, *site.call, *callee, 1);
             }
           }
         }

@@ -103,11 +103,6 @@ struct PointsToOptions {
   // points-to set). Off = ablation baseline: the plain difference-propagating
   // worklist, for before/after solver benchmarks. Results are identical.
   bool collapse_sccs = true;
-  // Benchmark baseline only: solve with the pre-overhaul algorithm --
-  // full-set re-propagation along copy edges, per-variable processed bitsets,
-  // and a materialized element vector per worklist pop. Identical results;
-  // micro_analysis uses it for the solver before/after table.
-  bool legacy_solver = false;
 
   // Solver tier. kExhaustive computes the full fixpoint over every variable
   // in the scoped graph. kDemand answers only the demanded cone (every

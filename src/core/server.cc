@@ -29,7 +29,6 @@ engine::EngineOptions DiagnosisServer::MakeEngineOptions(const Options& options)
   eopts.use_slice_fallback = options.use_slice_fallback;
   eopts.pta_tier = options.pta_tier;
   eopts.pta_node_budget = options.pta_node_budget;
-  eopts.pta_ab_check = options.pta_ab_check;
   eopts.use_artifact_store = options.use_analysis_cache;
   eopts.durable_log = options.durable_log;
   eopts.durable_site = options.durable_site;

@@ -127,10 +127,6 @@ class DiagnosisServer {
     // graph-scaled node budget, falling back to exhaustive on exhaustion).
     analysis::PointsToOptions::Tier pta_tier = analysis::PointsToOptions::Tier::kExhaustive;
     size_t pta_node_budget = 0;  // demand tiers: 0 = tier default
-    // Validation: re-run points-to -> patterns exhaustively out-of-band after
-    // each demand-tier pipeline run and digest-compare the effective ranked
-    // candidates (pta_ab_mismatches() counts divergences).
-    bool pta_ab_check = false;
     // Reuse pass artifacts across repeated failures at the same site via the
     // content-hash keyed artifact store: a pass whose declared inputs are
     // unchanged takes a cache hit instead of re-running (points-to re-runs
@@ -242,15 +238,6 @@ class DiagnosisServer {
   engine::ResidencyState artifact_state(engine::PassId id, uint64_t key) const {
     std::lock_guard<std::mutex> lock(mu_);
     return engine_.ArtifactState(id, key);
-  }
-  // A/B digest checks performed / failed (Options::pta_ab_check).
-  uint64_t pta_ab_checks() const {
-    std::lock_guard<std::mutex> lock(mu_);
-    return engine_.pta_ab_checks();
-  }
-  uint64_t pta_ab_mismatches() const {
-    std::lock_guard<std::mutex> lock(mu_);
-    return engine_.pta_ab_mismatches();
   }
 
   // Introspection for tests and benches. Not synchronized against concurrent

@@ -203,10 +203,9 @@ struct PatternScratch {
 // For pipeline-derived candidates this is exactly the admission criterion
 // (AccessorsOf over the same union), so the mask provably keeps all of them
 // -- it exists to protect direct ComputePatterns callers that supply
-// arbitrary candidate lists. Part of the shared step-6 semantics: both
-// engines apply the identical mask, keeping their outputs byte-identical.
-// Conservative on unknown (empty) sets, so a demand-tier result that never
-// answered some variable can only widen the mask, never narrow it.
+// arbitrary candidate lists. Conservative on unknown (empty) sets, so a
+// demand-tier result that never answered some variable can only widen the
+// mask, never narrow it.
 void FillAliasMask(const PatternComputeOptions& options, const PatternComputeContext& context,
                    const std::vector<const ir::Instruction*>& candidates,
                    const std::vector<const ir::Instruction*>& failure_chain,
@@ -236,38 +235,14 @@ void FillAliasMask(const PatternComputeOptions& options, const PatternComputeCon
 // dynamic instance the failing thread executed before the failure. These are
 // the possible final events of crash patterns (the failing dereference, the
 // load that produced the corrupt pointer, ...).
-void FailingAnchorsLegacy(const trace::ProcessedTrace& trace, const rt::FailureInfo& failure,
-                          const std::vector<const ir::Instruction*>& failure_chain,
-                          std::vector<uint32_t>* anchors) {
-  anchors->clear();
-  anchors->reserve(failure_chain.size());
-  for (const ir::Instruction* access : failure_chain) {
-    if (!access->IsMemoryAccess()) {
-      continue;
-    }
-    uint32_t best = kNone;
-    for (uint32_t d : trace.InstancesOf(access->id())) {
-      if (trace.thread(d) != failure.thread || trace.ts_ns(d) > failure.time_ns) {
-        continue;
-      }
-      if (best == kNone || trace.seq(d) > trace.seq(best)) {
-        best = d;
-      }
-    }
-    if (best != kNone) {
-      anchors->push_back(best);
-    }
-  }
-}
-
-// Indexed anchor lookup: the (chain access, failing thread) span is
-// seq-ascending, and for a ts-sorted span the instances at or before the
-// failure time form a prefix whose last element is the max-seq instance the
-// legacy scan would pick. Suspect spans fall back to a reverse linear scan
-// (still: first hit from the back = max seq).
-void FailingAnchorsIndexed(const trace::ProcessedTrace& trace, const rt::FailureInfo& failure,
-                           const std::vector<const ir::Instruction*>& failure_chain,
-                           std::vector<uint32_t>* anchors) {
+//
+// The (chain access, failing thread) span is seq-ascending, and for a
+// ts-sorted span the instances at or before the failure time form a prefix
+// whose last element is the max-seq one. Suspect spans fall back to a
+// reverse linear scan (still: first hit from the back = max seq).
+void FailingAnchors(const trace::ProcessedTrace& trace, const rt::FailureInfo& failure,
+                    const std::vector<const ir::Instruction*>& failure_chain,
+                    std::vector<uint32_t>* anchors) {
   anchors->clear();
   anchors->reserve(failure_chain.size());
   for (const ir::Instruction* access : failure_chain) {
@@ -302,160 +277,6 @@ void FailingAnchorsIndexed(const trace::ProcessedTrace& trace, const rt::Failure
         anchors->push_back(best);
       }
       break;  // one span per (instruction, thread)
-    }
-  }
-}
-
-// =============================================================================
-// Legacy engine: the seed's nested instance rescans, kept verbatim as the
-// differential baseline (plus the shared alias mask).
-// =============================================================================
-
-void ComputeCrashPatternsForAnchorLegacy(const ir::Module& module,
-                                         const trace::ProcessedTrace& trace,
-                                         const std::vector<const ir::Instruction*>& candidates,
-                                         const std::vector<char>& alias_ok, uint32_t f_dyn,
-                                         PatternBuilder& builder,
-                                         PatternComputeResult* result) {
-  const ir::Instruction* f_inst = module.instruction(trace.inst(f_dyn));
-  const rt::ThreadId f_thread = trace.thread(f_dyn);
-  // The packed access-kind column answers read-vs-write without a module
-  // round trip per dynamic instance.
-  const bool f_is_write = trace.access_kind(f_dyn) == trace::AccessKind::kStore;
-
-  // --- Order violations: remote access a, then the failing access. ----------
-  for (size_t i = 0; i < candidates.size(); ++i) {
-    const ir::Instruction* a_inst = candidates[i];
-    if (builder.Full()) {
-      return;
-    }
-    const bool a_is_write = IsWrite(*a_inst);
-    if (!a_is_write && !f_is_write) {
-      continue;  // a race needs at least one write
-    }
-    if (!alias_ok[i]) {
-      continue;
-    }
-    ++result->pair_tests;
-    // Latest remote instance before the failure.
-    uint32_t best_before = kNone;
-    uint32_t best_unordered = kNone;
-    for (uint32_t a : trace.InstancesOf(a_inst->id())) {
-      if (trace.thread(a) == f_thread) {
-        continue;
-      }
-      if (trace.ExecutesBefore(a, f_dyn)) {
-        if (best_before == kNone || trace.ts_ns(a) > trace.ts_ns(best_before)) {
-          best_before = a;
-        }
-      } else if (trace.Unordered(a, f_dyn)) {
-        best_unordered = a;
-      }
-    }
-    if (best_before != kNone) {
-      builder.AddCrash(OrderKind(a_is_write, f_is_write),
-                       {PatternEvent{a_inst->id(), 1}, PatternEvent{f_inst->id(), 0}});
-    } else if (best_unordered != kNone) {
-      // Coarse interleaving hypothesis violated for this pair: remember the
-      // events without an order; they are reported only if no pattern at all
-      // can be ordered (paper section 7).
-      builder.StashUnorderedCrash(OrderKind(a_is_write, f_is_write),
-                                  {PatternEvent{a_inst->id(), 1}, PatternEvent{f_inst->id(), 0}});
-    }
-  }
-
-  // --- Atomicity violations: local a, remote b, failing access. --------------
-  for (size_t i = 0; i < candidates.size(); ++i) {
-    const ir::Instruction* a_inst = candidates[i];
-    for (size_t j = 0; j < candidates.size(); ++j) {
-      const ir::Instruction* b_inst = candidates[j];
-      if (builder.Full()) {
-        return;
-      }
-      const std::optional<PatternKind> kind =
-          AtomicityKind(IsWrite(*a_inst), IsWrite(*b_inst), f_is_write);
-      if (!kind.has_value()) {
-        continue;
-      }
-      if (!alias_ok[i] || !alias_ok[j]) {
-        continue;
-      }
-      ++result->pair_tests;
-      // Find a (failing thread) < b (other thread) < f, taking the latest
-      // instances that satisfy the chain.
-      uint32_t best_a = kNone;
-      uint32_t best_b = kNone;
-      for (uint32_t b : trace.InstancesOf(b_inst->id())) {
-        if (trace.thread(b) == f_thread || !trace.ExecutesBefore(b, f_dyn)) {
-          continue;
-        }
-        for (uint32_t a : trace.InstancesOf(a_inst->id())) {
-          if (trace.thread(a) != f_thread || a == f_dyn) {
-            continue;
-          }
-          if (!trace.ExecutesBefore(a, b)) {
-            continue;
-          }
-          if (best_b == kNone || trace.ts_ns(b) > trace.ts_ns(best_b) ||
-              (trace.ts_ns(b) == trace.ts_ns(best_b) && trace.ts_ns(a) > trace.ts_ns(best_a))) {
-            best_a = a;
-            best_b = b;
-          }
-        }
-      }
-      if (best_a != kNone) {
-        builder.AddCrash(*kind, {PatternEvent{a_inst->id(), 0}, PatternEvent{b_inst->id(), 1},
-                                 PatternEvent{f_inst->id(), 0}});
-      }
-    }
-  }
-
-  // --- Atomicity violations, mid-anchored: remote b1, anchor, remote b2. -----
-  // The WRW shape of Figure 1.(c): the failing thread's access is the *middle*
-  // event, sandwiched between two remote accesses that were meant to be
-  // atomic (e.g. invalidate-then-restore). The crash itself follows later from
-  // the stale value, so the anchor is not the last event of the pattern.
-  for (size_t i = 0; i < candidates.size(); ++i) {
-    const ir::Instruction* b1_inst = candidates[i];
-    for (size_t j = 0; j < candidates.size(); ++j) {
-      const ir::Instruction* b2_inst = candidates[j];
-      if (builder.Full()) {
-        return;
-      }
-      const std::optional<PatternKind> kind =
-          AtomicityKind(IsWrite(*b1_inst), f_is_write, IsWrite(*b2_inst));
-      if (!kind.has_value()) {
-        continue;
-      }
-      if (!alias_ok[i] || !alias_ok[j]) {
-        continue;
-      }
-      ++result->pair_tests;
-      uint32_t best_b1 = kNone;
-      uint32_t best_b2 = kNone;
-      for (uint32_t b2 : trace.InstancesOf(b2_inst->id())) {
-        if (trace.thread(b2) == f_thread || !trace.ExecutesBefore(f_dyn, b2)) {
-          continue;
-        }
-        for (uint32_t b1 : trace.InstancesOf(b1_inst->id())) {
-          if (trace.thread(b1) != trace.thread(b2) || b1 == b2) {
-            continue;
-          }
-          if (!trace.ExecutesBefore(b1, f_dyn)) {
-            continue;
-          }
-          if (best_b1 == kNone || trace.ts_ns(b1) > trace.ts_ns(best_b1) ||
-              (trace.ts_ns(b1) == trace.ts_ns(best_b1) &&
-               trace.ts_ns(b2) < trace.ts_ns(best_b2))) {
-            best_b1 = b1;
-            best_b2 = b2;
-          }
-        }
-      }
-      if (best_b1 != kNone) {
-        builder.AddCrash(*kind, {PatternEvent{b1_inst->id(), 1}, PatternEvent{f_inst->id(), 0},
-                                 PatternEvent{b2_inst->id(), 1}});
-      }
     }
   }
 }
@@ -951,51 +772,24 @@ void ComputeCrashPatterns(const ir::Module& module, const trace::ProcessedTrace&
 
   {
     SNORLAX_PROFILE("patterns.anchors");
-    if (options.legacy_engine) {
-      FailingAnchorsLegacy(trace, failure, failure_chain, &scratch.anchors);
-    } else {
-      FailingAnchorsIndexed(trace, failure, failure_chain, &scratch.anchors);
-    }
+    FailingAnchors(trace, failure, failure_chain, &scratch.anchors);
   }
 
-  if (options.legacy_engine) {
-    for (uint32_t anchor : scratch.anchors) {
-      if (builder.Full()) {
-        break;
-      }
-      ComputeCrashPatternsForAnchorLegacy(module, trace, candidates, scratch.alias_ok, anchor,
-                                          builder, result);
+  IndexedCrashEngine engine(module, trace, candidates, options, context, scratch, builder,
+                            result);
+  for (uint32_t anchor : scratch.anchors) {
+    if (builder.Full()) {
+      break;
     }
-  } else {
-    IndexedCrashEngine engine(module, trace, candidates, options, context, scratch, builder,
-                              result);
-    for (uint32_t anchor : scratch.anchors) {
-      if (builder.Full()) {
-        break;
-      }
-      engine.RunAnchor(anchor);
-    }
+    engine.RunAnchor(anchor);
   }
   builder.FlushUnorderedIfNoOrdered();
 }
 
-// The deadlock emission logic is shared; only the two dynamic-instance
-// lookups differ between engines (the legacy rescans versus span binary
-// searches), and both resolve to the same unique instances: the attempt is
-// the first match in InstancesOf order (min position among the equal-ts
-// matches), the held lock the max-seq acquisition before the attempt.
-uint32_t FindAttemptLegacy(const trace::ProcessedTrace& trace,
-                           const rt::FailureInfo::DeadlockWaiter& w) {
-  for (uint32_t inst : trace.InstancesOf(w.inst)) {
-    if (trace.thread(inst) == w.thread && trace.ts_ns(inst) == w.block_time_ns) {
-      return inst;
-    }
-  }
-  return kNone;
-}
-
-uint32_t FindAttemptIndexed(const trace::ProcessedTrace& trace,
-                            const rt::FailureInfo::DeadlockWaiter& w) {
+// The blocked attempt: the first match in InstancesOf order (min position
+// among the equal-ts matches).
+uint32_t FindAttempt(const trace::ProcessedTrace& trace,
+                     const rt::FailureInfo::DeadlockWaiter& w) {
   const trace::InstanceSummary* summary = trace.SummaryOf(w.inst);
   if (summary == nullptr) {
     return kNone;
@@ -1038,20 +832,10 @@ uint32_t FindAttemptIndexed(const trace::ProcessedTrace& trace,
   return kNone;
 }
 
+// The held lock: the max-seq acquisition of `lock_inst` by `thread` before
+// the attempt.
 uint32_t LatestHeldBefore(const trace::ProcessedTrace& trace, ir::InstId lock_inst,
-                          rt::ThreadId thread, uint32_t attempt_seq, bool legacy) {
-  if (legacy) {
-    uint32_t held = kNone;
-    for (uint32_t inst : trace.InstancesOf(lock_inst)) {
-      if (trace.thread(inst) != thread || trace.seq(inst) >= attempt_seq) {
-        continue;
-      }
-      if (held == kNone || trace.seq(inst) > trace.seq(held)) {
-        held = inst;
-      }
-    }
-    return held;
-  }
+                          rt::ThreadId thread, uint32_t attempt_seq) {
   const trace::InstanceSummary* summary = trace.SummaryOf(lock_inst);
   if (summary == nullptr) {
     return kNone;
@@ -1075,8 +859,8 @@ uint32_t LatestHeldBefore(const trace::ProcessedTrace& trace, ir::InstId lock_in
 
 void ComputeDeadlockPatterns(const trace::ProcessedTrace& trace,
                              const std::vector<analysis::RankedInstruction>& ranked,
-                             const rt::FailureInfo& failure, const PatternComputeOptions& options,
-                             PatternBuilder& builder, PatternComputeResult* result) {
+                             const rt::FailureInfo& failure, PatternBuilder& builder,
+                             PatternComputeResult* result) {
   if (failure.deadlock_cycle.empty()) {
     return;
   }
@@ -1098,8 +882,7 @@ void ComputeDeadlockPatterns(const trace::ProcessedTrace& trace,
   for (const rt::FailureInfo::DeadlockWaiter& w : failure.deadlock_cycle) {
     CycleEntry entry;
     entry.thread = w.thread;
-    entry.attempt =
-        options.legacy_engine ? FindAttemptLegacy(trace, w) : FindAttemptIndexed(trace, w);
+    entry.attempt = FindAttempt(trace, w);
     if (entry.attempt == kNone) {
       continue;
     }
@@ -1113,8 +896,8 @@ void ComputeDeadlockPatterns(const trace::ProcessedTrace& trace,
           attempt_insts.count(r.inst->id()) > 0) {
         continue;
       }
-      const uint32_t held = LatestHeldBefore(trace, r.inst->id(), w.thread,
-                                             trace.seq(entry.attempt), options.legacy_engine);
+      const uint32_t held =
+          LatestHeldBefore(trace, r.inst->id(), w.thread, trace.seq(entry.attempt));
       if (held != kNone &&
           (entry.held == kNone || trace.seq(held) > trace.seq(entry.held))) {
         entry.held = held;
@@ -1204,7 +987,7 @@ PatternComputeResult ComputePatterns(const ir::Module& module,
   PatternScratch scratch;
   switch (failure.kind) {
     case rt::FailureKind::kDeadlock:
-      ComputeDeadlockPatterns(failing_trace, ranked, failure, options, builder, &result);
+      ComputeDeadlockPatterns(failing_trace, ranked, failure, builder, &result);
       break;
     case rt::FailureKind::kCrash:
     case rt::FailureKind::kAssert:

@@ -14,18 +14,15 @@
 // still emitted but flagged unordered -- Lazy Diagnosis degrades gracefully
 // instead of fabricating an order.
 //
-// Two engines produce the same pattern set:
-//   - the indexed engine (default) answers every hypothesis as an existence
-//     query over the trace's timestamp index: interval summaries reject most
-//     pairs without touching an instance, per-thread spans with prefix/suffix
-//     ts_lo extrema answer the rest in O(log span), and span lists merge-join
-//     by thread id. Sound because every emitted crash pattern names static
-//     instructions only -- whether SOME instance pair satisfies the
-//     executes-before chain is all that determines the output (DESIGN.md
-//     section 18 has the full argument).
-//   - the legacy engine (options.legacy_engine) re-scans instance pairs the
-//     way the seed did. It is kept as the differential baseline: the fuzz
-//     suite and bench/micro_patterns assert digest identity between the two.
+// Every hypothesis is answered as an existence query over the trace's
+// timestamp index: interval summaries reject most pairs without touching an
+// instance, per-thread spans with prefix/suffix ts_lo extrema answer the rest
+// in O(log span), and span lists merge-join by thread id. Sound because every
+// emitted crash pattern names static instructions only -- whether SOME
+// instance pair satisfies the executes-before chain is all that determines
+// the output (DESIGN.md section 18 has the full argument). The golden digests
+// under tests/golden/ freeze the output on every generated, catalogue and
+// micro_patterns workload.
 #ifndef SNORLAX_ENGINE_PATTERN_COMPUTE_H_
 #define SNORLAX_ENGINE_PATTERN_COMPUTE_H_
 
@@ -49,10 +46,6 @@ struct PatternComputeOptions {
   // diagnosis latency exactly the way the paper's ranking intends.
   size_t max_patterns = 96;
   size_t max_candidates = 512;
-  // Run the pre-index nested-rescan engine instead of the indexed one. Both
-  // produce byte-identical pattern sets; the legacy path exists as the
-  // differential baseline for the fuzz suite and the perf benches.
-  bool legacy_engine = false;
   // AccessorsOf-driven candidate prefilter: crash patterns relate candidates
   // to the memory the failure chain touches, so candidates whose
   // pointer-operand points-to sets are provably disjoint from every chain
@@ -60,9 +53,8 @@ struct PatternComputeOptions {
   // the pipeline derived via AccessorsOf over that same union the mask
   // provably keeps everything (it mirrors the admission criterion); it does
   // real pruning for direct callers with arbitrary candidate lists.
-  // Conservative on unknown sets; applied identically by both engines (it is
-  // part of the step-6 semantics, not an indexed-engine shortcut). No effect
-  // when no points-to result is supplied.
+  // Conservative on unknown sets; part of the step-6 semantics, not an index
+  // shortcut. No effect when no points-to result is supplied.
   bool pair_alias_filter = true;
 };
 

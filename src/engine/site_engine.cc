@@ -22,18 +22,6 @@ double SecondsSince(const std::chrono::steady_clock::time_point& start) {
   return std::chrono::duration<double>(std::chrono::steady_clock::now() - start).count();
 }
 
-// Order-sensitive digest of a ranked-candidate list: the A/B mode's equality
-// check between the demand and exhaustive solver tiers.
-uint64_t RankedDigest(const RankedCandidatesArtifact& a) {
-  uint64_t h = Mix64(a.ranked.size());
-  for (const analysis::RankedInstruction& ri : a.ranked) {
-    h = HashCombine(h, (static_cast<uint64_t>(ri.inst->id()) << 8) ^
-                           static_cast<uint64_t>(ri.rank));
-  }
-  h = HashCombine(h, a.candidate_instructions);
-  return HashCombine(h, a.rank1_candidates);
-}
-
 }  // namespace
 
 SiteEngine::SiteEngine(const ir::Module* module, EngineOptions options)
@@ -80,10 +68,6 @@ uint64_t SiteEngine::TypeRankKey(uint64_t points_to_key) const {
 uint64_t SiteEngine::PatternsKey(uint64_t rank_key, uint64_t trace_key) const {
   uint64_t h = HashCombine(rank_key, trace_key);
   h = HashCombine(h, options_.use_slice_fallback ? 1 : 0);
-  // Both engines emit byte-identical pattern sets and the alias prefilter is
-  // shared semantics, but the artifact also carries the hot-path counters --
-  // differential runs must not serve each other's numbers from the store.
-  h = HashCombine(h, options_.patterns.legacy_engine ? 1 : 0);
   return HashCombine(h, options_.patterns.pair_alias_filter ? 1 : 0);
 }
 
@@ -477,10 +461,9 @@ Status SiteEngine::AddFailingTrace(std::shared_ptr<const trace::ProcessedTrace> 
                 [&] { return RunPatterns(t, chains, points_to, ranked, trace_key); });
     // Engine detail for --explain; counters travel in the artifact, so cache
     // hits report the run that originally computed the set.
-    last_run_.back().reason += StrFormat(
-        " [engine=%s pairs=%zu alias-pruned=%zu memo-hits=%zu]",
-        options_.patterns.legacy_engine ? "legacy" : "indexed", pattern_set.pair_tests,
-        pattern_set.alias_skips, pattern_set.verdict_hits);
+    last_run_.back().reason +=
+        StrFormat(" [pairs=%zu alias-pruned=%zu memo-hits=%zu]", pattern_set.pair_tests,
+                  pattern_set.alias_skips, pattern_set.verdict_hits);
     // The slice fallback re-ranks; the counts the report shows come from the
     // ranking that actually produced patterns.
     ranked_ = pattern_set.effective_ranked.ranked;
@@ -490,31 +473,6 @@ Status SiteEngine::AddFailingTrace(std::shared_ptr<const trace::ProcessedTrace> 
     hypothesis_violated_ = hypothesis_violated_ || pattern_set.hypothesis_violated;
     MergePatterns(pattern_set);
     stage_counts_.patterns_generated = patterns_.size();
-
-    if (options_.pta_ab_check &&
-        options_.pta_tier != analysis::PointsToOptions::Tier::kExhaustive &&
-        !cancel.Expired()) {
-      // A/B validation: replay points-to -> type-rank -> patterns under the
-      // exhaustive tier (out-of-band: no store, no pass stats) and compare
-      // the effective ranked candidates by digest.
-      const auto ab_start = std::chrono::steady_clock::now();
-      PointsToArtifact ex_points_to =
-          RunPointsToTier(t, chains, analysis::PointsToOptions::Tier::kExhaustive,
-                          /*node_budget=*/0);
-      RankedCandidatesArtifact ex_ranked = RunTypeRank(t, chains, ex_points_to);
-      PatternSetArtifact ex_patterns = RunPatterns(t, chains, ex_points_to, ex_ranked, trace_key);
-      ++pta_ab_checks_;
-      const uint64_t got = RankedDigest(pattern_set.effective_ranked);
-      const uint64_t want = RankedDigest(ex_patterns.effective_ranked);
-      if (got != want) {
-        ++pta_ab_mismatches_;
-      }
-      last_run_.push_back(PassTrace{PassId::kTypeRank, true, false, SecondsSince(ab_start),
-                                    want,
-                                    got == want
-                                        ? "A/B vs exhaustive tier: ranked digests match"
-                                        : "A/B vs exhaustive tier: RANKED DIGEST MISMATCH"});
-    }
   } catch (...) {
     // Crash barrier contract: an analysis exception rejects the bundle, so
     // the trace must not linger as evidence either.

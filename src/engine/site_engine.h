@@ -59,11 +59,6 @@ struct EngineOptions {
   analysis::PointsToOptions::Tier pta_tier = analysis::PointsToOptions::Tier::kExhaustive;
   // Demand tiers: nodes-visited budget before falling back (0 = tier default).
   size_t pta_node_budget = 0;
-  // Validation mode: after the pipeline runs under a demand tier, re-run
-  // points-to -> type-rank -> patterns under the exhaustive tier out-of-band
-  // and digest-compare the effective ranked candidates; mismatches increment
-  // pta_ab_mismatches(). No effect when pta_tier is kExhaustive.
-  bool pta_ab_check = false;
   // Off: every pass recomputes on every failing trace (benches that time the
   // analysis itself by resubmitting one bundle). Scoring stays incremental
   // either way -- it is an algorithm, not a cache.
@@ -159,9 +154,6 @@ class SiteEngine {
   const std::vector<BugPattern>& patterns() const { return patterns_; }
   bool used_slice_fallback() const { return used_slice_fallback_; }
   bool hypothesis_violated() const { return hypothesis_violated_; }
-  // A/B digest checks performed / failed (EngineOptions::pta_ab_check).
-  uint64_t pta_ab_checks() const { return pta_ab_checks_; }
-  uint64_t pta_ab_mismatches() const { return pta_ab_mismatches_; }
   const StageCounts& stage_counts() const { return stage_counts_; }
 
   // The single per-pass counter interface (satellite: replaces solver_runs()
@@ -192,8 +184,8 @@ class SiteEngine {
   PointsToArtifact RunPointsTo(const trace::ProcessedTrace& failing,
                                const DerefChainsArtifact& chains);
   // Step 4 under an explicit tier; RunPointsTo forwards the configured one.
-  // The A/B check and the demand-tier slice fallback use it to get an
-  // exhaustive result out-of-band.
+  // The demand-tier slice fallback uses it to get an exhaustive result
+  // out-of-band.
   PointsToArtifact RunPointsToTier(const trace::ProcessedTrace& failing,
                                    const DerefChainsArtifact& chains,
                                    analysis::PointsToOptions::Tier tier, size_t node_budget);
@@ -232,8 +224,6 @@ class SiteEngine {
   std::vector<analysis::RankedInstruction> ranked_;
   bool used_slice_fallback_ = false;
   bool hypothesis_violated_ = false;  // sticky across traces
-  uint64_t pta_ab_checks_ = 0;
-  uint64_t pta_ab_mismatches_ = 0;
   StageCounts stage_counts_;
 
   // Merged pattern set (append-only, deduped by Key) and the incremental
@@ -263,10 +253,10 @@ class SiteEngine {
   uint64_t durable_append_failures_ = 0;
 
   // Hypothesis-verdict memos, one per distinct failing-trace content hash:
-  // re-diagnosis of the same interleaving (A/B replays, slice-fallback
-  // retries, resubmitted bundles with the store off upstream) reuses the
-  // verdicts instead of re-querying the index. Bounded: cleared wholesale
-  // when the registry would exceed kMaxVerdictCaches distinct traces.
+  // re-diagnosis of the same interleaving (slice-fallback retries,
+  // resubmitted bundles with the store off upstream) reuses the verdicts
+  // instead of re-querying the index. Bounded: cleared wholesale when the
+  // registry would exceed kMaxVerdictCaches distinct traces.
   static constexpr size_t kMaxVerdictCaches = 32;
   std::unordered_map<uint64_t, std::shared_ptr<PatternVerdictCache>> verdict_caches_;
 

@@ -22,7 +22,7 @@ namespace {
 
 // Bumped on any layout change; independent of kReportVersion (the aggregate's
 // semantic generation), which is itself a field inside the record.
-constexpr uint8_t kReportCodecVersion = 1;
+constexpr uint8_t kReportCodecVersion = 2;
 
 // Varint-encoded element count (pairing AppendVarint) with the same
 // hostile-input posture as ByteReader::Count(): capped, and never promising
@@ -192,8 +192,8 @@ void EncodeStages(const core::StageStats& s, std::vector<uint8_t>* out) {
   AppendF64(out, s.rank_seconds);
   AppendF64(out, s.pattern_seconds);
   AppendF64(out, s.score_seconds);
-  // The node-local telemetry the legacy wire shape drops: the per-pass table
-  // and the artifact-store counters behind it.
+  // The node-local telemetry: the per-pass table and the artifact-store
+  // counters behind it.
   AppendVarint(out, engine::kNumPasses);
   for (const engine::PassStats& p : s.passes) {
     AppendU64(out, p.runs);
@@ -289,7 +289,6 @@ void EncodeReport(const Report& report, std::vector<uint8_t>* out) {
   AppendU64(out, t.bundles_acked);
   AppendU64(out, t.bundles_duplicate);
   AppendU64(out, t.reconnects);
-  AppendU8(out, t.full_fidelity ? 1 : 0);
 }
 
 Status DecodeReport(std::span<const uint8_t> bytes, const ir::Module* module,
@@ -350,7 +349,6 @@ Status DecodeReport(std::span<const uint8_t> bytes, const ir::Module* module,
   t.bundles_acked = r.U64();
   t.bundles_duplicate = r.U64();
   t.reconnects = r.U64();
-  t.full_fidelity = r.U8() != 0;
   return r.ExpectExhausted();
 }
 

@@ -264,10 +264,8 @@ std::string RenderText(const Report& report, const ir::Module* module) {
   out += StrFormat("confidence: %s%s\n", trace::ConfidenceTierName(d.confidence),
                    d.hypothesis_violated ? " (hypothesis violated)" : "");
   if (report.transport.remote) {
-    out += StrFormat("transport: protocol v%u payload v%u%s\n",
-                     report.transport.negotiated_version,
-                     report.transport.payload_format,
-                     report.transport.full_fidelity ? "" : " (legacy peer, partial report)");
+    out += StrFormat("transport: protocol v%u payload v%u\n",
+                     report.transport.negotiated_version, report.transport.payload_format);
   }
   if (d.degradation.degraded()) {
     out += StrFormat("degradation: %s\n", d.degradation.Summary().c_str());
@@ -333,7 +331,6 @@ std::string RenderJson(const Report& report, const ir::Module* module) {
   w.Field("bundles_acked", report.transport.bundles_acked);
   w.Field("bundles_duplicate", report.transport.bundles_duplicate);
   w.Field("reconnects", report.transport.reconnects);
-  w.Field("full_fidelity", report.transport.full_fidelity);
   w.EndObject();
   w.Key("stages").BeginObject();
   w.Field("module_instructions", static_cast<uint64_t>(d.stages.module_instructions));

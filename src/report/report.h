@@ -51,11 +51,6 @@ struct TransportStats {
   uint64_t bundles_acked = 0;
   uint64_t bundles_duplicate = 0;
   uint64_t reconnects = 0;
-  // False when this aggregate was reconstructed from a stripped shape (pass
-  // stats zeroed, no repair plan) -- the transport analogue of
-  // ConfidenceTier::kDegraded. The wire carries the full aggregate, so no
-  // producer in this build clears it; it stays part of the encoding.
-  bool full_fidelity = true;
 };
 
 struct Report {

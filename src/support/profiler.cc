@@ -23,15 +23,6 @@ Profiler::Entry& Profiler::Register(const std::string& label) {
   return *entries_.back();
 }
 
-void Profiler::Reset() {
-  std::lock_guard<std::mutex> lock(mu_);
-  for (const auto& e : entries_) {
-    e->calls.store(0, std::memory_order_relaxed);
-    e->total_ns.store(0, std::memory_order_relaxed);
-    e->max_ns.store(0, std::memory_order_relaxed);
-  }
-}
-
 std::vector<Profiler::Row> Profiler::Snapshot() const {
   std::vector<Row> rows;
   {

@@ -90,10 +90,6 @@ class Profiler {
   void Enable() { enabled_.store(true, std::memory_order_relaxed); }
   void Disable() { enabled_.store(false, std::memory_order_relaxed); }
 
-  // Zeroes every counter (rows stay registered): the benches reset between
-  // the legacy and indexed phases so each dump covers one engine only.
-  void Reset();
-
   // Rows sorted by descending total_ns (the hot path first).
   std::vector<Row> Snapshot() const;
 

@@ -95,9 +95,8 @@ TEST(ObjectSet, UnionWithDeltaRecordsOnlyNewBits) {
 }
 
 // Mutually-recursive parameter binding makes a static copy cycle
-// (f.p -> g.q -> f.p); the collapse must fold it, and every solver variant
-// (legacy baseline, difference propagation with and without SCC collapsing)
-// must compute the same sets.
+// (f.p -> g.q -> f.p); the collapse must fold it, and difference
+// propagation with and without SCC collapsing must compute the same sets.
 TEST(PointsTo, CopyCycleCollapsesAndVariantsAgree) {
   ir::Module m;
   IrBuilder b(&m);
@@ -132,11 +131,7 @@ TEST(PointsTo, CopyCycleCollapsesAndVariantsAgree) {
   const PointsToResult without_scc = RunPointsTo(m, no_collapse);
   EXPECT_EQ(without_scc.stats().scc_vars_collapsed, 0u);
 
-  PointsToOptions legacy = collapse;
-  legacy.legacy_solver = true;
-  const PointsToResult old_solver = RunPointsTo(m, legacy);
-
-  for (const PointsToResult* r : {&with_scc, &without_scc, &old_solver}) {
+  for (const PointsToResult* r : {&with_scc, &without_scc}) {
     // Parameters occupy registers [0, num_params).
     const ObjectSet& fp = r->PointsTo(f, static_cast<Reg>(0));
     const ObjectSet& gq = r->PointsTo(g, static_cast<Reg>(0));
@@ -145,7 +140,7 @@ TEST(PointsTo, CopyCycleCollapsesAndVariantsAgree) {
   }
 }
 
-// Every solver variant must agree on the full result surface the pipeline
+// SCC collapse on and off must agree on the full result surface the pipeline
 // consumes, on a real workload module (loads, stores, locks, indirect calls).
 TEST(PointsTo, SolverVariantsAgreeOnWorkload) {
   const auto w = workloads::Build("mysql_169");
@@ -153,17 +148,12 @@ TEST(PointsTo, SolverVariantsAgreeOnWorkload) {
   base.scope = PointsToOptions::Scope::kWholeProgram;
   PointsToOptions no_scc = base;
   no_scc.collapse_sccs = false;
-  PointsToOptions legacy = base;
-  legacy.legacy_solver = true;
   const PointsToResult a = RunPointsTo(*w.module, base);
-  const PointsToResult b2 = RunPointsTo(*w.module, no_scc);
-  const PointsToResult c = RunPointsTo(*w.module, legacy);
-  ASSERT_EQ(a.num_objects(), b2.num_objects());
-  ASSERT_EQ(a.num_objects(), c.num_objects());
+  const PointsToResult b = RunPointsTo(*w.module, no_scc);
+  ASSERT_EQ(a.num_objects(), b.num_objects());
   for (const ir::Instruction* inst : w.module->AllInstructions()) {
-    const auto ea = a.PointerOperandPointsTo(*inst).Elements();
-    EXPECT_EQ(ea, b2.PointerOperandPointsTo(*inst).Elements());
-    EXPECT_EQ(ea, c.PointerOperandPointsTo(*inst).Elements());
+    EXPECT_EQ(a.PointerOperandPointsTo(*inst).Elements(),
+              b.PointerOperandPointsTo(*inst).Elements());
   }
 }
 

@@ -105,10 +105,9 @@ TEST(EngineStreaming, SolverRunsStrictlyFewerTimesThanFailingSubmissions) {
 }
 
 std::unique_ptr<core::ServerPool> MakeTierPool(analysis::PointsToOptions::Tier tier,
-                                               bool ab_check, size_t node_budget = 0) {
+                                               size_t node_budget = 0) {
   core::ServerPoolOptions options;
   options.server.pta_tier = tier;
-  options.server.pta_ab_check = ab_check;
   options.server.pta_node_budget = node_budget;
   auto pool = std::make_unique<core::ServerPool>(options);
   for (const bench::CapturedSite& site : Sites()) {
@@ -117,32 +116,21 @@ std::unique_ptr<core::ServerPool> MakeTierPool(analysis::PointsToOptions::Tier t
   return pool;
 }
 
-TEST(EngineTiers, DemandTierDiagnosesDigestIdenticallyAndABChecksPass) {
+TEST(EngineTiers, DemandTierDiagnosesDigestIdentically) {
   ASSERT_FALSE(Sites().empty());
   auto exhaustive = MakePool(/*use_cache=*/true);
-  auto demand = MakeTierPool(analysis::PointsToOptions::Tier::kAuto, /*ab_check=*/true);
+  auto demand = MakeTierPool(analysis::PointsToOptions::Tier::kAuto);
   const std::string ex_digest = Drive(exhaustive.get(), /*diagnose_each=*/false);
   const std::string de_digest = Drive(demand.get(), /*diagnose_each=*/false);
   ASSERT_FALSE(ex_digest.empty());
   // The solver tier is a pure mechanism change: the diagnosis must not move.
   EXPECT_EQ(de_digest, ex_digest);
-  uint64_t checks = 0;
-  uint64_t mismatches = 0;
-  for (const bench::CapturedSite& site : Sites()) {
-    const core::DiagnosisServer* shard = ShardFor(*demand, site);
-    ASSERT_NE(shard, nullptr) << site.workload.name;
-    checks += shard->pta_ab_checks();
-    mismatches += shard->pta_ab_mismatches();
-  }
-  EXPECT_GT(checks, 0u);
-  EXPECT_EQ(mismatches, 0u);
 }
 
 TEST(EngineTiers, OneNodeBudgetFallsBackAndStillDiagnosesIdentically) {
   ASSERT_FALSE(Sites().empty());
   auto exhaustive = MakePool(/*use_cache=*/true);
-  auto strangled = MakeTierPool(analysis::PointsToOptions::Tier::kDemand,
-                                /*ab_check=*/true, /*node_budget=*/1);
+  auto strangled = MakeTierPool(analysis::PointsToOptions::Tier::kDemand, /*node_budget=*/1);
   const std::string ex_digest = Drive(exhaustive.get(), /*diagnose_each=*/false);
   const std::string fb_digest = Drive(strangled.get(), /*diagnose_each=*/false);
   EXPECT_EQ(fb_digest, ex_digest);
@@ -153,7 +141,6 @@ TEST(EngineTiers, OneNodeBudgetFallsBackAndStillDiagnosesIdentically) {
     ASSERT_NE(shard->points_to(), nullptr);
     EXPECT_TRUE(shard->points_to()->stats().demand_budget_fallback);
     EXPECT_FALSE(shard->points_to()->demand_tier());
-    EXPECT_EQ(shard->pta_ab_mismatches(), 0u);
   }
 }
 

@@ -2,7 +2,7 @@
 // run allocation-free per candidate. This TU overrides global operator
 // new/delete with a counting shim (which is why it is its own test binary)
 // and asserts that ComputePatterns' allocation count is a small constant --
-// independent of how many candidates the engines sweep -- for both engines.
+// independent of how many candidates the engine sweeps.
 //
 // The per-call budget covers only setup: the scratch vector reservations,
 // the candidate list, the dedup tables, and the result vector. If a
@@ -171,7 +171,7 @@ TEST(PatternAlloc, HypothesisLoopsAllocationFree) {
   ASSERT_TRUE(driver.captured().has_value());
   const trace::ProcessedTrace trace(prog.module.get(), *driver.captured());
 
-  // Every memory access in the module becomes a candidate; the engines test
+  // Every memory access in the module becomes a candidate; the engine tests
   // all of them against the anchors.
   std::vector<analysis::RankedInstruction> ranked;
   for (const ir::Instruction* inst : prog.module->AllInstructions()) {
@@ -186,23 +186,18 @@ TEST(PatternAlloc, HypothesisLoopsAllocationFree) {
   std::vector<const ir::Instruction*> chain = {
       prog.module->instruction(trace.inst(trace.failing_instance()))};
 
-  for (const bool legacy : {true, false}) {
-    PatternComputeOptions opts;
-    opts.legacy_engine = legacy;
-    // Warm-up establishes steady state (gtest bookkeeping, lazy stdlib
-    // initialization) outside the measured window.
-    (void)ComputePatterns(*prog.module, trace, ranked, trace.failure(), chain, opts);
-    const size_t before = g_alloc_count.load(std::memory_order_relaxed);
-    const PatternComputeResult result =
-        ComputePatterns(*prog.module, trace, ranked, trace.failure(), chain, opts);
-    const size_t delta = g_alloc_count.load(std::memory_order_relaxed) - before;
-    EXPECT_FALSE(result.patterns.empty());
-    // Setup-only budget: scratch reservations, candidate list, dedup tables,
-    // result patterns. A per-candidate or per-instance allocation in the
-    // hypothesis loops would add O(#candidates * #anchors) ~ hundreds.
-    EXPECT_LE(delta, 96u) << (legacy ? "legacy" : "indexed")
-                          << " engine allocated per candidate";
-  }
+  // Warm-up establishes steady state (gtest bookkeeping, lazy stdlib
+  // initialization) outside the measured window.
+  (void)ComputePatterns(*prog.module, trace, ranked, trace.failure(), chain);
+  const size_t before = g_alloc_count.load(std::memory_order_relaxed);
+  const PatternComputeResult result =
+      ComputePatterns(*prog.module, trace, ranked, trace.failure(), chain);
+  const size_t delta = g_alloc_count.load(std::memory_order_relaxed) - before;
+  EXPECT_FALSE(result.patterns.empty());
+  // Setup-only budget: scratch reservations, candidate list, dedup tables,
+  // result patterns. A per-candidate or per-instance allocation in the
+  // hypothesis loops would add O(#candidates * #anchors) ~ hundreds.
+  EXPECT_LE(delta, 96u) << "engine allocated per candidate";
 }
 
 }  // namespace

@@ -235,36 +235,35 @@ std::vector<std::string> Keys(const PatternComputeResult& result) {
   return keys;
 }
 
-TEST(PatternCompute, EnginesAgreeOnCrashPatterns) {
+// The expected key lists were captured while the legacy nested-rescan engine
+// still existed and produced the same lists.
+TEST(PatternCompute, CrashPatternsMatchFrozenKeys) {
   CrashCapture cap = CaptureCrash();
   const auto ranked =
       RankAll(*cap.module, {cap.null_store, cap.racy_load, cap.deref, cap.unrelated_store});
   const std::vector<const ir::Instruction*> chain = {cap.module->instruction(cap.deref),
                                                      cap.module->instruction(cap.racy_load)};
-  PatternComputeOptions legacy_opts;
-  legacy_opts.legacy_engine = true;
-  PatternComputeOptions indexed_opts;
-  const PatternComputeResult legacy =
-      ComputePatterns(*cap.module, *cap.trace, ranked, cap.failure, chain, legacy_opts);
-  const PatternComputeResult indexed =
-      ComputePatterns(*cap.module, *cap.trace, ranked, cap.failure, chain, indexed_opts);
-  EXPECT_FALSE(indexed.patterns.empty());
-  EXPECT_EQ(Keys(legacy), Keys(indexed));
-  EXPECT_EQ(legacy.hypothesis_violated, indexed.hypothesis_violated);
+  const PatternComputeResult result =
+      ComputePatterns(*cap.module, *cap.trace, ranked, cap.failure, chain);
+  EXPECT_EQ(Keys(result), (std::vector<std::string>{
+                              "order-violation(WR)|29@1|8@0",
+                              "atomicity-violation(RWR)|7@0|29@1|8@0",
+                              "atomicity-violation(RWR)|8@0|29@1|8@0",
+                              "atomicity-violation(WWR)|5@0|29@1|8@0",
+                          }));
+  EXPECT_FALSE(result.hypothesis_violated);
 }
 
-TEST(PatternCompute, EnginesAgreeOnDeadlockPatterns) {
+TEST(PatternCompute, DeadlockPatternsMatchFrozenKeys) {
   DeadlockCapture cap = CaptureDeadlock();
   const auto ranked =
       RankAll(*cap.module, {cap.hold_a, cap.hold_b, cap.attempt_a, cap.attempt_b});
-  PatternComputeOptions legacy_opts;
-  legacy_opts.legacy_engine = true;
-  const PatternComputeResult legacy =
-      ComputePatterns(*cap.module, *cap.trace, ranked, cap.failure, {}, legacy_opts);
-  const PatternComputeResult indexed =
+  const PatternComputeResult result =
       ComputePatterns(*cap.module, *cap.trace, ranked, cap.failure, {});
-  EXPECT_FALSE(indexed.patterns.empty());
-  EXPECT_EQ(Keys(legacy), Keys(indexed));
+  EXPECT_EQ(Keys(result), (std::vector<std::string>{
+                              "deadlock|9@0|1@1|4@1!|12@0!",
+                              "deadlock|12@0!|4@1!",
+                          }));
 }
 
 TEST(PatternCompute, VerdictCacheServesRepeatQueries) {
@@ -297,19 +296,12 @@ TEST(PatternCompute, AliasPrefilterMasksDisjointCandidates) {
   PatternComputeContext context;
   context.points_to = &points_to;
 
-  PatternComputeOptions indexed_opts;  // prefilter on by default
-  PatternComputeOptions legacy_opts;
-  legacy_opts.legacy_engine = true;
-  const PatternComputeResult indexed =
-      ComputePatterns(*cap.module, *cap.trace, ranked, cap.failure, chain, indexed_opts, context);
-  const PatternComputeResult legacy =
-      ComputePatterns(*cap.module, *cap.trace, ranked, cap.failure, chain, legacy_opts, context);
-  EXPECT_GT(indexed.alias_skips, 0u) << "disjoint candidate should be masked";
-  EXPECT_EQ(indexed.alias_skips, legacy.alias_skips);
-  // Both engines apply the identical mask, so outputs still agree.
-  EXPECT_EQ(Keys(legacy), Keys(indexed));
+  // The prefilter is on by default.
+  const PatternComputeResult filtered =
+      ComputePatterns(*cap.module, *cap.trace, ranked, cap.failure, chain, {}, context);
+  EXPECT_GT(filtered.alias_skips, 0u) << "disjoint candidate should be masked";
   // The masked candidate never appears in any pattern.
-  for (const BugPattern& p : indexed.patterns) {
+  for (const BugPattern& p : filtered.patterns) {
     for (const PatternEvent& e : p.events) {
       EXPECT_NE(e.inst, cap.unrelated_store);
     }
@@ -322,7 +314,7 @@ TEST(PatternCompute, AliasPrefilterMasksDisjointCandidates) {
   const PatternComputeResult unfiltered =
       ComputePatterns(*cap.module, *cap.trace, ranked, cap.failure, chain, off, context);
   EXPECT_EQ(unfiltered.alias_skips, 0u);
-  EXPECT_GE(unfiltered.patterns.size(), indexed.patterns.size());
+  EXPECT_GE(unfiltered.patterns.size(), filtered.patterns.size());
 }
 
 TEST(PatternCompute, TimeoutFailuresProduceNoPatterns) {

@@ -105,7 +105,6 @@ report::Report HandBuiltReport() {
   r.transport.bundles_acked = 12;
   r.transport.bundles_duplicate = 1;
   r.transport.reconnects = 2;
-  r.transport.full_fidelity = false;
   return r;
 }
 
@@ -133,7 +132,6 @@ TEST(ReportCodec, HandBuiltRoundTripIsExact) {
   EXPECT_EQ(decoded.diagnosis.confidence, trace::ConfidenceTier::kDegraded);
   EXPECT_EQ(decoded.diagnosis.repair, nullptr);
   EXPECT_TRUE(decoded.transport.remote);
-  EXPECT_FALSE(decoded.transport.full_fidelity);
 }
 
 TEST(ReportCodec, DiagnosedRoundTripCarriesRepairPlan) {

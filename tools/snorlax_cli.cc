@@ -65,8 +65,6 @@ int Usage() {
       "           timings, artifact keys, dirty reasons;\n"
       "           --pta-tier=exhaustive|demand|auto picks the step-4 solver,\n"
       "           --pta-budget=N caps demand nodes visited before fallback,\n"
-      "           --pta-ab digest-checks demand results against exhaustive,\n"
-      "           --legacy-patterns runs the pre-index step-6 engine,\n"
       "           --profile=<path> dumps the hot-path profiler table as JSON,\n"
       "           --report=text|json|sarif picks the output rendering,\n"
       "           --suggest-fix runs the repair pass: patch synthesis per\n"
@@ -81,7 +79,7 @@ int Usage() {
       "           --json=<path> to also write the JSON line to a file)\n"
       "  serve    run the TCP diagnosis daemon (--port=P, --deadline-ms=D\n"
       "           per-site analysis deadline, --workloads=a,b,c,\n"
-      "           --pta-tier=exhaustive|demand|auto, --pta-budget=N, --pta-ab;\n"
+      "           --pta-tier=exhaustive|demand|auto, --pta-budget=N;\n"
       "           cluster mode: --node-id=N --peers=id@port[,id@port...];\n"
       "           durability: --data-dir=DIR [--fsync]; default port 7433,\n"
       "           SIGTERM/Ctrl-C drains: hands sites to the remaining ring,\n"
@@ -225,13 +223,11 @@ bool ParsePtaTier(const std::string& value, analysis::PointsToOptions::Tier* out
 struct PtaFlags {
   analysis::PointsToOptions::Tier tier = analysis::PointsToOptions::Tier::kExhaustive;
   size_t node_budget = 0;
-  bool ab_check = false;
 };
 
 struct DiagnoseFlags {
   size_t failing_traces = 1;
   bool explain = false;
-  bool legacy_patterns = false;
   bool suggest_fix = false;
   report::Format format = report::Format::kText;
   std::string profile_path;
@@ -253,8 +249,6 @@ int CmdDiagnose(const std::string& path, const DiagnoseFlags& flags) {
   opts.failing_traces = flags.failing_traces;
   opts.server.pta_tier = flags.pta.tier;
   opts.server.pta_node_budget = flags.pta.node_budget;
-  opts.server.pta_ab_check = flags.pta.ab_check;
-  opts.server.patterns.legacy_engine = flags.legacy_patterns;
   if (flags.suggest_fix) {
     // The repair pass validates patches by re-running the scenario, so it
     // inherits the client's timing model.
@@ -285,13 +279,7 @@ int CmdDiagnose(const std::string& path, const DiagnoseFlags& flags) {
   if (flags.explain && !machine) {
     PrintExplain(snorlax.server());
   }
-  const PtaFlags& pta = flags.pta;
   const std::string& profile_path = flags.profile_path;
-  if (pta.ab_check) {
-    std::printf("pta A/B: %llu check(s), %llu mismatch(es)\n",
-                static_cast<unsigned long long>(snorlax.server().pta_ab_checks()),
-                static_cast<unsigned long long>(snorlax.server().pta_ab_mismatches()));
-  }
   if (!profile_path.empty()) {
     if (support::Profiler::Global().DumpJson(profile_path)) {
       std::printf("profile written to %s\n", profile_path.c_str());
@@ -546,8 +534,6 @@ int CmdServe(int argc, char** argv) {
       }
     } else if (flag.rfind("--pta-budget=", 0) == 0) {
       dopts.pool.server.pta_node_budget = std::strtoull(flag.c_str() + 13, nullptr, 10);
-    } else if (flag == "--pta-ab") {
-      dopts.pool.server.pta_ab_check = true;
     } else if (flag.rfind("--node-id=", 0) == 0) {
       dopts.node_id = std::strtoull(flag.c_str() + 10, nullptr, 10);
     } else if (flag.rfind("--peers=", 0) == 0) {
@@ -803,8 +789,6 @@ int main(int argc, char** argv) {
       const std::string flag = argv[i];
       if (flag == "--explain") {
         flags.explain = true;
-      } else if (flag == "--legacy-patterns") {
-        flags.legacy_patterns = true;
       } else if (flag == "--suggest-fix") {
         flags.suggest_fix = true;
       } else if (flag.rfind("--report=", 0) == 0) {
@@ -826,8 +810,6 @@ int main(int argc, char** argv) {
         }
       } else if (flag.rfind("--pta-budget=", 0) == 0) {
         flags.pta.node_budget = std::strtoull(flag.c_str() + 13, nullptr, 10);
-      } else if (flag == "--pta-ab") {
-        flags.pta.ab_check = true;
       } else if (!flag.empty() && flag[0] != '-') {
         const uint64_t n = std::strtoull(flag.c_str(), nullptr, 10);
         flags.failing_traces = n == 0 ? 1 : static_cast<size_t>(n);
