@@ -7,8 +7,8 @@
 #                                           harness builds in <build-dir>-perfbench)
 #   SNORLAX_CHECK_TSAN=1 scripts/check.sh   additionally builds with
 #                                           -DSNORLAX_SANITIZE=thread and runs
-#                                           the concurrency and net labels
-#                                           under TSan.
+#                                           the concurrency (three times
+#                                           each) and net labels under TSan.
 #   SNORLAX_CHECK_ASAN=1 scripts/check.sh   additionally builds with
 #                                           -DSNORLAX_SANITIZE=address and runs
 #                                           every test but the fuzz and
@@ -63,7 +63,11 @@ if [[ "${SNORLAX_CHECK_TSAN:-0}" == "1" ]]; then
   cmake -B "${BUILD_DIR}-tsan" -S . -DSNORLAX_SANITIZE=thread \
         -DCMAKE_BUILD_TYPE=RelWithDebInfo
   cmake --build "${BUILD_DIR}-tsan" -j "${JOBS}"
-  ctest --test-dir "${BUILD_DIR}-tsan" --output-on-failure -L "concurrency|net"
+  # Each concurrency test gets three runs, so a racy interleaving has more
+  # than one chance to show.
+  ctest --test-dir "${BUILD_DIR}-tsan" --output-on-failure -L concurrency \
+        --repeat until-fail:3
+  ctest --test-dir "${BUILD_DIR}-tsan" --output-on-failure -L net
 fi
 
 if [[ "${SNORLAX_CHECK_ASAN:-0}" == "1" ]]; then

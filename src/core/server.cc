@@ -69,18 +69,6 @@ Status DiagnosisServer::ValidateBundle(const pt::PtTraceBundle& bundle,
   return Status::Ok();
 }
 
-support::Result<std::shared_ptr<const trace::ProcessedTrace>> DiagnosisServer::IngestBundle(
-    const pt::PtTraceBundle& bundle) const {
-  try {
-    return std::make_shared<const trace::ProcessedTrace>(module_, bundle, options_.trace);
-  } catch (const std::exception& e) {
-    // Crash barrier: a corruption pattern the hardened paths above did not
-    // anticipate must cost one bundle, not the whole diagnosis service.
-    return Status::Error(StatusCode::kInternal,
-                         StrFormat("ingest failed: %s", e.what()));
-  }
-}
-
 uint64_t DiagnosisServer::BundleContentKey(const pt::PtTraceBundle& bundle) {
   uint64_t h = engine::Mix64(bundle.trace_version);
   h = engine::HashCombine(h, bundle.module_fingerprint);
@@ -117,28 +105,32 @@ support::Result<std::shared_ptr<const trace::ProcessedTrace>> DiagnosisServer::D
   }
   *content_key = key;
   if (options_.use_analysis_cache) {
-    std::lock_guard<std::mutex> lock(mu_);
     if (const auto* memo = decode_cache_.Find<engine::ProcessedTraceArtifact>(
             engine::ArtifactKind::kProcessedTrace, key)) {
       // Each submission appends the shared trace as its own evidence; only
       // the packet decoding is skipped.
-      std::shared_ptr<const trace::ProcessedTrace> shared = memo->trace;
       *decode_seconds = SecondsSince(start);
       *cache_hit = true;
-      return shared;
+      return memo->trace;
     }
   }
-  auto ingested = IngestBundle(bundle);
-  if (ingested.ok() && options_.use_analysis_cache) {
-    std::lock_guard<std::mutex> lock(mu_);
+  std::shared_ptr<const trace::ProcessedTrace> decoded;
+  try {
+    decoded = std::make_shared<const trace::ProcessedTrace>(module_, bundle, options_.trace);
+  } catch (const std::exception& e) {
+    // Crash barrier: a corruption pattern the hardened paths did not
+    // anticipate must cost one bundle, not the whole diagnosis service.
+    return Status::Error(StatusCode::kInternal, StrFormat("ingest failed: %s", e.what()));
+  }
+  if (options_.use_analysis_cache) {
     decode_cache_.Put(engine::ArtifactKind::kProcessedTrace, key,
-                      engine::ProcessedTraceArtifact{ingested.value()});
+                      engine::ProcessedTraceArtifact{decoded});
   }
   *decode_seconds = SecondsSince(start);
-  return ingested;
+  return decoded;
 }
 
-void DiagnosisServer::RecordRejectionLocked(const char* what, const Status& status) {
+void DiagnosisServer::RecordRejection(const char* what, const Status& status) {
   ++degradation_.rejected_bundles;
   std::string note = StrFormat("%s: %s", what, status.ToString().c_str());
   rejection_notes_.push_back(note);
@@ -154,8 +146,8 @@ void DiagnosisServer::RecordRejectionLocked(const char* what, const Status& stat
   degradation_.notes.push_back(std::move(note));
 }
 
-void DiagnosisServer::PersistEvidenceLocked(engine::SiteRecord::Type type, uint64_t key,
-                                            const trace::ProcessedTrace& t) {
+void DiagnosisServer::PersistEvidence(engine::SiteRecord::Type type, uint64_t key,
+                                      const trace::ProcessedTrace& t) {
   site_log_.push_back(EvidenceRef{type, key});
   if (options_.durable_log == nullptr) {
     return;
@@ -175,21 +167,16 @@ Status DiagnosisServer::SubmitFailingTrace(const pt::PtTraceBundle& bundle) {
       engine::CancelToken::AfterSeconds(options_.analysis_deadline_seconds);
   Status valid = ValidateBundle(bundle, /*failing=*/true);
   if (!valid.ok()) {
-    std::lock_guard<std::mutex> lock(mu_);
-    RecordRejectionLocked("failing bundle rejected", valid);
+    RecordRejection("failing bundle rejected", valid);
     return valid;
   }
-  // Decode outside the lock: this is the bulk of per-bundle work and is pure
-  // (module + bundle in, ProcessedTrace out), so client threads overlap here.
-  // Byte-identical repeats are served from the decode memo instead.
   const auto start = std::chrono::steady_clock::now();
   double decode_seconds = 0.0;
   bool decode_hit = false;
   uint64_t content_key = 0;
   auto ingested = DecodeBundle(bundle, &decode_seconds, &decode_hit, &content_key);
-  std::lock_guard<std::mutex> lock(mu_);
   if (!ingested.ok()) {
-    RecordRejectionLocked("failing bundle rejected", ingested.status());
+    RecordRejection("failing bundle rejected", ingested.status());
     return ingested.status();
   }
   std::shared_ptr<const trace::ProcessedTrace> processed = ingested.take();
@@ -200,15 +187,14 @@ Status DiagnosisServer::SubmitFailingTrace(const pt::PtTraceBundle& bundle) {
   if (!processed->HasEvidence()) {
     Status err = Status::Error(StatusCode::kCorruptData,
                                "no usable events survived decoding");
-    RecordRejectionLocked("failing bundle rejected", err);
+    RecordRejection("failing bundle rejected", err);
     return err;
   }
   Status pipeline;
   try {
     pipeline = engine_.AddFailingTrace(std::move(processed), cancel);
   } catch (const std::exception& e) {
-    RecordRejectionLocked("pipeline crash barrier",
-                          Status::Error(StatusCode::kInternal, e.what()));
+    RecordRejection("pipeline crash barrier", Status::Error(StatusCode::kInternal, e.what()));
     return Status::Error(StatusCode::kInternal,
                          StrFormat("analysis failed: %s", e.what()));
   }
@@ -222,44 +208,29 @@ Status DiagnosisServer::SubmitFailingTrace(const pt::PtTraceBundle& bundle) {
     degradation_.notes.push_back(pipeline.ToString());
   }
   // The trace was retained as evidence (even on deadline): make it durable.
-  PersistEvidenceLocked(engine::SiteRecord::Type::kFailingEvidence, content_key,
-                        *engine_.failing_traces().back());
+  PersistEvidence(engine::SiteRecord::Type::kFailingEvidence, content_key,
+                  *engine_.failing_traces().back());
   last_analysis_seconds_ = SecondsSince(start);
   total_analysis_seconds_ += last_analysis_seconds_;
   return pipeline;
 }
 
 Status DiagnosisServer::SubmitSuccessTrace(const pt::PtTraceBundle& bundle) {
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    if (!engine_.failing_traces().empty() &&
-        engine_.success_traces().size() >=
-            options_.success_trace_multiplier * engine_.failing_traces().size()) {
-      return Status::Ok();  // the paper's empirically-sufficient 10x cap
-    }
+  if (SuccessCapReached()) {
+    return Status::Ok();  // the paper's empirically-sufficient 10x cap
   }
   Status valid = ValidateBundle(bundle, /*failing=*/false);
   if (!valid.ok()) {
-    std::lock_guard<std::mutex> lock(mu_);
-    RecordRejectionLocked("success bundle rejected", valid);
+    RecordRejection("success bundle rejected", valid);
     return valid;
   }
   double decode_seconds = 0.0;
   bool decode_hit = false;
   uint64_t content_key = 0;
   auto ingested = DecodeBundle(bundle, &decode_seconds, &decode_hit, &content_key);
-  std::lock_guard<std::mutex> lock(mu_);
   if (!ingested.ok()) {
-    RecordRejectionLocked("success bundle rejected", ingested.status());
+    RecordRejection("success bundle rejected", ingested.status());
     return ingested.status();
-  }
-  // Re-check the cap: another thread may have filled it while we decoded.
-  // Dropped bundles contribute nothing -- not even degradation -- matching a
-  // serial server, where the pre-check would have turned them away undecoded.
-  if (!engine_.failing_traces().empty() &&
-      engine_.success_traces().size() >=
-          options_.success_trace_multiplier * engine_.failing_traces().size()) {
-    return Status::Ok();
   }
   std::shared_ptr<const trace::ProcessedTrace> processed = ingested.take();
   engine_.RecordTraceProcess(decode_seconds, decode_hit);
@@ -267,16 +238,16 @@ Status DiagnosisServer::SubmitSuccessTrace(const pt::PtTraceBundle& bundle) {
   if (!processed->HasEvidence()) {
     Status err = Status::Error(StatusCode::kCorruptData,
                                "no usable events survived decoding");
-    RecordRejectionLocked("success bundle rejected", err);
+    RecordRejection("success bundle rejected", err);
     return err;
   }
   engine_.AddSuccessTrace(std::move(processed));
-  PersistEvidenceLocked(engine::SiteRecord::Type::kSuccessEvidence, content_key,
-                        *engine_.success_traces().back());
+  PersistEvidence(engine::SiteRecord::Type::kSuccessEvidence, content_key,
+                  *engine_.success_traces().back());
   return Status::Ok();
 }
 
-void DiagnosisServer::ApplyRecordLocked(engine::SiteRecord&& record, bool persist) {
+void DiagnosisServer::ApplyRecord(engine::SiteRecord&& record, bool persist) {
   using Type = engine::SiteRecord::Type;
   persist = persist && options_.durable_log != nullptr;
   switch (record.type) {
@@ -299,14 +270,12 @@ void DiagnosisServer::ApplyRecordLocked(engine::SiteRecord&& record, bool persis
       auto decoded = engine::DecodeProcessedTrace(record.bytes, module_);
       if (!decoded.ok()) {
         ++persist_failures_;
-        RecordRejectionLocked("durable evidence undecodable", decoded.status());
+        RecordRejection("durable evidence undecodable", decoded.status());
         return;
       }
       std::shared_ptr<const trace::ProcessedTrace> t = decoded.take();
       const bool failing = record.type == Type::kFailingEvidence;
-      if (!failing && !engine_.failing_traces().empty() &&
-          engine_.success_traces().size() >=
-              options_.success_trace_multiplier * engine_.failing_traces().size()) {
+      if (!failing && SuccessCapReached()) {
         // Invariant guard only: a logged success record was accepted when it
         // was written, and in-order replay re-derives the same cap decision.
         return;
@@ -326,8 +295,8 @@ void DiagnosisServer::ApplyRecordLocked(engine::SiteRecord&& record, bool persis
           // above every pass is a cache hit, so this is bounded work.
           (void)engine_.AddFailingTrace(std::move(t), engine::CancelToken());
         } catch (const std::exception& e) {
-          RecordRejectionLocked("restore pipeline crash barrier",
-                                Status::Error(StatusCode::kInternal, e.what()));
+          RecordRejection("restore pipeline crash barrier",
+                          Status::Error(StatusCode::kInternal, e.what()));
           return;
         }
         degradation_.hypothesis_fallback =
@@ -361,19 +330,17 @@ void DiagnosisServer::ApplyRecordLocked(engine::SiteRecord&& record, bool persis
 }
 
 void DiagnosisServer::RestoreSiteRecords(std::vector<engine::SiteRecord>&& records) {
-  std::lock_guard<std::mutex> lock(mu_);
   restoring_ = true;
   for (engine::SiteRecord& record : records) {
-    ApplyRecordLocked(std::move(record), /*persist=*/false);
+    ApplyRecord(std::move(record), /*persist=*/false);
   }
   restoring_ = false;
 }
 
 Status DiagnosisServer::ImportSiteRecords(std::vector<engine::SiteRecord>&& records) {
-  std::lock_guard<std::mutex> lock(mu_);
   const uint64_t failures_before = persist_failures_;
   for (engine::SiteRecord& record : records) {
-    ApplyRecordLocked(std::move(record), /*persist=*/true);
+    ApplyRecord(std::move(record), /*persist=*/true);
   }
   if (persist_failures_ != failures_before) {
     return Status::Error(StatusCode::kInternal,
@@ -386,7 +353,6 @@ Status DiagnosisServer::ImportSiteRecords(std::vector<engine::SiteRecord>&& reco
 
 void DiagnosisServer::ExportSiteRecords(
     const std::function<void(engine::SiteRecord&&)>& fn) const {
-  std::lock_guard<std::mutex> lock(mu_);
   // Artifacts first: the importer's evidence replay then cache-hits every
   // pass, exactly like a durable-log restore.
   engine_.ExportArtifacts(
@@ -441,12 +407,10 @@ void DiagnosisServer::ExportSiteRecords(
 }
 
 uint64_t DiagnosisServer::durable_failures() const {
-  std::lock_guard<std::mutex> lock(mu_);
   return persist_failures_ + engine_.durable_append_failures();
 }
 
 std::vector<std::pair<ir::InstId, int>> DiagnosisServer::RequestedDumpPoints() const {
-  std::lock_guard<std::mutex> lock(mu_);
   std::vector<std::pair<ir::InstId, int>> out;
   if (engine_.failing_traces().empty()) {
     return out;
@@ -468,7 +432,7 @@ std::vector<std::pair<ir::InstId, int>> DiagnosisServer::RequestedDumpPoints() c
   return out;
 }
 
-StageStats DiagnosisServer::BuildStageStatsLocked() const {
+StageStats DiagnosisServer::BuildStageStats() const {
   StageStats s;
   s.module_instructions = module_->NumInstructions();
   const engine::StageCounts& counts = engine_.stage_counts();
@@ -486,11 +450,11 @@ StageStats DiagnosisServer::BuildStageStatsLocked() const {
                    StatsFor(passes, engine::PassId::kTypeRank).seconds;
   s.pattern_seconds = StatsFor(passes, engine::PassId::kPatterns).seconds;
   s.passes = passes;
-  s.artifacts = CombinedStoreStatsLocked();
+  s.artifacts = artifact_stats();
   return s;
 }
 
-engine::ArtifactStore::Stats DiagnosisServer::CombinedStoreStatsLocked() const {
+engine::ArtifactStore::Stats DiagnosisServer::artifact_stats() const {
   engine::ArtifactStore::Stats s = engine_.store_stats();
   const engine::ArtifactStore::Stats& memo = decode_cache_.stats();
   s.hits += memo.hits;
@@ -502,9 +466,6 @@ engine::ArtifactStore::Stats DiagnosisServer::CombinedStoreStatsLocked() const {
 }
 
 DiagnosisReport DiagnosisServer::Diagnose() const {
-  // Held across scoring: appending a trace mid-score would make the counts
-  // depend on scheduling.
-  std::lock_guard<std::mutex> lock(mu_);
   DiagnosisReport report;
   if (engine_.failing_traces().empty()) {
     // Nothing was diagnosable -- but if bundles were rejected on the way
@@ -527,7 +488,7 @@ DiagnosisReport DiagnosisServer::Diagnose() const {
     report.repair = engine_.Repair();
   }
 
-  report.stages = BuildStageStatsLocked();
+  report.stages = BuildStageStats();
   report.stages.top_f1_patterns = scored.scores.top_f1_patterns;
   report.stages.score_seconds = scored.seconds;
   report.analysis_seconds = last_analysis_seconds_ + scored.seconds;

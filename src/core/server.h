@@ -12,23 +12,20 @@
 // step 7, statistical diagnosis, over everything received.
 //
 // Layering: this class is *policy* -- bundle validation, the success-trace
-// cap, degradation bookkeeping, locking, deadlines. The analysis mechanism
-// (the pass pipeline, typed artifacts, the incremental scorer) lives in
+// cap, degradation bookkeeping, deadlines. The analysis mechanism (the pass
+// pipeline, typed artifacts, the incremental scorer) lives in
 // engine::SiteEngine; the server never calls into analysis/ directly.
 //
-// Concurrency: Submit*/Diagnose are safe to call from any thread. The
-// expensive part of ingest -- decoding the bundle into a ProcessedTrace --
-// runs outside the server lock, so N client threads decode concurrently;
-// only state mutation (trace append, degradation merge, pipeline trigger)
-// serializes. Results are bit-for-bit identical to a serial submission
-// order-independent pipeline (scoring counts commute; patterns dedupe by
-// key) except for the ordering of degradation notes.
+// Concurrency: thread-compatible, like a standard container, with one
+// difference: every call needs exclusive access, const ones included, since
+// Diagnose() advances the engine's memoizing scorer. One failure site's
+// diagnosis is a sequence over its traces, so a server has one owner at a
+// time; ServerPool is that owner for a fleet and holds one lock per shard.
 #ifndef SNORLAX_CORE_SERVER_H_
 #define SNORLAX_CORE_SERVER_H_
 
 #include <functional>
 #include <memory>
-#include <mutex>
 #include <string>
 #include <vector>
 
@@ -170,16 +167,9 @@ class DiagnosisServer {
   // rank 0 = the failing PC, 1+ = first instructions of predecessor blocks.
   std::vector<std::pair<ir::InstId, int>> RequestedDumpPoints() const;
 
-  bool HasFailure() const {
-    std::lock_guard<std::mutex> lock(mu_);
-    return !engine_.failing_traces().empty();
-  }
-  size_t NumSuccessTraces() const {
-    std::lock_guard<std::mutex> lock(mu_);
-    return engine_.success_traces().size();
-  }
+  bool HasFailure() const { return !engine_.failing_traces().empty(); }
+  size_t NumSuccessTraces() const { return engine_.success_traces().size(); }
   size_t SuccessTraceCap() const {
-    std::lock_guard<std::mutex> lock(mu_);
     return options_.success_trace_multiplier * engine_.failing_traces().size();
   }
 
@@ -211,37 +201,23 @@ class DiagnosisServer {
   // I/O); nonzero means a restart would recover this site incompletely.
   uint64_t durable_failures() const;
 
-  // -- Pass telemetry (the one counter interface; snapshots under the lock) --
+  // -- Pass telemetry (the one counter interface) --
   // Per-pass run / cache-hit / seconds counters.
-  engine::PassStatsTable pass_stats() const {
-    std::lock_guard<std::mutex> lock(mu_);
-    return engine_.pass_stats();
-  }
-  engine::PassStats pass_stats(engine::PassId id) const {
-    std::lock_guard<std::mutex> lock(mu_);
-    return engine_.pass_stats(id);
-  }
+  engine::PassStatsTable pass_stats() const { return engine_.pass_stats(); }
+  engine::PassStats pass_stats(engine::PassId id) const { return engine_.pass_stats(id); }
   // Engine artifact store + the server's decode memo, summed.
-  engine::ArtifactStore::Stats artifact_stats() const {
-    std::lock_guard<std::mutex> lock(mu_);
-    return CombinedStoreStatsLocked();
-  }
+  engine::ArtifactStore::Stats artifact_stats() const;
   // Pass-boundary log of the most recent pipeline run + scoring, for
   // `snorlax_cli diagnose --explain`: ran vs cache hit, duration, artifact
   // key, and why the pass was dirty.
-  std::vector<engine::PassTrace> explain() const {
-    std::lock_guard<std::mutex> lock(mu_);
-    return engine_.last_run();
-  }
+  std::vector<engine::PassTrace> explain() const { return engine_.last_run(); }
   // Residency verdict for the artifact a pass produced under `key`
   // (--explain's "artifact" column: resident / pinned / evicted / absent).
   engine::ResidencyState artifact_state(engine::PassId id, uint64_t key) const {
-    std::lock_guard<std::mutex> lock(mu_);
     return engine_.ArtifactState(id, key);
   }
 
-  // Introspection for tests and benches. Not synchronized against concurrent
-  // Submit* calls -- quiesce first.
+  // Introspection for tests and benches.
   const analysis::PointsToResult* points_to() const { return engine_.points_to(); }
   const std::vector<analysis::RankedInstruction>& ranked_candidates() const {
     return engine_.ranked_candidates();
@@ -257,15 +233,13 @@ class DiagnosisServer {
  private:
   // Structural screening before any decoding work is spent on a bundle.
   support::Status ValidateBundle(const pt::PtTraceBundle& bundle, bool failing) const;
-  // Decodes `bundle` behind a crash barrier: any exception a hardening gap
-  // lets through becomes a rejected bundle, never a server crash. Runs
-  // lock-free; the caller merges the trace's degradation under the lock.
-  support::Result<std::shared_ptr<const trace::ProcessedTrace>> IngestBundle(
-      const pt::PtTraceBundle& bundle) const;
-  void RecordRejectionLocked(const char* what, const support::Status& status);
+  // The paper's 10x cap: success traces beyond it add nothing to step 7.
+  bool SuccessCapReached() const {
+    return HasFailure() && NumSuccessTraces() >= SuccessTraceCap();
+  }
+  void RecordRejection(const char* what, const support::Status& status);
   // Maps engine stage counts + the pass table into the wire-stable StageStats.
-  StageStats BuildStageStatsLocked() const;
-  engine::ArtifactStore::Stats CombinedStoreStatsLocked() const;
+  StageStats BuildStageStats() const;
   static engine::EngineOptions MakeEngineOptions(const Options& options);
   // Content hash of the raw bundle (thread byte streams + failure record):
   // the decode-memo key. Two bundles with equal keys decode to equal traces.
@@ -273,32 +247,31 @@ class DiagnosisServer {
   // Returns the decoded trace for `bundle`, serving byte-identical repeats
   // from the decode memo (a kTraceProcess cache hit) when caching is on. A
   // hit hands out the memoized trace itself: traces are immutable, so the
-  // memo and every submission of the bundle share one object.
+  // memo and every submission of the bundle share one object. Decoding runs
+  // behind a crash barrier: any exception a hardening gap lets through
+  // becomes a rejected bundle, never a server crash.
   // Sets *decode_seconds to the wall time spent and *cache_hit accordingly.
   support::Result<std::shared_ptr<const trace::ProcessedTrace>> DecodeBundle(
       const pt::PtTraceBundle& bundle, double* decode_seconds, bool* cache_hit,
       uint64_t* content_key);
   // Appends one piece of accepted evidence to the durable log (and the
   // in-memory site log that preserves arrival order for export).
-  void PersistEvidenceLocked(engine::SiteRecord::Type type, uint64_t key,
-                             const trace::ProcessedTrace& t);
+  void PersistEvidence(engine::SiteRecord::Type type, uint64_t key,
+                       const trace::ProcessedTrace& t);
   // Applies one restored/imported record; when `persist` is set the record is
   // appended to this server's own durable log on acceptance (hand-off).
-  void ApplyRecordLocked(engine::SiteRecord&& record, bool persist);
+  void ApplyRecord(engine::SiteRecord&& record, bool persist);
 
   const ir::Module* module_;
   uint64_t module_fingerprint_ = 0;
   Options options_;
 
-  // Everything below mu_ is guarded by it (Submit*/Diagnose); the lock-free
-  // introspection accessors above are documented as post-quiesce only.
   // Mutable because Diagnose() is conceptually const but drives the engine's
   // incremental scorer, which memoizes.
-  mutable std::mutex mu_;
   mutable engine::SiteEngine engine_;
-  // Decode memo (kProcessedTrace only), guarded by mu_: a fleet replaying
-  // the same interleaving skips packet decoding, the dominant per-bundle
-  // cost in the steady state. Decoding on a miss happens outside the lock.
+  // Decode memo (kProcessedTrace only): a fleet replaying the same
+  // interleaving skips packet decoding, the dominant per-bundle cost in the
+  // steady state.
   engine::ArtifactStore decode_cache_;
   trace::DegradationReport degradation_;
   double last_analysis_seconds_ = 0.0;

@@ -10,6 +10,19 @@ namespace snorlax::core {
 using support::Status;
 using support::StatusCode;
 
+namespace {
+
+// Report and hand-off order: by (fingerprint, failing PC), independent of
+// shard-creation order.
+bool ShardKeyLess(const ServerPool::ShardKey& a, const ServerPool::ShardKey& b) {
+  if (a.module_fingerprint != b.module_fingerprint) {
+    return a.module_fingerprint < b.module_fingerprint;
+  }
+  return a.failing_inst < b.failing_inst;
+}
+
+}  // namespace
+
 ServerPool::ServerPool(ServerPoolOptions options) : options_(options) {}
 
 void ServerPool::RegisterModule(const ir::Module* module) {
@@ -40,26 +53,30 @@ const ir::Module* ServerPool::ResolveModule(const pt::PtTraceBundle& bundle,
   return it->second;
 }
 
-DiagnosisServer* ServerPool::ShardFor(const ir::Module* module, ir::InstId failing_inst) {
-  // Caller holds mu_.
+std::shared_ptr<ServerPool::Shard> ServerPool::ShardFor(const ir::Module* module,
+                                                       ir::InstId failing_inst) {
   const uint64_t fp = pt::ModuleFingerprint(*module);
-  const uint64_t key = Key(fp, failing_inst);
-  auto it = shards_.find(key);
-  if (it == shards_.end()) {
-    Shard shard;
-    shard.key = ShardKey{fp, failing_inst};
+  std::shared_ptr<Shard>& shard = shards_[Key(fp, failing_inst)];
+  if (shard == nullptr) {
     DiagnosisServer::Options server_options = options_.server;
     server_options.durable_log = options_.durable_log;
     server_options.durable_site =
         engine::DurableSiteKey{fp, static_cast<uint32_t>(failing_inst)};
-    shard.server = std::make_unique<DiagnosisServer>(module, server_options);
-    it = shards_.emplace(key, std::move(shard)).first;
+    shard = std::make_shared<Shard>(ShardKey{fp, failing_inst}, module,
+                                    std::move(server_options));
   }
-  return it->second.server.get();
+  return shard;
+}
+
+std::shared_ptr<ServerPool::Shard> ServerPool::FindShard(uint64_t module_fingerprint,
+                                                        ir::InstId failing_inst) const {
+  std::lock_guard<std::mutex> lock(mu_);
+  auto it = shards_.find(Key(module_fingerprint, failing_inst));
+  return it == shards_.end() ? nullptr : it->second;
 }
 
 Status ServerPool::SubmitFailingTrace(const pt::PtTraceBundle& bundle) {
-  DiagnosisServer* shard;
+  std::shared_ptr<Shard> shard;
   {
     std::lock_guard<std::mutex> lock(mu_);
     Status status = Status::Ok();
@@ -78,15 +95,16 @@ Status ServerPool::SubmitFailingTrace(const pt::PtTraceBundle& bundle) {
     }
     shard = ShardFor(module, bundle.failure.failing_inst);
   }
-  // The map lock is released before the expensive work: concurrent bundles
-  // for different sites proceed fully in parallel, and bundles for the same
-  // site serialize inside the shard, not here.
-  return shard->SubmitFailingTrace(bundle);
+  // The map lock is released before the expensive work: bundles for
+  // different sites proceed in parallel, and bundles for one site take turns
+  // on the shard lock.
+  std::lock_guard<std::mutex> lock(shard->mu);
+  return shard->server.SubmitFailingTrace(bundle);
 }
 
 Status ServerPool::SubmitSuccessTrace(ir::InstId failing_inst,
                                       const pt::PtTraceBundle& bundle) {
-  DiagnosisServer* shard = nullptr;
+  std::shared_ptr<Shard> shard;
   {
     std::lock_guard<std::mutex> lock(mu_);
     Status status = Status::Ok();
@@ -104,40 +122,40 @@ Status ServerPool::SubmitSuccessTrace(ir::InstId failing_inst,
       return Status::Error(StatusCode::kFailedPrecondition,
                            "success trace for a site with no reported failure");
     }
-    shard = it->second.server.get();
+    shard = it->second;
   }
-  return shard->SubmitSuccessTrace(bundle);
+  std::lock_guard<std::mutex> lock(shard->mu);
+  return shard->server.SubmitSuccessTrace(bundle);
 }
 
 std::vector<std::pair<ir::InstId, int>> ServerPool::RequestedDumpPoints(
     uint64_t module_fingerprint, ir::InstId failing_inst) const {
-  const DiagnosisServer* s = shard(module_fingerprint, failing_inst);
-  return s == nullptr ? std::vector<std::pair<ir::InstId, int>>{} : s->RequestedDumpPoints();
+  const std::shared_ptr<Shard> shard = FindShard(module_fingerprint, failing_inst);
+  if (shard == nullptr) {
+    return {};
+  }
+  std::lock_guard<std::mutex> lock(shard->mu);
+  return shard->server.RequestedDumpPoints();
 }
 
 std::vector<ServerPool::ShardReport> ServerPool::DiagnoseAll() const {
-  struct Entry {
-    ShardKey key;
-    const DiagnosisServer* server;
-  };
-  std::vector<Entry> entries;
+  std::vector<std::shared_ptr<Shard>> shards;
   {
     std::lock_guard<std::mutex> lock(mu_);
-    entries.reserve(shards_.size());
+    shards.reserve(shards_.size());
     for (const auto& [key, shard] : shards_) {
-      entries.push_back(Entry{shard.key, shard.server.get()});
+      shards.push_back(shard);
     }
   }
-  std::sort(entries.begin(), entries.end(), [](const Entry& a, const Entry& b) {
-    if (a.key.module_fingerprint != b.key.module_fingerprint) {
-      return a.key.module_fingerprint < b.key.module_fingerprint;
-    }
-    return a.key.failing_inst < b.key.failing_inst;
-  });
+  std::sort(shards.begin(), shards.end(),
+            [](const std::shared_ptr<Shard>& a, const std::shared_ptr<Shard>& b) {
+              return ShardKeyLess(a->key, b->key);
+            });
   std::vector<ShardReport> out;
-  out.reserve(entries.size());
-  for (const Entry& entry : entries) {
-    out.push_back(ShardReport{entry.key, entry.server->Diagnose()});
+  out.reserve(shards.size());
+  for (const std::shared_ptr<Shard>& shard : shards) {
+    std::lock_guard<std::mutex> lock(shard->mu);
+    out.push_back(ShardReport{shard->key, shard->server.Diagnose()});
   }
   return out;
 }
@@ -148,9 +166,10 @@ support::Result<ServerPool::RecoveryStats> ServerPool::RecoverFromLog(
     return Status::Error(StatusCode::kFailedPrecondition,
                          "pool has no durable log to recover from");
   }
-  // Two-phase by design: Replay() holds the log's lock while delivering
-  // records, and applying evidence can append healing records right back to
-  // the log -- bucketing first keeps the two from deadlocking.
+  // Two-phase by design: applying a site's records can append healing
+  // artifacts to the log's open segment, which this same Replay() reads last.
+  // Bucketing every record before applying any keeps the pass from reading
+  // back, and applying twice, what restoration wrote.
   struct SiteBucket {
     engine::DurableSiteKey site;
     std::vector<engine::SiteRecord> records;
@@ -175,7 +194,7 @@ support::Result<ServerPool::RecoveryStats> ServerPool::RecoverFromLog(
       stats.records_skipped += bucket.records.size();
       continue;
     }
-    DiagnosisServer* shard = nullptr;
+    std::shared_ptr<Shard> shard;
     {
       std::lock_guard<std::mutex> lock(mu_);
       auto it = modules_.find(bucket.site.module_fingerprint);
@@ -187,7 +206,8 @@ support::Result<ServerPool::RecoveryStats> ServerPool::RecoverFromLog(
     }
     stats.records_applied += bucket.records.size();
     ++stats.sites_recovered;
-    shard->RestoreSiteRecords(std::move(bucket.records));
+    std::lock_guard<std::mutex> lock(shard->mu);
+    shard->server.RestoreSiteRecords(std::move(bucket.records));
   }
   stats.log = options_.durable_log->stats();
   return stats;
@@ -195,18 +215,19 @@ support::Result<ServerPool::RecoveryStats> ServerPool::RecoverFromLog(
 
 bool ServerPool::ExportSite(uint64_t module_fingerprint, ir::InstId failing_inst,
                             std::vector<engine::SiteRecord>* out) const {
-  const DiagnosisServer* s = shard(module_fingerprint, failing_inst);
-  if (s == nullptr) {
+  const std::shared_ptr<Shard> shard = FindShard(module_fingerprint, failing_inst);
+  if (shard == nullptr) {
     return false;
   }
-  s->ExportSiteRecords(
+  std::lock_guard<std::mutex> lock(shard->mu);
+  shard->server.ExportSiteRecords(
       [out](engine::SiteRecord&& record) { out->push_back(std::move(record)); });
   return true;
 }
 
 Status ServerPool::ImportSite(uint64_t module_fingerprint, ir::InstId failing_inst,
                               std::vector<engine::SiteRecord>&& records) {
-  DiagnosisServer* shard = nullptr;
+  std::shared_ptr<Shard> shard;
   {
     std::lock_guard<std::mutex> lock(mu_);
     auto it = modules_.find(module_fingerprint);
@@ -216,10 +237,12 @@ Status ServerPool::ImportSite(uint64_t module_fingerprint, ir::InstId failing_in
     }
     shard = ShardFor(it->second, failing_inst);
   }
-  return shard->ImportSiteRecords(std::move(records));
+  std::lock_guard<std::mutex> lock(shard->mu);
+  return shard->server.ImportSiteRecords(std::move(records));
 }
 
 bool ServerPool::DropSite(uint64_t module_fingerprint, ir::InstId failing_inst) {
+  // Unmaps only: a call already holding the shard keeps it alive.
   std::lock_guard<std::mutex> lock(mu_);
   return shards_.erase(Key(module_fingerprint, failing_inst)) > 0;
 }
@@ -230,23 +253,17 @@ std::vector<ServerPool::ShardKey> ServerPool::SiteKeys() const {
     std::lock_guard<std::mutex> lock(mu_);
     keys.reserve(shards_.size());
     for (const auto& [key, shard] : shards_) {
-      keys.push_back(shard.key);
+      keys.push_back(shard->key);
     }
   }
-  std::sort(keys.begin(), keys.end(), [](const ShardKey& a, const ShardKey& b) {
-    if (a.module_fingerprint != b.module_fingerprint) {
-      return a.module_fingerprint < b.module_fingerprint;
-    }
-    return a.failing_inst < b.failing_inst;
-  });
+  std::sort(keys.begin(), keys.end(), ShardKeyLess);
   return keys;
 }
 
 const DiagnosisServer* ServerPool::shard(uint64_t module_fingerprint,
                                          ir::InstId failing_inst) const {
-  std::lock_guard<std::mutex> lock(mu_);
-  auto it = shards_.find(Key(module_fingerprint, failing_inst));
-  return it == shards_.end() ? nullptr : it->second.server.get();
+  const std::shared_ptr<Shard> found = FindShard(module_fingerprint, failing_inst);
+  return found == nullptr ? nullptr : &found->server;
 }
 
 size_t ServerPool::num_shards() const {

@@ -8,8 +8,16 @@
 //   - routes each bundle to a shard keyed by (module fingerprint, failing
 //     PC), creating shards on demand.
 // Shards are independent DiagnosisServers, so bundles for different sites
-// never contend on a lock, never pollute each other's statistics, and their
-// analysis caches stay site-local. All entry points are thread-safe.
+// never pollute each other's statistics, and their analysis caches stay
+// site-local.
+//
+// Concurrency: all entry points are thread-safe, and the pool is the one
+// place ingest synchronizes. The map lock covers shard lookup and creation
+// only. Each shard owns a mutex that the pool holds around every call into
+// its DiagnosisServer (which is single-owner), so bundles for different sites
+// never contend, while calls for one site run one at a time. Shards are
+// shared-owned: DropSite() unmaps a site, but a call already inside its
+// server keeps that server alive until the call returns.
 #ifndef SNORLAX_CORE_SERVER_POOL_H_
 #define SNORLAX_CORE_SERVER_POOL_H_
 
@@ -17,6 +25,7 @@
 #include <memory>
 #include <mutex>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "core/server.h"
@@ -107,7 +116,8 @@ class ServerPool {
   // hand-off enumeration.
   std::vector<ShardKey> SiteKeys() const;
 
-  // The shard for a site, or nullptr. For tests and benches.
+  // The shard for a site, or nullptr. For tests and benches, on a quiescent
+  // pool: the pointer bypasses the shard lock and is valid until DropSite().
   const DiagnosisServer* shard(uint64_t module_fingerprint, ir::InstId failing_inst) const;
   size_t num_shards() const;
   size_t num_modules() const;
@@ -123,16 +133,22 @@ class ServerPool {
   // Resolves the module for a bundle; null + error status when unroutable.
   const ir::Module* ResolveModule(const pt::PtTraceBundle& bundle,
                                   support::Status* status) const;
-  DiagnosisServer* ShardFor(const ir::Module* module, ir::InstId failing_inst);
+  struct Shard {
+    Shard(ShardKey key, const ir::Module* module, DiagnosisServer::Options options)
+        : key(key), server(module, std::move(options)) {}
+    const ShardKey key;
+    std::mutex mu;  // held around every call into `server`
+    DiagnosisServer server;
+  };
+  // The site's shard, created on first use. Caller holds mu_.
+  std::shared_ptr<Shard> ShardFor(const ir::Module* module, ir::InstId failing_inst);
+  // The site's shard, or null. Takes mu_.
+  std::shared_ptr<Shard> FindShard(uint64_t module_fingerprint, ir::InstId failing_inst) const;
 
   ServerPoolOptions options_;
-  mutable std::mutex mu_;
+  mutable std::mutex mu_;  // guards the three members below, not the shards
   std::unordered_map<uint64_t, const ir::Module*> modules_;  // by fingerprint
-  struct Shard {
-    ShardKey key;
-    std::unique_ptr<DiagnosisServer> server;
-  };
-  std::unordered_map<uint64_t, Shard> shards_;
+  std::unordered_map<uint64_t, std::shared_ptr<Shard>> shards_;
   size_t routing_rejects_ = 0;
 };
 

@@ -253,13 +253,17 @@ support::Status DurableLog::Sync() {
 support::Status DurableLog::Replay(
     const std::function<void(const DurableSiteKey&, SiteRecord&&)>& fn) {
   std::vector<std::string> names;
+  std::string directory;
   {
     std::lock_guard<std::mutex> lock(mu_);
     if (options_.directory.empty()) {
       return Status::Error(StatusCode::kFailedPrecondition, "durable log not open");
     }
     names = ListSegmentsLocked();
+    directory = options_.directory;
   }
+  // Replay-side counts accrue here and merge into stats_ once, at the end.
+  Stats replay;
 
   // Artifact identity is (site, kind, key); equal key means equal content by
   // construction, so replaying the first copy and dropping the rest is exact.
@@ -284,15 +288,9 @@ support::Status DurableLog::Replay(
 
   for (const std::string& name : names) {
     std::vector<uint8_t> bytes;
-    std::string path;
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      path = options_.directory + "/" + name;
-    }
-    Status read = ReadFileBytes(path, &bytes);
+    Status read = ReadFileBytes(directory + "/" + name, &bytes);
     if (!read.ok()) {
-      std::lock_guard<std::mutex> lock(mu_);
-      ++stats_.records_corrupt;
+      ++replay.records_corrupt;
       continue;
     }
     size_t pos = 0;
@@ -305,22 +303,19 @@ support::Status DurableLog::Replay(
       }
       if (magic_at + 4 > bytes.size()) {
         // No further magic: trailing garbage (or a torn magic) ends the file.
-        std::lock_guard<std::mutex> lock(mu_);
-        stats_.bytes_discarded += bytes.size() - pos;
+        replay.bytes_discarded += bytes.size() - pos;
         if (pos < bytes.size()) {
-          ++stats_.truncated_tails;
+          ++replay.truncated_tails;
         }
         break;
       }
       if (magic_at != pos) {
-        std::lock_guard<std::mutex> lock(mu_);
-        stats_.bytes_discarded += magic_at - pos;
+        replay.bytes_discarded += magic_at - pos;
         pos = magic_at;
       }
       if (pos + kRecordHeaderBytes > bytes.size()) {
-        std::lock_guard<std::mutex> lock(mu_);
-        stats_.bytes_discarded += bytes.size() - pos;
-        ++stats_.truncated_tails;
+        replay.bytes_discarded += bytes.size() - pos;
+        ++replay.truncated_tails;
         break;
       }
       support::ByteReader header(bytes.data() + pos + 4, 8);
@@ -329,24 +324,21 @@ support::Status DurableLog::Replay(
       if (len > kMaxRecordBytes) {
         // A forged/flipped length would otherwise swallow the rest of the
         // segment; treat the header as garbage and resync one byte later.
-        std::lock_guard<std::mutex> lock(mu_);
-        ++stats_.records_corrupt;
-        stats_.bytes_discarded += 1;
+        ++replay.records_corrupt;
+        replay.bytes_discarded += 1;
         pos += 1;
         continue;
       }
       if (pos + kRecordHeaderBytes + len > bytes.size()) {
         // Torn tail: the record was cut mid-write. Salvage ends here.
-        std::lock_guard<std::mutex> lock(mu_);
-        stats_.bytes_discarded += bytes.size() - pos;
-        ++stats_.truncated_tails;
+        replay.bytes_discarded += bytes.size() - pos;
+        ++replay.truncated_tails;
         break;
       }
       const uint8_t* payload = bytes.data() + pos + kRecordHeaderBytes;
       if (support::Crc32(payload, len) != crc) {
-        std::lock_guard<std::mutex> lock(mu_);
-        ++stats_.records_corrupt;
-        stats_.bytes_discarded += 1;
+        ++replay.records_corrupt;
+        replay.bytes_discarded += 1;
         pos += 1;  // resync past this magic; the scan finds the next record
         continue;
       }
@@ -361,26 +353,27 @@ support::Status DurableLog::Replay(
                            : body.status();
       pos += kRecordHeaderBytes + len;
       if (!decoded.ok()) {
-        std::lock_guard<std::mutex> lock(mu_);
-        ++stats_.records_corrupt;
+        ++replay.records_corrupt;
         continue;
       }
       if (record.type == SiteRecord::Type::kArtifact) {
         const SeenKey key{site.module_fingerprint, site.failing_inst,
                           static_cast<uint8_t>(record.kind), record.key};
         if (!seen_artifacts.insert(key).second) {
-          std::lock_guard<std::mutex> lock(mu_);
-          ++stats_.records_duplicate;
+          ++replay.records_duplicate;
           continue;
         }
       }
-      {
-        std::lock_guard<std::mutex> lock(mu_);
-        ++stats_.records_replayed;
-      }
+      ++replay.records_replayed;
       fn(site, std::move(record));
     }
   }
+  std::lock_guard<std::mutex> lock(mu_);
+  stats_.records_replayed += replay.records_replayed;
+  stats_.records_corrupt += replay.records_corrupt;
+  stats_.records_duplicate += replay.records_duplicate;
+  stats_.truncated_tails += replay.truncated_tails;
+  stats_.bytes_discarded += replay.bytes_discarded;
   return Status::Ok();
 }
 

@@ -19,8 +19,8 @@
 // evidence added since the last Score() call is folded in, and the rebuilt
 // report is digest-identical to a recompute from scratch.
 //
-// Thread-compatibility: not internally synchronized. The policy layer
-// (core::DiagnosisServer) serializes all calls under its lock.
+// Thread-compatibility: not internally synchronized. Its owner
+// (core::DiagnosisServer, itself single-owner) makes every call.
 #ifndef SNORLAX_ENGINE_SITE_ENGINE_H_
 #define SNORLAX_ENGINE_SITE_ENGINE_H_
 
@@ -106,9 +106,8 @@ class SiteEngine {
   support::Status AddFailingTrace(std::shared_ptr<const trace::ProcessedTrace> failing,
                                   const CancelToken& cancel);
   void AddSuccessTrace(std::shared_ptr<const trace::ProcessedTrace> success);
-  // Steps 2-3 run in the ingest layer (decode happens outside the server
-  // lock); it reports its time here so the whole pipeline reads off one
-  // table. `cache_hit` marks a bundle served from the decode memo (the raw
+  // Steps 2-3 run in the ingest layer, which reports its time here so the
+  // whole pipeline reads off one table. `cache_hit` marks a bundle served from the decode memo (the raw
   // content was seen before) rather than decoded afresh.
   void RecordTraceProcess(double seconds, bool cache_hit = false);
 

@@ -2,9 +2,11 @@
 //
 // One poll(2)-driven thread owns every socket: it accepts agent connections,
 // runs the version handshake, reassembles frames (wire::FrameAssembler),
-// decodes bundle payloads, and feeds them into the thread-safe ServerPool --
-// the same ingest the in-process benches use, so a bundle multiset shipped
-// over loopback must diagnose digest-identically to direct submission.
+// decodes bundle payloads, and feeds them into the ServerPool -- the same
+// ingest the in-process benches use, so a bundle multiset shipped over
+// loopback must diagnose digest-identically to direct submission. The pool
+// is where ingest synchronizes (one lock per site): Drain() exports and drops
+// sites on the caller's thread while the poll thread keeps serving them.
 //
 // Robustness policy (the daemon is the trust boundary of the fleet):
 //   - corrupt frames are skipped via magic-scan resync and recorded in the
@@ -127,8 +129,8 @@ class DiagnosisDaemon {
   bool recovered() const { return recovered_; }
   const core::ServerPool::RecoveryStats& recovery() const { return recovery_; }
 
-  // The shared ingest target. Thread-safe itself; also used by tests to
-  // compare against direct in-process submission.
+  // The shared ingest target. Thread-safe itself (a lock per site); also
+  // used by tests to compare against direct in-process submission.
   core::ServerPool& pool() { return pool_; }
   const core::ServerPool& pool() const { return pool_; }
 

@@ -1,8 +1,9 @@
 // Concurrency stress tests (ctest label: concurrency; run them under the
-// TSan build tree, see README): many threads hammer one DiagnosisServer /
-// ServerPool with failing, success, and corrupt bundles at once, and the
-// final diagnosis must be bit-for-bit what a serial server computes from the
-// same submission multiset. Timing fields are excluded (wall time is not
+// TSan build tree, see README): many threads hammer one ServerPool -- the
+// one place ingest synchronizes; a DiagnosisServer is single-owner -- with
+// failing, success, and corrupt bundles at once, and the final diagnosis must
+// be bit-for-bit what a serial pool computes from the same submission
+// multiset. Timing fields are excluded (wall time is not
 // deterministic); everything the diagnosis *means* is compared.
 #include <gtest/gtest.h>
 
@@ -89,52 +90,13 @@ void ExpectSameDiagnosis(const DiagnosisReport& got, const DiagnosisReport& want
   }
 }
 
-// Each thread t submits: the failing bundle, its slice of the success
-// bundles (each success is submitted exactly once across all threads, so the
-// 10x cap can never drop one nondeterministically), one empty bundle and one
-// version-skewed bundle (both must be rejected without poisoning state).
-void DriveServer(DiagnosisServer* server, const Captured& site, int t) {
-  EXPECT_TRUE(server->SubmitFailingTrace(site.bundle).ok());
-  for (size_t i = static_cast<size_t>(t); i < site.successes.size(); i += kThreads) {
-    EXPECT_TRUE(server->SubmitSuccessTrace(site.successes[i]).ok());
-  }
-  pt::PtTraceBundle empty;
-  EXPECT_FALSE(server->SubmitFailingTrace(empty).ok());
-  pt::PtTraceBundle skewed = site.bundle;
-  skewed.trace_version = pt::kPtTraceVersion + 1;
-  EXPECT_EQ(server->SubmitFailingTrace(skewed).code(),
-            support::StatusCode::kVersionMismatch);
-}
-
-TEST(Concurrency, ParallelIngestMatchesSerialBaseline) {
-  const Captured site = CaptureSite("pbzip2_main", 8);
-  ASSERT_TRUE(site.bundle.failure.IsFailure());
-
-  // Serial baseline: same submission multiset, one thread.
-  DiagnosisServer serial(site.workload.module.get());
-  for (int t = 0; t < kThreads; ++t) {
-    DriveServer(&serial, site, t);
-  }
-  const DiagnosisReport want = serial.Diagnose();
-  ASSERT_FALSE(want.patterns.empty());
-
-  DiagnosisServer server(site.workload.module.get());
-  std::vector<std::thread> threads;
-  threads.reserve(kThreads);
-  for (int t = 0; t < kThreads; ++t) {
-    threads.emplace_back(DriveServer, &server, std::cref(site), t);
-  }
-  for (std::thread& th : threads) {
-    th.join();
-  }
-
-  EXPECT_EQ(server.Diagnose().failing_traces, static_cast<size_t>(kThreads));
-  ExpectSameDiagnosis(server.Diagnose(), want);
-}
-
 // Thread t's share of a two-site pool workload: per site, the failing bundle
 // first (so the shard exists before any of t's successes arrive), then every
-// kThreads-th success bundle starting at t.
+// kThreads-th success bundle starting at t (each success is submitted exactly
+// once across all threads, so the 10x cap can never drop one
+// nondeterministically). Then, at site `a`, one empty and one
+// version-skewed bundle: both reach the shard and must be rejected there
+// without poisoning its state.
 void DrivePool(ServerPool* pool, const Captured& a, const Captured& b, int t) {
   for (const Captured* site : {&a, &b}) {
     EXPECT_TRUE(pool->SubmitFailingTrace(site->bundle).ok());
@@ -144,6 +106,13 @@ void DrivePool(ServerPool* pool, const Captured& a, const Captured& b, int t) {
               .ok());
     }
   }
+  pt::PtTraceBundle empty;
+  empty.module_fingerprint = a.bundle.module_fingerprint;
+  empty.failure = a.bundle.failure;
+  EXPECT_EQ(pool->SubmitFailingTrace(empty).code(), support::StatusCode::kCorruptData);
+  pt::PtTraceBundle skewed = a.bundle;
+  skewed.trace_version = pt::kPtTraceVersion + 1;
+  EXPECT_EQ(pool->SubmitFailingTrace(skewed).code(), support::StatusCode::kVersionMismatch);
 }
 
 void ExpectSameShardReports(const std::vector<ServerPool::ShardReport>& got,
@@ -178,6 +147,13 @@ TEST(Concurrency, ServerPoolParallelIngestMatchesSerial) {
   }
   const std::vector<ServerPool::ShardReport> want = serial.DiagnoseAll();
   ASSERT_EQ(want.size(), 2u);
+  size_t rejected = 0;
+  for (const ServerPool::ShardReport& sr : want) {
+    EXPECT_EQ(sr.report.failing_traces, static_cast<size_t>(kThreads));
+    EXPECT_FALSE(sr.report.patterns.empty());
+    rejected += sr.report.degradation.rejected_bundles;
+  }
+  EXPECT_EQ(rejected, 2u * kThreads);  // the empty and skewed bundles
 
   ServerPool pool;
   pool.RegisterModule(pb.workload.module.get());
@@ -248,6 +224,51 @@ TEST(Concurrency, DiagnoseAllRacingSubmissions) {
   EXPECT_GE(snapshots, 1u);
 
   ExpectSameShardReports(pool.DiagnoseAll(), want);
+}
+
+// A site handed off while traffic for it keeps arriving, as in
+// DiagnosisDaemon::Drain: the caller exports and drops site X while the poll
+// thread still submits to and diagnoses it. Every call that reached the shard
+// before the drop must finish on a live server (the pool's shard handle keeps
+// it alive), and calls after the drop see a missing or fresh site. Run under
+// ASan and TSan: a dropped shard freed under a running call is what they catch.
+TEST(Concurrency, DropSiteRacingIngestAndDiagnose) {
+  const Captured site = CaptureSite("pbzip2_main", 4);
+  ASSERT_TRUE(site.bundle.failure.IsFailure());
+  const ir::Module* module = site.workload.module.get();
+  const uint64_t fp = pt::ModuleFingerprint(*module);
+  const ir::InstId inst = site.bundle.failure.failing_inst;
+
+  ServerPool pool;
+  pool.RegisterModule(module);
+  constexpr size_t kMinRounds = 24;
+  constexpr size_t kMinDrops = 4;
+  std::atomic<size_t> drops{0};
+  std::atomic<bool> ingesting{true};
+  std::thread ingest([&] {
+    for (size_t round = 0; round < kMinRounds || drops.load() < kMinDrops; ++round) {
+      EXPECT_TRUE(pool.SubmitFailingTrace(site.bundle).ok());
+      for (const pt::PtTraceBundle& success : site.successes) {
+        // The site may have been dropped since the failing bundle landed.
+        const support::Status status = pool.SubmitSuccessTrace(inst, success);
+        EXPECT_TRUE(status.ok() || status.code() == support::StatusCode::kFailedPrecondition)
+            << status.ToString();
+      }
+      (void)pool.RequestedDumpPoints(fp, inst);
+      for (const ServerPool::ShardReport& sr : pool.DiagnoseAll()) {
+        EXPECT_LE(sr.report.failing_traces, round + 1);
+      }
+    }
+    ingesting.store(false, std::memory_order_release);
+  });
+  while (ingesting.load(std::memory_order_acquire)) {
+    std::vector<engine::SiteRecord> records;
+    if (pool.ExportSite(fp, inst, &records) && pool.DropSite(fp, inst)) {
+      drops.fetch_add(1);
+    }
+  }
+  ingest.join();
+  EXPECT_GE(drops.load(), kMinDrops);
 }
 
 // One immutable trace shared by many threads -- the decode memo hands the
