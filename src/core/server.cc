@@ -4,7 +4,7 @@
 #include <exception>
 
 #include "ir/cfg.h"
-#include "pt/encoder.h"
+#include "pt/bundle_codec.h"
 #include "support/check.h"
 #include "support/str.h"
 
@@ -69,48 +69,22 @@ Status DiagnosisServer::ValidateBundle(const pt::PtTraceBundle& bundle,
   return Status::Ok();
 }
 
-uint64_t DiagnosisServer::BundleContentKey(const pt::PtTraceBundle& bundle) {
-  uint64_t h = engine::Mix64(bundle.trace_version);
-  h = engine::HashCombine(h, bundle.module_fingerprint);
-  h = engine::HashCombine(h, bundle.snapshot_time_ns);
-  h = engine::HashCombine(h, static_cast<uint64_t>(bundle.failure.kind));
-  h = engine::HashCombine(h, bundle.failure.failing_inst);
-  h = engine::HashCombine(h, bundle.failure.thread);
-  for (const pt::PtTraceBundle::PerThread& thread : bundle.threads) {
-    h = engine::HashCombine(h, thread.thread);
-    h = engine::HashCombine(h, thread.total_written);
-    h = engine::HashCombine(h, thread.last_retired);
-    h = engine::HashCombine(h, thread.bytes.size());
-    // FNV-1a over the raw ring-buffer bytes, folded in 8 bytes at a time via
-    // the same mixer as every other artifact key.
-    uint64_t bytes_hash = 1469598103934665603ull;
-    for (uint8_t b : thread.bytes) {
-      bytes_hash = (bytes_hash ^ b) * 1099511628211ull;
-    }
-    h = engine::HashCombine(h, bytes_hash);
+support::Result<std::shared_ptr<const trace::ProcessedTrace>> DiagnosisServer::Ingest(
+    const pt::PtTraceBundle& bundle, bool failing, const char* what) {
+  Status valid = ValidateBundle(bundle, failing);
+  if (!valid.ok()) {
+    RecordRejection(what, valid);
+    return valid;
   }
-  return h;
-}
-
-support::Result<std::shared_ptr<const trace::ProcessedTrace>> DiagnosisServer::DecodeBundle(
-    const pt::PtTraceBundle& bundle, double* decode_seconds, bool* cache_hit,
-    uint64_t* content_key) {
   const auto start = std::chrono::steady_clock::now();
-  *cache_hit = false;
-  uint64_t key = 0;
-  // The content key doubles as the durable evidence record's key, so a
-  // restored decode memo serves byte-identical re-sends post-restart.
-  if (options_.use_analysis_cache || options_.durable_log != nullptr) {
-    key = BundleContentKey(bundle);
-  }
-  *content_key = key;
+  const uint64_t key = trace::TraceKey(bundle, options_.trace);
   if (options_.use_analysis_cache) {
     if (const auto* memo = decode_cache_.Find<engine::ProcessedTraceArtifact>(
             engine::ArtifactKind::kProcessedTrace, key)) {
       // Each submission appends the shared trace as its own evidence; only
       // the packet decoding is skipped.
-      *decode_seconds = SecondsSince(start);
-      *cache_hit = true;
+      engine_.RecordTraceProcess(SecondsSince(start), /*cache_hit=*/true);
+      degradation_.MergeFrom(memo->trace->degradation());
       return memo->trace;
     }
   }
@@ -120,13 +94,24 @@ support::Result<std::shared_ptr<const trace::ProcessedTrace>> DiagnosisServer::D
   } catch (const std::exception& e) {
     // Crash barrier: a corruption pattern the hardened paths did not
     // anticipate must cost one bundle, not the whole diagnosis service.
-    return Status::Error(StatusCode::kInternal, StrFormat("ingest failed: %s", e.what()));
+    Status err = Status::Error(StatusCode::kInternal, StrFormat("ingest failed: %s", e.what()));
+    RecordRejection(what, err);
+    return err;
+  }
+  engine_.RecordTraceProcess(SecondsSince(start), /*cache_hit=*/false);
+  // Degradation accrues even for bundles rejected below: a decoded-but-empty
+  // bundle still tells the operator what corruption ate it.
+  degradation_.MergeFrom(decoded->degradation());
+  if (!decoded->HasEvidence()) {
+    // Not memoized: the memo serves only traces ingest accepts.
+    Status err = Status::Error(StatusCode::kCorruptData, "no usable events survived decoding");
+    RecordRejection(what, err);
+    return err;
   }
   if (options_.use_analysis_cache) {
     decode_cache_.Put(engine::ArtifactKind::kProcessedTrace, key,
                       engine::ProcessedTraceArtifact{decoded});
   }
-  *decode_seconds = SecondsSince(start);
   return decoded;
 }
 
@@ -146,18 +131,30 @@ void DiagnosisServer::RecordRejection(const char* what, const Status& status) {
   degradation_.notes.push_back(std::move(note));
 }
 
-void DiagnosisServer::PersistEvidence(engine::SiteRecord::Type type, uint64_t key,
-                                      const trace::ProcessedTrace& t) {
+void DiagnosisServer::KeepEvidence(engine::SiteRecord::Type type,
+                                   const pt::PtTraceBundle& bundle,
+                                   std::shared_ptr<const trace::ProcessedTrace> trace) {
+  const uint64_t key = trace->ContentKey();
   site_log_.push_back(EvidenceRef{type, key});
-  if (options_.durable_log == nullptr) {
-    return;
+  evidence_.try_emplace(key, bundle, std::move(trace));
+  if (options_.durable_log != nullptr) {
+    PersistEvidence(type, key);
   }
+}
+
+void DiagnosisServer::PersistEvidence(engine::SiteRecord::Type type, uint64_t key) {
   engine::SiteRecord record;
   record.type = type;
   record.key = key;
-  engine::EncodeProcessedTrace(t, &record.bytes);
+  const bool first = logged_keys_.insert(key).second;
+  if (first) {
+    pt::EncodeBundle(evidence_.at(key).bundle, &record.bytes);
+  }
   if (!options_.durable_log->Append(options_.durable_site, record).ok()) {
     ++persist_failures_;
+    if (first) {
+      logged_keys_.erase(key);  // the key's next record carries the bundle
+    }
   }
 }
 
@@ -165,34 +162,15 @@ Status DiagnosisServer::SubmitFailingTrace(const pt::PtTraceBundle& bundle) {
   // The analysis budget covers the whole submit, decode included.
   const engine::CancelToken cancel =
       engine::CancelToken::AfterSeconds(options_.analysis_deadline_seconds);
-  Status valid = ValidateBundle(bundle, /*failing=*/true);
-  if (!valid.ok()) {
-    RecordRejection("failing bundle rejected", valid);
-    return valid;
-  }
   const auto start = std::chrono::steady_clock::now();
-  double decode_seconds = 0.0;
-  bool decode_hit = false;
-  uint64_t content_key = 0;
-  auto ingested = DecodeBundle(bundle, &decode_seconds, &decode_hit, &content_key);
+  auto ingested = Ingest(bundle, /*failing=*/true, "failing bundle rejected");
   if (!ingested.ok()) {
-    RecordRejection("failing bundle rejected", ingested.status());
     return ingested.status();
   }
   std::shared_ptr<const trace::ProcessedTrace> processed = ingested.take();
-  engine_.RecordTraceProcess(decode_seconds, decode_hit);
-  // Degradation accrues even for bundles rejected below: a decoded-but-empty
-  // bundle still tells the operator what corruption ate it.
-  degradation_.MergeFrom(processed->degradation());
-  if (!processed->HasEvidence()) {
-    Status err = Status::Error(StatusCode::kCorruptData,
-                               "no usable events survived decoding");
-    RecordRejection("failing bundle rejected", err);
-    return err;
-  }
   Status pipeline;
   try {
-    pipeline = engine_.AddFailingTrace(std::move(processed), cancel);
+    pipeline = engine_.AddFailingTrace(processed, cancel);
   } catch (const std::exception& e) {
     RecordRejection("pipeline crash barrier", Status::Error(StatusCode::kInternal, e.what()));
     return Status::Error(StatusCode::kInternal,
@@ -208,8 +186,7 @@ Status DiagnosisServer::SubmitFailingTrace(const pt::PtTraceBundle& bundle) {
     degradation_.notes.push_back(pipeline.ToString());
   }
   // The trace was retained as evidence (even on deadline): make it durable.
-  PersistEvidence(engine::SiteRecord::Type::kFailingEvidence, content_key,
-                  *engine_.failing_traces().back());
+  KeepEvidence(engine::SiteRecord::Type::kFailingEvidence, bundle, std::move(processed));
   last_analysis_seconds_ = SecondsSince(start);
   total_analysis_seconds_ += last_analysis_seconds_;
   return pipeline;
@@ -219,32 +196,50 @@ Status DiagnosisServer::SubmitSuccessTrace(const pt::PtTraceBundle& bundle) {
   if (SuccessCapReached()) {
     return Status::Ok();  // the paper's empirically-sufficient 10x cap
   }
-  Status valid = ValidateBundle(bundle, /*failing=*/false);
-  if (!valid.ok()) {
-    RecordRejection("success bundle rejected", valid);
-    return valid;
-  }
-  double decode_seconds = 0.0;
-  bool decode_hit = false;
-  uint64_t content_key = 0;
-  auto ingested = DecodeBundle(bundle, &decode_seconds, &decode_hit, &content_key);
+  auto ingested = Ingest(bundle, /*failing=*/false, "success bundle rejected");
   if (!ingested.ok()) {
-    RecordRejection("success bundle rejected", ingested.status());
     return ingested.status();
   }
   std::shared_ptr<const trace::ProcessedTrace> processed = ingested.take();
-  engine_.RecordTraceProcess(decode_seconds, decode_hit);
-  degradation_.MergeFrom(processed->degradation());
-  if (!processed->HasEvidence()) {
+  engine_.AddSuccessTrace(processed);
+  KeepEvidence(engine::SiteRecord::Type::kSuccessEvidence, bundle, std::move(processed));
+  return Status::Ok();
+}
+
+support::Result<std::shared_ptr<const trace::ProcessedTrace>> DiagnosisServer::RestoreEvidence(
+    const engine::SiteRecord& record, bool failing) {
+  constexpr const char* kWhat = "durable evidence rejected";
+  if (record.bytes.empty()) {
+    // A reference record: its key's full record came earlier in the stream.
+    auto it = evidence_.find(record.key);
+    if (it == evidence_.end()) {
+      Status err = Status::Error(
+          StatusCode::kCorruptData,
+          StrFormat("evidence reference %016llx has no full record",
+                    static_cast<unsigned long long>(record.key)));
+      RecordRejection(kWhat, err);
+      return err;
+    }
+    engine_.RecordTraceProcess(0.0, /*cache_hit=*/true);
+    degradation_.MergeFrom(it->second.trace->degradation());
+    return it->second.trace;
+  }
+  auto bundle = pt::DecodeBundle(record.bytes);
+  if (!bundle.ok()) {
+    RecordRejection(kWhat, bundle.status());
+    return bundle.status();
+  }
+  if (trace::TraceKey(bundle.value(), options_.trace) != record.key) {
     Status err = Status::Error(StatusCode::kCorruptData,
-                               "no usable events survived decoding");
-    RecordRejection("success bundle rejected", err);
+                               "evidence record key does not match its bundle");
+    RecordRejection(kWhat, err);
     return err;
   }
-  engine_.AddSuccessTrace(std::move(processed));
-  PersistEvidence(engine::SiteRecord::Type::kSuccessEvidence, content_key,
-                  *engine_.success_traces().back());
-  return Status::Ok();
+  auto ingested = Ingest(bundle.value(), failing, kWhat);
+  if (ingested.ok()) {
+    evidence_.try_emplace(record.key, bundle.take(), ingested.value());
+  }
+  return ingested;
 }
 
 void DiagnosisServer::ApplyRecord(engine::SiteRecord&& record, bool persist) {
@@ -267,28 +262,18 @@ void DiagnosisServer::ApplyRecord(engine::SiteRecord&& record, bool persist) {
     }
     case Type::kFailingEvidence:
     case Type::kSuccessEvidence: {
-      auto decoded = engine::DecodeProcessedTrace(record.bytes, module_);
-      if (!decoded.ok()) {
-        ++persist_failures_;
-        RecordRejection("durable evidence undecodable", decoded.status());
-        return;
-      }
-      std::shared_ptr<const trace::ProcessedTrace> t = decoded.take();
       const bool failing = record.type == Type::kFailingEvidence;
       if (!failing && SuccessCapReached()) {
         // Invariant guard only: a logged success record was accepted when it
         // was written, and in-order replay re-derives the same cap decision.
         return;
       }
-      if (options_.use_analysis_cache && record.key != 0) {
-        // Re-prime the decode memo so a fleet client re-sending the
-        // byte-identical bundle post-restart skips decoding, as before.
-        decode_cache_.Put(engine::ArtifactKind::kProcessedTrace, record.key,
-                          engine::ProcessedTraceArtifact{t});
+      auto restored = RestoreEvidence(record, failing);
+      if (!restored.ok()) {
+        ++persist_failures_;
+        return;
       }
-      // Served from disk, not re-decoded: a kTraceProcess cache hit.
-      engine_.RecordTraceProcess(0.0, /*cache_hit=*/true);
-      degradation_.MergeFrom(t->degradation());
+      std::shared_ptr<const trace::ProcessedTrace> t = restored.take();
       if (failing) {
         try {
           // Restore runs without a deadline: with the artifacts imported
@@ -307,9 +292,10 @@ void DiagnosisServer::ApplyRecord(engine::SiteRecord&& record, bool persist) {
         engine_.AddSuccessTrace(std::move(t));
       }
       site_log_.push_back(EvidenceRef{record.type, record.key});
-      if (persist &&
-          !options_.durable_log->Append(options_.durable_site, record).ok()) {
-        ++persist_failures_;
+      if (persist) {
+        PersistEvidence(record.type, record.key);
+      } else if (!record.bytes.empty()) {
+        logged_keys_.insert(record.key);  // this record is the log's full copy
       }
       return;
     }
@@ -364,45 +350,21 @@ void DiagnosisServer::ExportSiteRecords(
         record.bytes = std::move(bytes);
         fn(std::move(record));
       });
-  size_t failing_i = 0;
-  size_t success_i = 0;
+  // Evidence in the journal's shape: the first record of each key carries
+  // the bundle, a repeat is a key-only reference.
+  std::unordered_set<uint64_t> sent;
   size_t rejection_i = 0;
   for (const EvidenceRef& ref : site_log_) {
     engine::SiteRecord record;
     record.type = ref.type;
     record.key = ref.key;
-    bool have = false;
-    switch (ref.type) {
-      case engine::SiteRecord::Type::kFailingEvidence:
-        if (failing_i < engine_.failing_traces().size() &&
-            engine_.failing_traces()[failing_i] != nullptr) {
-          engine::EncodeProcessedTrace(*engine_.failing_traces()[failing_i], &record.bytes);
-          have = true;
-        }
-        ++failing_i;
-        break;
-      case engine::SiteRecord::Type::kSuccessEvidence:
-        if (success_i < engine_.success_traces().size() &&
-            engine_.success_traces()[success_i] != nullptr) {
-          engine::EncodeProcessedTrace(*engine_.success_traces()[success_i], &record.bytes);
-          have = true;
-        }
-        ++success_i;
-        break;
-      case engine::SiteRecord::Type::kRejection:
-        if (rejection_i < rejection_notes_.size()) {
-          const std::string& note = rejection_notes_[rejection_i];
-          record.bytes.assign(note.begin(), note.end());
-          have = true;
-        }
-        ++rejection_i;
-        break;
-      case engine::SiteRecord::Type::kArtifact:
-        break;  // never in site_log_
+    if (ref.type == engine::SiteRecord::Type::kRejection) {
+      const std::string& note = rejection_notes_[rejection_i++];
+      record.bytes.assign(note.begin(), note.end());
+    } else if (sent.insert(ref.key).second) {
+      pt::EncodeBundle(evidence_.at(ref.key).bundle, &record.bytes);
     }
-    if (have) {
-      fn(std::move(record));
-    }
+    fn(std::move(record));
   }
 }
 

@@ -27,6 +27,8 @@
 #include <functional>
 #include <memory>
 #include <string>
+#include <unordered_map>
+#include <unordered_set>
 #include <vector>
 
 #include "engine/durable_log.h"
@@ -180,14 +182,23 @@ class DiagnosisServer {
   DiagnosisReport Diagnose() const;
 
   // -- Cluster durability and hand-off --
+  // Evidence travels as its bundle (engine/artifact_codec.h, SiteRecord):
+  // the first record of a key carries the bundle's wire encoding, a repeat
+  // is a key-only reference.
+  //
   // Rebuilds a freshly constructed server from `records` in original write
-  // order: artifacts re-populate the store (subsequent passes cache-hit),
-  // evidence re-enters through the normal add paths (each counted as a
-  // kTraceProcess cache hit -- it was served from disk, not re-decoded), and
-  // rejection records restore the degradation ledger, so the next Diagnose()
+  // order: artifacts re-populate the store, so every analysis pass is a cache
+  // hit; each full evidence record is decoded, validated and rebuilt into its
+  // trace behind the same crash barrier as live ingest -- the trace-process
+  // pass runs once per unique bundle and primes the decode memo -- and a
+  // reference record re-adds the trace already restored under its key.
+  // Rejection records restore the degradation ledger, so the next Diagnose()
   // is digest-identical to the pre-restart server's. Nothing is re-appended
   // to the durable log except artifacts the replay was missing (healing a
-  // salvaged prefix). Undecodable records are skipped and counted.
+  // salvaged prefix). An evidence record that does not restore -- not a
+  // bundle, a bundle this server would reject, a key that does not match its
+  // bundle, or a reference whose full record was lost -- is skipped and
+  // counted, as a rejection and in durable_failures().
   void RestoreSiteRecords(std::vector<engine::SiteRecord>&& records);
   // Applies hand-off records from this site's previous owner, appending each
   // accepted record to this daemon's own durable log first so the new owner
@@ -241,23 +252,29 @@ class DiagnosisServer {
   // Maps engine stage counts + the pass table into the wire-stable StageStats.
   StageStats BuildStageStats() const;
   static engine::EngineOptions MakeEngineOptions(const Options& options);
-  // Content hash of the raw bundle (thread byte streams + failure record):
-  // the decode-memo key. Two bundles with equal keys decode to equal traces.
-  static uint64_t BundleContentKey(const pt::PtTraceBundle& bundle);
-  // Returns the decoded trace for `bundle`, serving byte-identical repeats
-  // from the decode memo (a kTraceProcess cache hit) when caching is on. A
+  // Steps 2-3 for one bundle: validation, then the trace -- served from the
+  // decode memo on a byte-identical repeat (a kTraceProcess cache hit) when
+  // caching is on, else built behind a crash barrier, so any exception a
+  // hardening gap lets through costs one bundle, never the server. A memo
   // hit hands out the memoized trace itself: traces are immutable, so the
-  // memo and every submission of the bundle share one object. Decoding runs
-  // behind a crash barrier: any exception a hardening gap lets through
-  // becomes a rejected bundle, never a server crash.
-  // Sets *decode_seconds to the wall time spent and *cache_hit accordingly.
-  support::Result<std::shared_ptr<const trace::ProcessedTrace>> DecodeBundle(
-      const pt::PtTraceBundle& bundle, double* decode_seconds, bool* cache_hit,
-      uint64_t* content_key);
-  // Appends one piece of accepted evidence to the durable log (and the
-  // in-memory site log that preserves arrival order for export).
-  void PersistEvidence(engine::SiteRecord::Type type, uint64_t key,
-                       const trace::ProcessedTrace& t);
+  // memo and every submission of the bundle share one object. Merges the
+  // trace's degradation, and rejects a trace with no usable events without
+  // memoizing it. Every failure is recorded as a rejection under `what`.
+  support::Result<std::shared_ptr<const trace::ProcessedTrace>> Ingest(
+      const pt::PtTraceBundle& bundle, bool failing, const char* what);
+  // Files one piece of accepted evidence: the arrival-order ledger, the
+  // unique-bundle store (a copy only for a new key), and the durable log.
+  void KeepEvidence(engine::SiteRecord::Type type, const pt::PtTraceBundle& bundle,
+                    std::shared_ptr<const trace::ProcessedTrace> trace);
+  // Appends one evidence record to the durable log: the bundle's wire
+  // encoding the first time `key` reaches the log, a key-only reference
+  // after that.
+  void PersistEvidence(engine::SiteRecord::Type type, uint64_t key);
+  // The trace a restored/imported evidence record stands for: a full record
+  // is decoded and ingested like a live bundle, a reference resolves to the
+  // trace already restored under its key. Failures are recorded rejections.
+  support::Result<std::shared_ptr<const trace::ProcessedTrace>> RestoreEvidence(
+      const engine::SiteRecord& record, bool failing);
   // Applies one restored/imported record; when `persist` is set the record is
   // appended to this server's own durable log on acceptance (hand-off).
   void ApplyRecord(engine::SiteRecord&& record, bool persist);
@@ -271,15 +288,27 @@ class DiagnosisServer {
   mutable engine::SiteEngine engine_;
   // Decode memo (kProcessedTrace only): a fleet replaying the same
   // interleaving skips packet decoding, the dominant per-bundle cost in the
-  // steady state.
+  // steady state. Keyed by trace::TraceKey, as are evidence_ and
+  // logged_keys_ below.
   engine::ArtifactStore decode_cache_;
   trace::DegradationReport degradation_;
   double last_analysis_seconds_ = 0.0;
   double total_analysis_seconds_ = 0.0;
 
+  // Every accepted evidence bundle, once per key, with the trace built from
+  // it: the source of each full evidence record a sink receives, and what a
+  // reference record resolves to on restore. The raw bundle, not a
+  // trace-sized copy; it is encoded only when a sink first needs it.
+  struct Evidence {
+    pt::PtTraceBundle bundle;
+    std::shared_ptr<const trace::ProcessedTrace> trace;
+  };
+  std::unordered_map<uint64_t, Evidence> evidence_;
+  // Keys whose full record is in the durable log: later records of the key
+  // are references. Rebuilt from the records on restore.
+  std::unordered_set<uint64_t> logged_keys_;
   // Arrival-order ledger of durable records (evidence keys + rejections),
-  // walked by ExportSiteRecords; evidence bytes live in the engine's trace
-  // vectors, rejection notes in rejection_notes_.
+  // walked by ExportSiteRecords; rejection notes live in rejection_notes_.
   struct EvidenceRef {
     engine::SiteRecord::Type type;
     uint64_t key;

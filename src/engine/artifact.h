@@ -95,12 +95,11 @@ struct F1ScoresArtifact {
   size_t top_f1_patterns = 0;
 };
 
-// A decoded bundle, memoized by a content hash of the *raw* bundle (thread
-// byte streams + failure record). A fleet replaying the same interleaving --
-// retransmissions, crash loops, the steady state of a widespread bug -- skips
-// packet decoding entirely. The trace is immutable, so each submission
-// appends the same shared object as its evidence, and its cached
-// ContentKey() comes along with it.
+// A decoded bundle in the server's decode memo, keyed by trace::TraceKey. A
+// fleet replaying the same interleaving -- retransmissions, crash loops, the
+// steady state of a widespread bug -- skips packet decoding entirely. The
+// trace is immutable, so each submission appends the same shared object as
+// its evidence. Never persisted: durable and hand-off evidence is the bundle.
 struct ProcessedTraceArtifact {
   std::shared_ptr<const trace::ProcessedTrace> trace;
 };

@@ -77,21 +77,6 @@ void EncodeValue(const rt::Value& v, std::vector<uint8_t>* out) {
   AppendU32(out, v.off);
 }
 
-void DecodeValue(ByteReader* r, rt::Value* out) {
-  const uint8_t kind = r->U8();
-  out->ival = r->I64();
-  out->obj = r->U32();
-  out->off = r->U32();
-  if (!r->ok()) {
-    return;
-  }
-  if (kind > static_cast<uint8_t>(rt::Value::Kind::kFunc)) {
-    r->MarkCorrupt("value kind out of range");
-    return;
-  }
-  out->kind = static_cast<rt::Value::Kind>(kind);
-}
-
 // --- rt::FailureInfo ---------------------------------------------------------
 
 void EncodeFailure(const rt::FailureInfo& f, std::vector<uint8_t>* out) {
@@ -107,33 +92,6 @@ void EncodeFailure(const rt::FailureInfo& f, std::vector<uint8_t>* out) {
     AppendU64(out, w.block_time_ns);
   }
   AppendString(out, f.description);
-}
-
-void DecodeFailure(ByteReader* r, rt::FailureInfo* out) {
-  const uint8_t kind = r->U8();
-  out->failing_inst = r->U32();
-  out->thread = r->U32();
-  DecodeValue(r, &out->operand);
-  out->time_ns = r->U64();
-  const size_t cycle = ReadCount(r);
-  out->deadlock_cycle.clear();
-  out->deadlock_cycle.reserve(cycle);
-  for (size_t i = 0; i < cycle && r->ok(); ++i) {
-    rt::FailureInfo::DeadlockWaiter w;
-    w.thread = r->U32();
-    w.inst = r->U32();
-    w.block_time_ns = r->U64();
-    out->deadlock_cycle.push_back(w);
-  }
-  out->description = r->String();
-  if (!r->ok()) {
-    return;
-  }
-  if (kind > static_cast<uint8_t>(rt::FailureKind::kTimeout)) {
-    r->MarkCorrupt("failure kind out of range");
-    return;
-  }
-  out->kind = static_cast<rt::FailureKind>(kind);
 }
 
 // --- trace::DegradationReport ------------------------------------------------
@@ -157,28 +115,6 @@ void EncodeDegradation(const trace::DegradationReport& d,
   AppendVarint(out, d.notes.size());
   for (const auto& note : d.notes) {
     AppendString(out, note);
-  }
-}
-
-void DecodeDegradation(ByteReader* r, trace::DegradationReport* out) {
-  out->threads_total = ReadCount(r, SIZE_MAX);
-  out->threads_dropped = static_cast<size_t>(r->Varint());
-  out->decode_errors = static_cast<size_t>(r->Varint());
-  out->stream_resyncs = static_cast<size_t>(r->Varint());
-  out->clock_anomalies = static_cast<size_t>(r->Varint());
-  out->sanitized_failure_fields = static_cast<size_t>(r->Varint());
-  out->rejected_bundles = static_cast<size_t>(r->Varint());
-  const uint8_t flags = r->U8();
-  out->lost_prefix = (flags & 1u) != 0;
-  out->timestamps_unreliable = (flags & 2u) != 0;
-  out->hypothesis_fallback = (flags & 4u) != 0;
-  out->slice_fallback = (flags & 8u) != 0;
-  out->failure_record_unusable = (flags & 16u) != 0;
-  const size_t notes = ReadCount(r);
-  out->notes.clear();
-  out->notes.reserve(notes);
-  for (size_t i = 0; i < notes && r->ok(); ++i) {
-    out->notes.push_back(r->String());
   }
 }
 
@@ -455,10 +391,10 @@ struct PointsToSerDes {
 
 }  // namespace snorlax::analysis
 
-// --- trace::ProcessedTrace serializer ----------------------------------------
-// Ships the fully-processed trace, columns and index included: the receiver
-// (a restarted daemon or a hand-off target) never re-decodes the raw bundle,
-// which is what lets recovery replay count as kTraceProcess cache hits.
+// --- trace::ProcessedTrace encoder ------------------------------------------
+// The trace-sized evidence journal encoding that wire bundles replaced. No
+// server path writes it; the benchmark harness replays it as the cost of the
+// retired durable append, and nothing decodes it.
 
 namespace snorlax::trace {
 
@@ -521,130 +457,6 @@ struct TraceSerDes {
       AppendVarint(out, thread);
     }
     snorlax::EncodeDegradation(t.degradation_, out);
-  }
-
-  static support::Result<std::shared_ptr<const ProcessedTrace>> Decode(
-      support::ByteReader* r, const ir::Module* module) {
-    auto t = std::shared_ptr<ProcessedTrace>(new ProcessedTrace());
-    t->module_ = module;
-    t->options_.order_granularity_ns = r->Varint();
-    const size_t executed = snorlax::ReadCount(r);
-    uint64_t prev = 0;
-    for (size_t i = 0; i < executed && r->ok(); ++i) {
-      const uint64_t delta = r->Varint();
-      const uint64_t id = (i == 0 ? delta : prev + delta);
-      if (module != nullptr && id >= module->NumInstructions()) {
-        r->MarkCorrupt("executed instruction id out of range");
-        break;
-      }
-      prev = id;
-      t->executed_.insert(static_cast<ir::InstId>(id));
-    }
-    const size_t n = snorlax::ReadCount(r);
-    t->col_inst_.reserve(n);
-    t->col_thread_.reserve(n);
-    t->col_seq_.reserve(n);
-    t->col_ts_lo_.reserve(n);
-    t->col_ts_.reserve(n);
-    t->col_flags_.reserve(n);
-    for (size_t i = 0; i < n && r->ok(); ++i) {
-      const uint64_t id = r->Varint();
-      if (r->ok() && module != nullptr && id >= module->NumInstructions()) {
-        r->MarkCorrupt("trace instruction id out of range");
-      }
-      t->col_inst_.push_back(static_cast<ir::InstId>(id));
-    }
-    for (size_t i = 0; i < n && r->ok(); ++i) {
-      t->col_thread_.push_back(static_cast<rt::ThreadId>(r->Varint()));
-    }
-    for (size_t i = 0; i < n && r->ok(); ++i) {
-      t->col_seq_.push_back(static_cast<uint32_t>(r->Varint()));
-    }
-    for (size_t i = 0; i < n && r->ok(); ++i) {
-      t->col_ts_lo_.push_back(r->Varint());
-    }
-    for (size_t i = 0; i < n && r->ok(); ++i) {
-      t->col_ts_.push_back(r->Varint());
-    }
-    for (size_t i = 0; i < n && r->ok(); ++i) {
-      const uint8_t flags = r->U8();
-      // bit 0 = at_failure, bits 1..2 = AccessKind (<= kStore); higher bits
-      // are undefined in this build and therefore corrupt.
-      if (r->ok() && ((flags >> 1) > 2 || (flags & ~0x7u) != 0)) {
-        r->MarkCorrupt("trace flags out of range");
-      }
-      t->col_flags_.push_back(flags);
-    }
-    const size_t postings = snorlax::ReadCount(r);
-    t->postings_.reserve(postings);
-    for (size_t i = 0; i < postings && r->ok(); ++i) {
-      const uint64_t pos = r->Varint();
-      if (r->ok() && pos >= n) {
-        r->MarkCorrupt("posting position out of range");
-        break;
-      }
-      t->postings_.push_back(static_cast<uint32_t>(pos));
-    }
-    const size_t idx = snorlax::ReadCount(r);
-    t->index_inst_.reserve(idx);
-    prev = 0;
-    for (size_t i = 0; i < idx && r->ok(); ++i) {
-      const uint64_t delta = r->Varint();
-      const uint64_t id = (i == 0 ? delta : prev + delta);
-      prev = id;
-      t->index_inst_.push_back(static_cast<ir::InstId>(id));
-    }
-    const size_t offsets = snorlax::ReadCount(r);
-    // InstancesOf indexes offset[k] / offset[k+1] for every entry of
-    // index_inst_, so a populated index needs exactly one trailing sentinel.
-    if (r->ok() && idx > 0 && offsets != idx + 1) {
-      r->MarkCorrupt("instance index shape mismatch");
-    }
-    t->index_offset_.reserve(offsets);
-    uint64_t prev_off = 0;
-    for (size_t i = 0; i < offsets && r->ok(); ++i) {
-      const uint64_t off = r->Varint();
-      if (r->ok() && (off > postings || off < prev_off)) {
-        r->MarkCorrupt("instance index offset out of range");
-        break;
-      }
-      prev_off = off;
-      t->index_offset_.push_back(static_cast<uint32_t>(off));
-    }
-    const size_t seqs = snorlax::ReadCount(r);
-    for (size_t i = 0; i < seqs && r->ok(); ++i) {
-      const auto thread = static_cast<rt::ThreadId>(r->Varint());
-      const auto seq = static_cast<uint32_t>(r->Varint());
-      t->last_seq_[thread] = seq;
-    }
-    snorlax::DecodeFailure(r, &t->failure_);
-    t->failing_index_ = r->U32();
-    if (r->ok() && t->failing_index_ != ProcessedTrace::kNoInstance &&
-        t->failing_index_ >= n) {
-      r->MarkCorrupt("failing instance out of range");
-    }
-    t->lost_prefix_ = r->U8() != 0;
-    const size_t errors = snorlax::ReadCount(r);
-    t->decode_errors_.reserve(errors);
-    for (size_t i = 0; i < errors && r->ok(); ++i) {
-      t->decode_errors_.push_back(r->String());
-    }
-    t->threads_in_trace_ = static_cast<size_t>(r->Varint());
-    const size_t suspects = snorlax::ReadCount(r);
-    for (size_t i = 0; i < suspects && r->ok(); ++i) {
-      t->clock_suspect_threads_.insert(static_cast<rt::ThreadId>(r->Varint()));
-    }
-    snorlax::DecodeDegradation(r, &t->degradation_);
-    if (!r->ok()) {
-      return r->status();
-    }
-    // The wire format deliberately omits the timestamp index (summaries,
-    // spans, prefix/suffix extrema, thread cursors): it is derived state,
-    // rebuilt here so a deserialized trace is indistinguishable from a
-    // constructed one. Runs after clock_suspect_threads_ is filled -- the
-    // spans cache per-thread suspicion.
-    t->FinalizeIndex();
-    return std::shared_ptr<const ProcessedTrace>(std::move(t));
   }
 };
 
@@ -929,24 +741,6 @@ void EncodeProcessedTrace(const trace::ProcessedTrace& t,
   trace::TraceSerDes::Encode(t, out);
 }
 
-support::Result<std::shared_ptr<const trace::ProcessedTrace>>
-DecodeProcessedTrace(std::span<const uint8_t> bytes, const ir::Module* module) {
-  ByteReader r(bytes);
-  Status bad;
-  if (!ReadVersion(&r, &bad)) {
-    return bad;
-  }
-  auto result = trace::TraceSerDes::Decode(&r, module);
-  if (!result.ok()) {
-    return result.status();
-  }
-  const Status tail = r.ExpectExhausted();
-  if (!tail.ok()) {
-    return tail;
-  }
-  return result.take();
-}
-
 support::Status EncodeArtifactValue(ArtifactKind kind, const void* value,
                                     std::vector<uint8_t>* out) {
   switch (kind) {
@@ -968,20 +762,12 @@ support::Status EncodeArtifactValue(ArtifactKind kind, const void* value,
     case ArtifactKind::kF1Scores:
       EncodeF1Scores(*static_cast<const F1ScoresArtifact*>(value), out);
       return Status::Ok();
-    case ArtifactKind::kProcessedTrace: {
-      const auto* a = static_cast<const ProcessedTraceArtifact*>(value);
-      if (a->trace == nullptr) {
-        return Status::Error(StatusCode::kInvalidArgument,
-                             "processed-trace artifact without a trace");
-      }
-      EncodeProcessedTrace(*a->trace, out);
-      return Status::Ok();
-    }
     case ArtifactKind::kRepairPlan:
       EncodeRepairPlan(*static_cast<const RepairPlan*>(value), out);
-      return Status::Ok();
+      return Status::Ok();    case ArtifactKind::kProcessedTrace:
+      break;  // the decode memo is never persisted: evidence is its bundle
   }
-  return Status::Error(StatusCode::kInvalidArgument, "unknown artifact kind");
+  return Status::Error(StatusCode::kInvalidArgument, "no codec for this artifact kind");
 }
 
 support::Status DecodeArtifactValue(ArtifactKind kind,
@@ -1031,23 +817,16 @@ support::Status DecodeArtifactValue(ArtifactKind kind,
       *out = std::move(a);
       return Status::Ok();
     }
-    case ArtifactKind::kProcessedTrace: {
-      auto decoded = DecodeProcessedTrace(bytes, module);
-      if (!decoded.ok()) return decoded.status();
-      auto a = std::make_shared<ProcessedTraceArtifact>();
-      a->trace = decoded.take();
-      *out = std::move(a);
-      return Status::Ok();
-    }
     case ArtifactKind::kRepairPlan: {
       auto a = std::make_shared<RepairPlan>();
       const Status s = DecodeRepairPlan(bytes, module, a.get());
       if (!s.ok()) return s;
       *out = std::move(a);
       return Status::Ok();
-    }
+    }    case ArtifactKind::kProcessedTrace:
+      break;  // the decode memo is never persisted: evidence is its bundle
   }
-  return Status::Error(StatusCode::kInvalidArgument, "unknown artifact kind");
+  return Status::Error(StatusCode::kInvalidArgument, "no codec for this artifact kind");
 }
 
 void EncodeSiteRecord(const SiteRecord& record, std::vector<uint8_t>* out) {

@@ -74,14 +74,17 @@ void EncodeRepairPlan(const RepairPlan& a, std::vector<uint8_t>* out);
 support::Status DecodeRepairPlan(std::span<const uint8_t> bytes,
                                  const ir::Module* module, RepairPlan* out);
 
+// The trace-sized evidence encoding that the bundle replaced. Nothing in the
+// server writes or reads it; the benchmark harness still replays it to price
+// the retired durable append.
 void EncodeProcessedTrace(const trace::ProcessedTrace& t,
                           std::vector<uint8_t>* out);
-support::Result<std::shared_ptr<const trace::ProcessedTrace>>
-DecodeProcessedTrace(std::span<const uint8_t> bytes, const ir::Module* module);
 
 // --- type-erased dispatch ----------------------------------------------------
 // The artifact store holds values behind shared_ptr<void> keyed by kind; the
 // export/import paths round-trip them without knowing the concrete type.
+// kProcessedTrace has no codec: only the server's never-persisted decode memo
+// holds that kind, so either call rejects it with kInvalidArgument.
 
 support::Status EncodeArtifactValue(ArtifactKind kind, const void* value,
                                     std::vector<uint8_t>* out);
@@ -93,12 +96,18 @@ support::Status DecodeArtifactValue(ArtifactKind kind,
 // --- site records ------------------------------------------------------------
 // The unit both the durable log and the hand-off stream carry: one artifact,
 // one piece of evidence, or one ingest rejection, for one failure site.
+//
+// Evidence is the bundle. The first evidence record of a key in a log or a
+// hand-off stream carries pt::EncodeBundle of the bundle; every later one is
+// a reference record -- same type and key, empty bytes -- that resolves to
+// the trace already restored under that key. Empty bytes were never a valid
+// bundle encoding, so the two shapes need no separate type.
 
 struct SiteRecord {
   enum class Type : uint8_t {
     kArtifact = 0,         // bytes = EncodeArtifactValue, key = content hash
-    kFailingEvidence = 1,  // bytes = EncodeProcessedTrace, key = decode memo
-    kSuccessEvidence = 2,  // bytes = EncodeProcessedTrace, key = decode memo
+    kFailingEvidence = 1,  // bytes = EncodeBundle or empty, key = TraceKey
+    kSuccessEvidence = 2,  // bytes = EncodeBundle or empty, key = TraceKey
     kRejection = 3,        // bytes = note string; keeps rejected_bundles exact
   };
   Type type = Type::kArtifact;

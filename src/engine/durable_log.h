@@ -2,13 +2,15 @@
 // failure site's accumulated state survive daemon restarts.
 //
 // Every record is one (site, SiteRecord) pair: an artifact written on pass
-// completion, one piece of ingested evidence, or an ingest rejection. On
+// completion, one piece of ingested evidence, or an ingest rejection.
+// Evidence is the bundle: the first record of a key carries its wire
+// encoding, a repeat is a key-only reference (engine/artifact_codec.h). On
 // startup the daemon replays the log in write order and rebuilds each site --
-// artifacts re-populate the store (so subsequent passes cache-hit instead of
-// recomputing), evidence re-enters through the normal add paths, and
-// rejection records keep the degradation accounting digest-identical -- so a
-// restarted daemon cold-starts from local disk instead of re-ingesting the
-// fleet.
+// artifacts re-populate the store (so no analysis pass recomputes), each
+// unique evidence bundle is rebuilt into its trace once and re-enters through
+// the normal add paths, and rejection records keep the degradation accounting
+// digest-identical -- so a restarted daemon cold-starts from local disk
+// instead of re-ingesting the fleet.
 //
 // On-disk record framing (all integers little-endian):
 //
@@ -57,9 +59,9 @@ class DurableLog {
  public:
   static constexpr uint8_t kRecordMagic[4] = {0x53, 0x4e, 0x4c, 0x47};  // "SNLG"
   static constexpr size_t kRecordHeaderBytes = 4 + 4 + 4;
-  // A record carries at most one serialized trace; 64 MB leaves headroom over
-  // the wire layer's 32 MB frame cap while still rejecting a forged length
-  // before any allocation.
+  // A record carries at most one artifact or one evidence bundle, which
+  // arrived in a frame; 64 MB leaves headroom over the wire layer's 32 MB
+  // frame cap while still rejecting a forged length before any allocation.
   static constexpr size_t kMaxRecordBytes = 64u << 20;
 
   struct Options {

@@ -60,7 +60,7 @@ struct PatternComputeOptions {
 
 // Cross-run memo of hypothesis verdicts, keyed by (question, anchor
 // instance, instruction / instruction pair) -- all positions/ids within one
-// processed trace, so a cache is only valid for the trace (content hash) it
+// processed trace, so a cache is only valid for the trace (content key) it
 // was built against; the engine keys its registry accordingly and hands the
 // cache to incremental re-diagnosis of the same failure. Stored inside the
 // PatternSetArtifact as derived state (never serialized). Values are a small

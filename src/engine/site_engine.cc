@@ -451,9 +451,8 @@ Status SiteEngine::AddFailingTrace(std::shared_ptr<const trace::ProcessedTrace> 
     if (cancel.Expired()) {
       return deadline(PassId::kPatterns);
     }
-    // Pattern computation consumes the partially-ordered dynamic trace, so
-    // its key covers the exact instance sequence and every per-thread clock
-    // verdict that alters the partial order (cached on the shared trace).
+    // Pattern computation consumes the partially-ordered dynamic trace, a
+    // pure function of its bundle: the trace's bundle key stands for it.
     const uint64_t trace_key = t.ContentKey();
     const uint64_t patterns_key = PatternsKey(rank_key, trace_key);
     PatternSetArtifact pattern_set =

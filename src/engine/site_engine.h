@@ -8,7 +8,7 @@
 //   kDerefChains  -> DerefChains        (RETracer-style failing-operand walk)
 //   kPointsTo     -> PointsTo           (step 4, scoped to the executed set)
 //   kTypeRank     -> RankedCandidates   (step 5)
-//   kPatterns     -> PatternSet         (step 6, keyed by trace content)
+//   kPatterns     -> PatternSet         (step 6, keyed by the trace's bundle)
 //   kScore        -> F1Scores           (step 7, incremental)
 //
 // Invalidation is implicit in the keys: a pass whose declared inputs changed
@@ -191,9 +191,9 @@ class SiteEngine {
   RankedCandidatesArtifact RunTypeRank(const trace::ProcessedTrace& failing,
                                        const DerefChainsArtifact& chains,
                                        const PointsToArtifact& points_to);
-  // `trace_key` is the failing trace's content hash: it selects the verdict
-  // cache (memoized hypothesis answers are only valid against the exact
-  // instance sequence they were computed over).
+  // `trace_key` is the failing trace's ContentKey() (trace::TraceKey of its
+  // bundle): it selects the verdict cache (memoized hypothesis answers are
+  // only valid against the trace they were computed over).
   PatternSetArtifact RunPatterns(const trace::ProcessedTrace& failing,
                                  const DerefChainsArtifact& chains,
                                  const PointsToArtifact& points_to,
@@ -251,7 +251,7 @@ class SiteEngine {
   std::unordered_set<uint64_t> logged_artifacts_;
   uint64_t durable_append_failures_ = 0;
 
-  // Hypothesis-verdict memos, one per distinct failing-trace content hash:
+  // Hypothesis-verdict memos, one per distinct failing-trace content key:
   // re-diagnosis of the same interleaving (slice-fallback retries,
   // resubmitted bundles with the store off upstream) reuses the verdicts
   // instead of re-querying the index. Bounded: cleared wholesale when the

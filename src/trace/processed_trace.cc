@@ -23,7 +23,58 @@ AccessKind KindOf(const ir::Module* module, ir::InstId inst) {
   }
 }
 
+// A byte string folded eight little-endian bytes per step. Each step (an xor,
+// an odd multiply, an xorshift) is a bijection of the running state, so
+// strings that differ in one word always hash apart.
+uint64_t HashBytes(const uint8_t* data, size_t size) {
+  const auto load = [data](size_t at, size_t n) {
+    uint64_t word = 0;
+    for (size_t k = 0; k < n; ++k) {
+      word |= static_cast<uint64_t>(data[at + k]) << (8 * k);
+    }
+    return word;
+  };
+  uint64_t h = support::Mix64(size);
+  size_t i = 0;
+  for (; i + 8 <= size; i += 8) {
+    h = (h ^ load(i, 8)) * 0x9e3779b97f4a7c15ull;
+    h ^= h >> 29;
+  }
+  return support::HashCombine(h, load(i, size - i));
+}
+
 }  // namespace
+
+uint64_t TraceKey(const pt::PtTraceBundle& bundle, const TraceOptions& options) {
+  using support::HashCombine;
+  uint64_t h = support::Mix64(options.order_granularity_ns);
+  h = HashCombine(h, bundle.config.mtc_period_ns);
+  h = HashCombine(h, bundle.config.cyc_unit_ns);
+  h = HashCombine(h, bundle.config.enable_timing ? 1 : 0);
+  h = HashCombine(h, bundle.snapshot_time_ns);
+  const rt::FailureInfo& failure = bundle.failure;
+  h = HashCombine(h, static_cast<uint64_t>(failure.kind));
+  h = HashCombine(h, failure.failing_inst);
+  h = HashCombine(h, failure.thread);
+  h = HashCombine(h, static_cast<uint64_t>(failure.operand.kind));
+  h = HashCombine(h, static_cast<uint64_t>(failure.operand.ival));
+  h = HashCombine(h, (static_cast<uint64_t>(failure.operand.obj) << 32) | failure.operand.off);
+  h = HashCombine(h, failure.time_ns);
+  h = HashCombine(h, failure.deadlock_cycle.size());
+  for (const rt::FailureInfo::DeadlockWaiter& w : failure.deadlock_cycle) {
+    h = HashCombine(h, (static_cast<uint64_t>(w.thread) << 32) | w.inst);
+    h = HashCombine(h, w.block_time_ns);
+  }
+  h = HashCombine(h, HashBytes(reinterpret_cast<const uint8_t*>(failure.description.data()),
+                               failure.description.size()));
+  h = HashCombine(h, bundle.threads.size());
+  for (const pt::PtTraceBundle::PerThread& per : bundle.threads) {
+    h = HashCombine(h, (static_cast<uint64_t>(per.thread) << 32) | per.last_retired);
+    h = HashCombine(h, per.total_written);
+    h = HashCombine(h, HashBytes(per.bytes.data(), per.bytes.size()));
+  }
+  return h;
+}
 
 void ProcessedTrace::AppendInstance(ir::InstId inst, rt::ThreadId thread, uint32_t seq,
                                     uint64_t ts_lo_ns, uint64_t ts_ns, bool at_failure) {
@@ -38,7 +89,10 @@ void ProcessedTrace::AppendInstance(ir::InstId inst, rt::ThreadId thread, uint32
 
 ProcessedTrace::ProcessedTrace(const ir::Module* module, const pt::PtTraceBundle& bundle,
                                TraceOptions options)
-    : module_(module), options_(options), failure_(bundle.failure) {
+    : module_(module),
+      options_(options),
+      failure_(bundle.failure),
+      content_key_(TraceKey(bundle, options)) {
   SNORLAX_CHECK(module != nullptr);
   pt::PtDecoder decoder(module);
 
@@ -379,8 +433,7 @@ void ProcessedTrace::FinalizeIndex(bool thread_events_built) {
   // postings group, ascending ts_ns with ties broken by trace position. A
   // group arrives position-sorted, and trace order is ts order except for
   // the at-failure instance (last globally), so most groups are already in
-  // order and skip the sort. The sort is idempotent: decoding a trace
-  // serialized after FinalizeIndex leaves the postings unchanged.
+  // order and skip the sort.
   const auto ts_less = [&](uint32_t a, uint32_t b) { return col_ts_[a] < col_ts_[b]; };
   for (size_t k = 0; k + 1 < index_offset_.size(); ++k) {
     auto begin = postings_.begin() + index_offset_[k];
@@ -512,31 +565,6 @@ std::span<const uint32_t> ProcessedTrace::ThreadEventsOf(rt::ThreadId thread) co
   const size_t k = static_cast<size_t>(it - thread_event_ids_.begin());
   return std::span<const uint32_t>(thread_events_.data() + thread_event_offsets_[k],
                                    thread_event_offsets_[k + 1] - thread_event_offsets_[k]);
-}
-
-uint64_t ProcessedTrace::ContentKey() const {
-  std::call_once(content_key_once_, [this] {
-    using support::HashCombine;
-    using support::Mix64;
-    const uint32_t n = static_cast<uint32_t>(size());
-    uint64_t h = Mix64(n);
-    for (uint32_t i = 0; i < n; ++i) {
-      h = HashCombine(h, (static_cast<uint64_t>(col_inst_[i]) << 32) | col_thread_[i]);
-      h = HashCombine(h, (static_cast<uint64_t>(col_seq_[i]) << 1) | (at_failure(i) ? 1 : 0));
-      h = HashCombine(h, col_ts_lo_[i]);
-      h = HashCombine(h, col_ts_[i]);
-    }
-    // A sum, so the order the threads are visited in does not matter.
-    uint64_t suspects = 0;
-    for (const rt::ThreadId thread : threads()) {
-      if (ClockSuspect(thread)) {
-        suspects += Mix64(thread);
-      }
-    }
-    h = HashCombine(h, suspects);
-    content_key_ = HashCombine(h, timestamps_unreliable() ? 1 : 0);
-  });
-  return content_key_;
 }
 
 bool ProcessedTrace::ExecutesBefore(uint32_t a, uint32_t b) const {

@@ -21,7 +21,6 @@
 #define SNORLAX_TRACE_PROCESSED_TRACE_H_
 
 #include <cstdint>
-#include <mutex>
 #include <span>
 #include <string>
 #include <unordered_map>
@@ -50,6 +49,16 @@ struct TraceOptions {
   // magnitude more than this.
   uint64_t order_granularity_ns = 512;
 };
+
+// The content key of the trace built from `bundle` under `options`: a hash of
+// every bundle field trace processing reads -- each thread's id, ring-buffer
+// bytes, write count and stop record; the decoder's clock config
+// (mtc_period_ns, cyc_unit_ns, enable_timing); the snapshot time; the whole
+// failure record -- plus the options. A trace is a pure function of (module,
+// bundle, options), so equal keys mean equal traces within one module. This
+// one value keys the server's decode memo, step 6, and the durable and
+// hand-off evidence records.
+uint64_t TraceKey(const pt::PtTraceBundle& bundle, const TraceOptions& options);
 
 // O(1) interval summary over all dynamic instances of one static
 // instruction: pattern computation rejects most hypothesis pairs from these
@@ -102,7 +111,7 @@ class ProcessedTrace {
   ProcessedTrace(const ir::Module* module, const pt::PtTraceBundle& bundle,
                  TraceOptions options = {});
   // Immutable once built and shared by pointer (decode memo, engine
-  // evidence, durable-log restore); a deep copy is always a mistake.
+  // evidence, the server's evidence store); a deep copy is always a mistake.
   ProcessedTrace(const ProcessedTrace&) = delete;
   ProcessedTrace& operator=(const ProcessedTrace&) = delete;
 
@@ -136,8 +145,7 @@ class ProcessedTrace {
   //
   // Order guarantee: instances are sorted by ascending ts_ns, ties by trace
   // position (which itself sorts the failure point last). The sorted order is
-  // established at index-build time -- both for traces built from a bundle
-  // and for deserialized ones -- so merge-joins and binary searches over
+  // established at index-build time, so merge-joins and binary searches over
   // these spans are always valid.
   std::span<const uint32_t> InstancesOf(ir::InstId inst) const;
 
@@ -217,19 +225,15 @@ class ProcessedTrace {
   // True when the surviving buffers yielded at least one event to analyze.
   bool HasEvidence() const { return !col_inst_.empty(); }
 
-  // Content hash of the partial order: the exact instance sequence plus the
-  // per-thread clock verdicts that change it. The engine keys step 6 and its
-  // verdict memo on it. Computed on first call and cached with the trace, so
-  // every holder of a shared trace pays for it once. Thread-safe.
-  uint64_t ContentKey() const;
+  // TraceKey(bundle, options) of the bundle this trace was built from,
+  // computed once at construction. The engine keys step 6 and its verdict
+  // memo on it.
+  uint64_t ContentKey() const { return content_key_; }
 
  private:
-  // Binary serialization (engine/artifact_codec.cc): cluster hand-off and the
-  // durable artifact log ship processed traces between daemon processes so a
-  // receiver never re-decodes the raw bundle. The serializer constructs an
-  // empty trace and fills every column directly.
+  // EncodeProcessedTrace (engine/artifact_codec.cc) reads the columns to
+  // replay the retired trace-journal encoding in the benchmark harness.
   friend struct TraceSerDes;
-  ProcessedTrace() : module_(nullptr) {}
 
   static constexpr uint8_t kAtFailureBit = 0x1;
   static constexpr uint8_t kAccessShift = 1;
@@ -254,13 +258,11 @@ class ProcessedTrace {
                     uint32_t at_failure_append);
   // Establishes the documented InstancesOf sort order and builds the
   // timestamp index (summaries, thread spans, prefix/suffix extrema, thread
-  // cursors) from the columns + postings. Called at the end of SortAndIndex
-  // and after TraceSerDes::Decode fills the columns directly, so every trace
-  // -- constructed or deserialized -- carries the index. With
-  // `thread_events_built` the caller has already filled the per-thread
+  // cursors) from the columns + postings; called at the end of SortAndIndex.
+  // With `thread_events_built` the caller has already filled the per-thread
   // cursors with unique (thread, seq) keys, and the thread postings are
   // bucketed from them; otherwise both are sorted.
-  void FinalizeIndex(bool thread_events_built = false);
+  void FinalizeIndex(bool thread_events_built);
 
   const ir::Module* module_;
   TraceOptions options_;
@@ -282,7 +284,7 @@ class ProcessedTrace {
   std::vector<ir::InstId> index_inst_;
   std::vector<uint32_t> index_offset_;
 
-  // Timestamp index (FinalizeIndex; never serialized -- rebuilt on decode).
+  // Timestamp index (FinalizeIndex).
   // summaries_ is parallel to index_inst_; thread_postings_ is a second copy
   // of the positions, grouped by (instruction, thread) and seq-sorted within
   // each group; prefix/suffix arrays are parallel to thread_postings_.
@@ -305,9 +307,7 @@ class ProcessedTrace {
   size_t threads_in_trace_ = 0;
   std::unordered_set<rt::ThreadId> clock_suspect_threads_;
   DegradationReport degradation_;
-
-  mutable std::once_flag content_key_once_;
-  mutable uint64_t content_key_ = 0;
+  uint64_t content_key_ = 0;
 };
 
 }  // namespace snorlax::trace

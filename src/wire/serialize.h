@@ -15,12 +15,9 @@
 // encoded by a different build, and that skew must be a kVersionMismatch
 // rejection, not a misdecode. One format of each kind is spoken (DESIGN.md
 // section 13):
-//   bundle (byte 2): LEB128 varints for integer fields (zigzag for signed),
-//       and the PT packet streams transcoded into a delta-compressed token
-//       stream -- timestamps and block ids are monotone/clustered (the coarse
-//       interleaving regime), so deltas are small and varints short. The
-//       transcoding is lossless to the byte, including streams with
-//       corrupt/undecodable regions (shipped as raw escape runs).
+//   bundle (byte 2): pt/bundle_codec.h, re-exported below -- the server
+//       journals the same bytes as evidence, so the codec sits beside the
+//       bundle type rather than in this layer.
 //   report (byte 3): the typed report::Report aggregate, encoded with the
 //       canonical report codec.
 // Every other leading byte is a kVersionMismatch.
@@ -32,17 +29,16 @@
 #include <string>
 #include <vector>
 
-#include "pt/encoder.h"
+#include "pt/bundle_codec.h"
 #include "report/report.h"
 #include "support/binio.h"
 #include "support/status.h"
 
 namespace snorlax::wire {
 
-// Leading format byte of each payload kind. The values continue the numbering
-// of retired layouts (1 was fixed-width); they are part of the wire format and
-// change only with the layout they name.
-inline constexpr uint8_t kBundleFormat = 2;
+// Leading format byte of the report payload (the bundle's, 2, is
+// pt::kBundleFormat). Part of the wire format; it changes only with the
+// layout it names.
 inline constexpr uint8_t kReportFormat = 3;
 
 // The byte-level primitives (Crc32, Append*, Zigzag, ByteReader, decode caps)
@@ -66,26 +62,15 @@ using support::ZigzagEncode;
 using support::ZigzagDecode;
 using support::ByteReader;
 
-// --- PT packet stream transcoding --------------------------------------------
-
-// Re-encodes a raw PT packet stream as a delta-compressed token stream:
-// packets are parsed with the canonical codec, their fields delta-encoded
-// against the previous packet of the same family (PSB tsc, PSB/TIP block,
-// MTC ctc, CYC delta), and undecodable byte ranges shipped verbatim as raw
-// escape runs -- corruption survives transcoding byte-exactly.
-void CompressPtStream(const std::vector<uint8_t>& raw, std::vector<uint8_t>* out);
-
-// Inverse: reconstructs exactly `raw_size` original bytes from the token
-// stream at `r`. Hostile tokens (bad TNT count, oversized fields, runs past
-// the declared size) are a clean kCorruptData rejection.
-support::Status DecompressPtStream(ByteReader* r, size_t raw_size,
-                                   std::vector<uint8_t>* out);
-
 // --- payload codecs ----------------------------------------------------------
 
-// The client->server evidence payload.
-void EncodeBundle(const pt::PtTraceBundle& bundle, std::vector<uint8_t>* out);
-support::Result<pt::PtTraceBundle> DecodeBundle(std::span<const uint8_t> bytes);
+// The client->server evidence payload (pt/bundle_codec.h), under the names
+// the net layer has always used.
+using pt::kBundleFormat;
+using pt::CompressPtStream;
+using pt::DecompressPtStream;
+using pt::EncodeBundle;
+using pt::DecodeBundle;
 
 // The server->client diagnosis payload: the full typed aggregate behind the
 // leading format byte. `module` (optional) lets the decoder bounds-check

@@ -5,7 +5,8 @@
 //   - digest identity: a 3-daemon cluster (kill/restart chaos included)
 //     diagnoses bit-identically to a single daemon and to an in-process pool;
 //   - recovery: a restarted daemon serves its sites from the durable log
-//     without re-ingesting a single bundle (every pass is a cache hit);
+//     without a bundle crossing the wire: it rebuilds each unique evidence
+//     bundle's trace once, and no analysis pass re-runs;
 //   - routing: a bundle for a site another member owns bounces with
 //     kWrongShard -- without consuming its sequence number -- and the ring
 //     topology rides along so the sender re-routes;
@@ -16,6 +17,7 @@
 #include <cstdio>
 #include <filesystem>
 #include <memory>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -26,6 +28,7 @@
 #include "net/agent.h"
 #include "net/cluster_agent.h"
 #include "net/daemon.h"
+#include "trace/processed_trace.h"
 #include "wire/ring.h"
 
 namespace snorlax {
@@ -175,13 +178,22 @@ TEST(ClusterTest, RestartedDaemonServesFromLogWithoutReingest) {
   EXPECT_EQ(daemon.recovery().log.records_corrupt, 0u);
   // Cold-start came from disk: nothing crossed the wire yet...
   EXPECT_EQ(daemon.stats().bundles_ingested, 0u);
-  // ...and the rebuilt shard never ran the decode pass -- every replayed
-  // evidence record was a kTraceProcess cache hit.
+  // ...the rebuilt shard built each unique evidence bundle's trace once and
+  // served every repeat from it, and no analysis pass re-ran: the journaled
+  // artifacts made every one a cache hit.
+  std::set<uint64_t> unique_bundles = {trace::TraceKey(site.failing, {})};
+  for (const pt::PtTraceBundle& success : site.successes) {
+    unique_bundles.insert(trace::TraceKey(success, {}));
+  }
   const core::DiagnosisServer* shard = daemon.pool().shard(fp, inst);
   ASSERT_NE(shard, nullptr);
   const engine::PassStats restored = shard->pass_stats(engine::PassId::kTraceProcess);
-  EXPECT_EQ(restored.runs, 0u);
-  EXPECT_EQ(restored.cache_hits, 1 + site.successes.size());
+  EXPECT_EQ(restored.runs, unique_bundles.size());
+  EXPECT_EQ(restored.runs + restored.cache_hits, 1 + site.successes.size());
+  for (const engine::PassId pass : {engine::PassId::kDerefChains, engine::PassId::kPointsTo,
+                                    engine::PassId::kTypeRank, engine::PassId::kPatterns}) {
+    EXPECT_EQ(shard->pass_stats(pass).runs, 0u) << engine::PassName(pass);
+  }
 
   net::AgentOptions aopts;
   aopts.port = daemon.port();
@@ -191,11 +203,11 @@ TEST(ClusterTest, RestartedDaemonServesFromLogWithoutReingest) {
   EXPECT_EQ(bench::DigestReports(ToShardReports(reports.take())), digest_before);
 
   // A fleet client re-sending the byte-identical bundle post-restart skips
-  // decoding too: the durable log re-primed the decode memo.
+  // decoding too: restoring the log re-primed the decode memo.
   agent.EnqueueFailing(site.failing);
   ASSERT_TRUE(agent.Flush().ok());
   const engine::PassStats resent = shard->pass_stats(engine::PassId::kTraceProcess);
-  EXPECT_EQ(resent.runs, 0u);
+  EXPECT_EQ(resent.runs, restored.runs);
   EXPECT_EQ(resent.cache_hits, restored.cache_hits + 1);
   daemon.Stop();
 }

@@ -16,7 +16,6 @@
 #include "core/server_pool.h"
 #include "core/snorlax.h"
 #include "pt/encoder.h"
-#include "trace/processed_trace.h"
 #include "workloads/workload.h"
 
 namespace snorlax::core {
@@ -269,33 +268,6 @@ TEST(Concurrency, DropSiteRacingIngestAndDiagnose) {
   }
   ingest.join();
   EXPECT_GE(drops.load(), kMinDrops);
-}
-
-// One immutable trace shared by many threads -- the decode memo hands the
-// same object to every submission of a bundle. The first ContentKey() call
-// computes the cached key while other threads read it and the index.
-TEST(Concurrency, SharedTraceReadsAndContentKeyRaceFree) {
-  const Captured site = CaptureSite("pbzip2_main", 1);
-  ASSERT_TRUE(site.bundle.failure.IsFailure());
-  const ir::Module* module = site.workload.module.get();
-  const auto shared = std::make_shared<const trace::ProcessedTrace>(module, site.bundle);
-  const trace::ProcessedTrace reference(module, site.bundle);
-  const uint64_t want_key = reference.ContentKey();
-  const ir::InstId failing_inst = site.bundle.failure.failing_inst;
-  const size_t want_instances = reference.InstancesOf(failing_inst).size();
-
-  std::vector<std::thread> threads;
-  threads.reserve(kThreads);
-  for (int t = 0; t < kThreads; ++t) {
-    threads.emplace_back([&] {
-      const std::shared_ptr<const trace::ProcessedTrace> mine = shared;
-      EXPECT_EQ(mine->ContentKey(), want_key);
-      EXPECT_EQ(mine->InstancesOf(failing_inst).size(), want_instances);
-    });
-  }
-  for (std::thread& th : threads) {
-    th.join();
-  }
 }
 
 }  // namespace

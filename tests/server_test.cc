@@ -2,6 +2,7 @@
 // dump-point selection, and the client/server orchestration plumbing.
 #include <gtest/gtest.h>
 
+#include "bench/throughput_harness.h"
 #include "core/snorlax.h"
 #include "ir/builder.h"
 #include "ir/cfg.h"
@@ -209,6 +210,27 @@ TEST(DiagnosisServer, AnalysisCacheSkipsSolverOnRepeatedSite) {
   ASSERT_TRUE(uncached.SubmitFailingTrace(cap.bundle).ok());
   ASSERT_TRUE(uncached.SubmitFailingTrace(cap.bundle).ok());
   EXPECT_EQ(uncached.pass_stats(engine::PassId::kPointsTo).runs, 2u);
+}
+
+TEST(DiagnosisServer, RejectedVariantDoesNotPoisonTheDecodeMemo) {
+  // The same success bundle twice: first with a zero CYC unit, which the
+  // decoder refuses, so the trace has no events and is rejected; then
+  // unmodified. The decode memo must neither key the two alike (the config
+  // is part of the trace key) nor keep the rejected trace.
+  const std::vector<bench::CapturedSite> sites = bench::CaptureSites({"pbzip2_main"}, 1);
+  ASSERT_EQ(sites.size(), 1u);
+  ASSERT_EQ(sites[0].successes.size(), 1u);
+  const pt::PtTraceBundle& success = sites[0].successes[0];
+  DiagnosisServer server(sites[0].workload.module.get());
+  ASSERT_TRUE(server.SubmitFailingTrace(sites[0].failing).ok());
+  pt::PtTraceBundle zero_unit = success;
+  zero_unit.config.cyc_unit_ns = 0;
+  EXPECT_EQ(server.SubmitSuccessTrace(zero_unit).code(), support::StatusCode::kCorruptData);
+  EXPECT_EQ(server.NumSuccessTraces(), 0u);
+  const support::Status accepted = server.SubmitSuccessTrace(success);
+  EXPECT_TRUE(accepted.ok()) << accepted.ToString();
+  EXPECT_EQ(server.NumSuccessTraces(), 1u);
+  EXPECT_EQ(server.degradation().rejected_bundles, 1u);
 }
 
 TEST(DiagnosisServer, AnalysisCacheMissesOnDifferentExecutedSet) {
