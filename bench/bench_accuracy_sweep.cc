@@ -150,7 +150,7 @@ void CaptureScenario(const SweepFlags& sweep, core::ServerPool& pool,
   // points, up to the server's own 10x cap.
   const auto dump_points = pool.RequestedDumpPoints(p.fingerprint, p.failing_inst);
   size_t successes = 0;
-  const size_t success_cap = 10 * failing_submitted;
+  const size_t success_cap = core::kSuccessTraceMultiplier * failing_submitted;
   for (uint64_t budget = 0;
        budget < sweep.repro_budget && successes < success_cap; ++budget, ++seed) {
     core::ClientRun run = client.RunOnce(seed, dump_points);
@@ -166,7 +166,7 @@ void CaptureScenario(const SweepFlags& sweep, core::ServerPool& pool,
 
 // Scores one diagnosed scenario against its ground truth.
 void ScoreScenario(const core::DiagnosisReport& report, PendingScenario& p) {
-  p.result.analysis_seconds = report.total_analysis_seconds;
+  p.result.analysis_seconds = report.stages.AnalysisSeconds();
   size_t best_rank = 0;
   for (const core::DiagnosedPattern& cand : report.patterns) {
     if (cand.pattern.kind != p.scenario.truth.kind) {

@@ -1,7 +1,9 @@
 #include "bench/fleet_harness.h"
 
 #include <algorithm>
+#include <cerrno>
 #include <chrono>
+#include <cstring>
 #include <filesystem>
 #include <memory>
 #include <thread>
@@ -181,18 +183,12 @@ FleetResult RunFleet(const std::vector<CapturedSite>& sites, const FleetConfig& 
 
 namespace {
 
-// Grabs a kernel-assigned loopback port and releases it; SO_REUSEADDR lets
-// the daemon re-bind it immediately. Racy in principle, single-process in
-// practice (nothing else in the bench binds ports between reserve and use).
-uint16_t ReservePort() {
-  auto listener = net::Socket::Listen(0);
-  if (!listener.ok()) {
-    return 0;
-  }
-  net::Socket sock = listener.take();
-  const uint16_t port = sock.local_port();
-  sock.Close();
-  return port;
+constexpr int kBindAttempts = 3;
+
+// Socket::Listen reports a failed bind as "bind: <strerror(errno)>".
+bool IsAddressInUse(const support::Status& status) {
+  return !status.ok() &&
+         status.message().find(std::strerror(EADDRINUSE)) != std::string::npos;
 }
 
 std::string WireDigest(std::vector<net::RemoteReport>&& reports) {
@@ -215,6 +211,40 @@ std::string WireDigest(std::vector<net::RemoteReport>&& reports) {
 
 }  // namespace
 
+support::Status RetryOnAddressInUse(const std::function<support::Status()>& start) {
+  support::Status status;
+  for (int attempt = 1; attempt <= kBindAttempts; ++attempt) {
+    status = start();
+    if (!IsAddressInUse(status) || attempt == kBindAttempts) {
+      break;
+    }
+    // Whatever holds the port may be about to let it go.
+    std::this_thread::sleep_for(std::chrono::milliseconds(20 * attempt));
+  }
+  return status;
+}
+
+support::Status StartOnFreshPorts(
+    size_t n, const std::function<support::Status(const std::vector<uint16_t>&)>& start) {
+  return RetryOnAddressInUse([&]() -> support::Status {
+    // Each port's socket stays bound until all n are chosen, so the kernel
+    // hands out n distinct ports; SO_REUSEADDR lets a daemon re-bind one at
+    // once after the close.
+    std::vector<net::Socket> held;
+    std::vector<uint16_t> ports;
+    for (size_t i = 0; i < n; ++i) {
+      auto listener = net::Socket::Listen(0);
+      if (!listener.ok()) {
+        return listener.status();
+      }
+      held.push_back(listener.take());
+      ports.push_back(held.back().local_port());
+    }
+    held.clear();
+    return start(ports);
+  });
+}
+
 ClusterResult RunCluster(const std::vector<CapturedSite>& sites,
                          const ClusterConfig& config) {
   ClusterResult result;
@@ -234,18 +264,9 @@ ClusterResult RunCluster(const std::vector<CapturedSite>& sites,
   }
 
   // Ring membership must be known before any daemon starts, so ports are
-  // reserved up front and every member gets the full roster.
-  std::vector<uint16_t> ports(config.daemons);
-  std::vector<wire::RingMember> members(config.daemons);
-  for (size_t i = 0; i < config.daemons; ++i) {
-    ports[i] = ReservePort();
-    if (ports[i] == 0) {
-      result.status = support::Status::Error(support::StatusCode::kInternal,
-                                             "cannot reserve a loopback port");
-      return result;
-    }
-    members[i] = wire::RingMember{i + 1, "127.0.0.1", ports[i]};
-  }
+  // chosen up front and every member gets the full roster.
+  std::vector<uint16_t> ports;
+  std::vector<wire::RingMember> members;
   auto daemon_options = [&](size_t i) {
     net::DaemonOptions dopts;
     dopts.port = ports[i];
@@ -257,16 +278,34 @@ ClusterResult RunCluster(const std::vector<CapturedSite>& sites,
     }
     return dopts;
   };
-  std::vector<std::unique_ptr<net::DiagnosisDaemon>> daemons;
-  for (size_t i = 0; i < config.daemons; ++i) {
-    daemons.push_back(std::make_unique<net::DiagnosisDaemon>(daemon_options(i)));
+  auto start_daemon = [&](size_t i) {
+    auto daemon = std::make_unique<net::DiagnosisDaemon>(daemon_options(i));
     for (const CapturedSite& site : sites) {
-      daemons[i]->RegisterModule(site.workload.module.get());
+      daemon->RegisterModule(site.workload.module.get());
     }
-    result.status = daemons[i]->Start();
-    if (!result.status.ok()) {
-      return result;
+    const support::Status status = daemon->Start();
+    return std::make_pair(std::move(daemon), status);
+  };
+  std::vector<std::unique_ptr<net::DiagnosisDaemon>> daemons;
+  result.status = StartOnFreshPorts(config.daemons, [&](const std::vector<uint16_t>& fresh) {
+    ports = fresh;
+    members.clear();
+    for (size_t i = 0; i < ports.size(); ++i) {
+      members.push_back(wire::RingMember{i + 1, "127.0.0.1", ports[i]});
     }
+    daemons.clear();  // stops the members of a failed attempt
+    for (size_t i = 0; i < ports.size(); ++i) {
+      auto [daemon, status] = start_daemon(i);
+      if (!status.ok()) {
+        daemons.clear();
+        return status;
+      }
+      daemons.push_back(std::move(daemon));
+    }
+    return support::Status::Ok();
+  });
+  if (!result.status.ok()) {
+    return result;
   }
 
   net::ClusterAgentOptions copts;
@@ -308,11 +347,12 @@ ClusterResult RunCluster(const std::vector<CapturedSite>& sites,
       ingested_base[victim] = daemons[victim]->stats().bundles_ingested;
       daemons[victim].reset();  // Stop(): close sockets, sync + close the log
       const auto restart_begin = std::chrono::steady_clock::now();
-      daemons[victim] = std::make_unique<net::DiagnosisDaemon>(daemon_options(victim));
-      for (const CapturedSite& site : sites) {
-        daemons[victim]->RegisterModule(site.workload.module.get());
-      }
-      result.status = daemons[victim]->Start();
+      result.status = RetryOnAddressInUse([&] {
+        daemons[victim].reset();  // a failed attempt's log closes first
+        auto [daemon, status] = start_daemon(victim);
+        daemons[victim] = std::move(daemon);
+        return status;
+      });
       result.recovery_seconds = std::chrono::duration<double>(
                                     std::chrono::steady_clock::now() - restart_begin)
                                     .count();

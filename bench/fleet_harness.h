@@ -13,6 +13,8 @@
 #ifndef SNORLAX_BENCH_FLEET_HARNESS_H_
 #define SNORLAX_BENCH_FLEET_HARNESS_H_
 
+#include <cstdint>
+#include <functional>
 #include <string>
 #include <vector>
 
@@ -120,6 +122,23 @@ ClusterResult RunCluster(const std::vector<CapturedSite>& sites,
 
 std::string ClusterJson(const ClusterConfig& config, size_t sites,
                         const ClusterResult& result);
+
+// Bounded bind retries for daemons that must know their ports before they
+// start (a ring roster is fixed before any member binds). A port is chosen
+// by binding port 0 and closing the socket, so another socket can take it
+// before the daemon binds it; such a bring-up fails with address-in-use and
+// is worth another attempt.
+//
+// Calls `start` with `n` fresh kernel-assigned loopback ports. When it fails
+// with address-in-use, calls it again with new ports, three calls in all,
+// and returns the last status. `start` must stop every daemon it started
+// before it returns an error, so each attempt begins clean.
+support::Status StartOnFreshPorts(
+    size_t n, const std::function<support::Status(const std::vector<uint16_t>&)>& start);
+
+// The same retry for a daemon re-binding a port it held before (a restart):
+// `start` must build a fresh daemon each call.
+support::Status RetryOnAddressInUse(const std::function<support::Status()>& start);
 
 }  // namespace snorlax::bench
 

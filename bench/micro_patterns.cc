@@ -7,11 +7,9 @@
 // hot rows execute the racy accesses hundreds of times.
 //
 // Emits one JSON line (--json / --json=<path>) with per-workload p50/p99 --
-// the BENCH_patterns.json shape. The built-in profiler (support/profiler.h)
-// is live while the pipeline is timed; the human output ends with its
-// hottest rows, the per-phase breakdown. What the engine outputs on these workloads is frozen
-// in tests/golden/patterns.txt; this binary only times it. Exit code 2 =
-// bad flags or no workload reproduced a failure.
+// the BENCH_patterns.json shape. What the engine outputs on these workloads
+// is frozen in tests/golden/patterns.txt; this binary only times it. Exit
+// code 2 = bad flags or no workload reproduced a failure.
 #include <algorithm>
 #include <cstdio>
 #include <optional>
@@ -22,7 +20,6 @@
 #include "bench/throughput_harness.h"
 #include "core/client.h"
 #include "core/server.h"
-#include "support/profiler.h"
 #include "support/str.h"
 #include "trace/processed_trace.h"
 
@@ -82,7 +79,6 @@ int main(int argc, char** argv) {
     double p50 = 0, p99 = 0;
   };
   std::vector<Row> rows;
-  support::Profiler& prof = support::Profiler::Global();
 
   for (const bench::NamedWorkload& c : bench::PatternBenchWorkloads()) {
     const workloads::Workload& w = c.workload;
@@ -100,10 +96,7 @@ int main(int argc, char** argv) {
       continue;
     }
     const trace::ProcessedTrace decoded(w.module.get(), *bundle, trace::TraceOptions{});
-    // Profile only the timed pipeline, not the failure capture above.
-    prof.Enable();
     const std::vector<double> step56_ms = TimeEngine(w, *bundle, reps);
-    prof.Disable();
     rows.push_back(Row{c.name, decoded.size(), Percentile(step56_ms, 0.5),
                        Percentile(step56_ms, 0.99)});
   }
@@ -144,16 +137,6 @@ int main(int argc, char** argv) {
     }
     std::printf("\nmost instances: %s (%zu), p50 %.3f ms\n", largest->name.c_str(),
                 largest->instances, largest->p50);
-    std::printf("\nprofile (hottest rows):\n");
-    int shown = 0;
-    for (const support::Profiler::Row& r : prof.Snapshot()) {
-      if (r.calls == 0 || shown++ == 8) {
-        continue;
-      }
-      std::printf("  %-28s calls=%-8llu total=%.3fms max=%.1fus\n", r.label.c_str(),
-                  (unsigned long long)r.calls, static_cast<double>(r.total_ns) / 1e6,
-                  static_cast<double>(r.max_ns) / 1e3);
-    }
   };
   if (const auto st = bench::EmitBenchJson(flags, json, print_human); !st.ok()) {
     return 2;

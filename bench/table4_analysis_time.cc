@@ -95,14 +95,18 @@ int main(int argc, char** argv) {
     std::unique_ptr<core::DiagnosisServer> server;
     const double hybrid_s =
         PipelineSeconds(w, *bundle, analysis::PointsToOptions::Tier::kExhaustive, kReps, &server);
-    // Cumulative per-stage seconds over all kReps+1 submissions: where the
-    // hybrid time actually goes (decode, solve, rank, patterns).
-    const core::StageStats stage_totals = server->Diagnose().stages;
-    const double per_sub = 1000.0 / (kReps + 1);
+    // Cumulative pass seconds over all kReps+1 submissions: where the hybrid
+    // time actually goes (decode, solve, rank = chain walk + type ranking,
+    // patterns).
+    const engine::PassStatsTable passes = server->pass_stats();
+    const auto ms = [&](engine::PassId id) {
+      return engine::StatsFor(passes, id).seconds * 1000.0 / (kReps + 1);
+    };
     const std::string breakdown = StrFormat(
-        "%.1f/%.1f/%.1f/%.1f", stage_totals.trace_seconds * per_sub,
-        stage_totals.points_to_seconds * per_sub, stage_totals.rank_seconds * per_sub,
-        stage_totals.pattern_seconds * per_sub);
+        "%.1f/%.1f/%.1f/%.1f", ms(engine::PassId::kTraceProcess),
+        ms(engine::PassId::kPointsTo),
+        ms(engine::PassId::kDerefChains) + ms(engine::PassId::kTypeRank),
+        ms(engine::PassId::kPatterns));
     server.reset();
 
     // Demand tier: same pipeline, step 4 answered by CFL-reachability.

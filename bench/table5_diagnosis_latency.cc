@@ -52,10 +52,10 @@ int main() {
     const double ratio = static_cast<double>(gist4->total_executions) /
                          static_cast<double>(sn->total_runs);
     ratios.push_back(ratio);
-    // Cumulative server-side analysis over every accepted bundle; the old
-    // per-trace analysis_seconds under-reported multi-trace runs.
+    // Server-side analysis (steps 2-7) over every accepted bundle, failing
+    // and success alike.
     bench::PrintRow({w.system, w.bug_id, StrFormat("%llu", (unsigned long long)sn->total_runs),
-                     FormatDouble(sn->report.total_analysis_seconds * 1000.0, 1),
+                     FormatDouble(sn->report.stages.AnalysisSeconds() * 1000.0, 1),
                      StrFormat("%llu", (unsigned long long)gist1->total_executions),
                      StrFormat("%llu", (unsigned long long)gist4->total_executions),
                      FormatDouble(ratio, 1) + "x"},

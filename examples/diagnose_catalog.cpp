@@ -97,7 +97,7 @@ int main(int argc, char** argv) {
               100.0 * stats.TimingByteFraction());
   std::printf("evidence     : %zu failing + %zu successful traces\n",
               report.failing_traces, report.success_traces);
-  std::printf("analysis     : %.1f ms on the server\n\n", report.analysis_seconds * 1000.0);
+  std::printf("analysis     : %.1f ms on the server\n\n", report.stages.AnalysisSeconds() * 1000.0);
 
   const core::StageStats& s = report.stages;
   std::printf("pipeline footprint (paper Figure 7 stages):\n");

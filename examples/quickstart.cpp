@@ -143,7 +143,7 @@ int main() {
   std::printf("Gathered %llu successful traces at the failure PC (10x cap).\n",
               static_cast<unsigned long long>(outcome->success_runs_used));
   std::printf("Server analysis: %.1f ms; %zu/%zu instructions in trace scope.\n\n",
-              report.analysis_seconds * 1000.0, report.stages.executed_instructions,
+              report.stages.AnalysisSeconds() * 1000.0, report.stages.executed_instructions,
               report.stages.module_instructions);
 
   std::printf("Top diagnosed patterns (F1-ranked):\n");

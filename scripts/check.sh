@@ -50,6 +50,14 @@ jq -e '.version == "2.1.0" and (.runs | length) >= 1
        and (.runs[0].results | length) >= 1
        and (.runs[0].tool.driver.name == "snorlax")' sample_report.sarif > /dev/null
 
+echo "== JSON render sanity (jq, analysis time from the pass table) =="
+# The pass table is the one timing record: the JSON report's analysis time
+# is its steps 2-7 sum, and trace processing must show up as a timed row.
+"${BUILD_DIR}/snorlax_cli" diagnose sample_bug.sir --report=json > sample_report.json
+jq -e '.stages.analysis_seconds > 0
+       and any(.stages.passes[]; .pass == "trace-process" and .ms > 0)' \
+    sample_report.json > /dev/null
+
 echo "== benchmark harness (perfbench build + unit tests) =="
 # perfbench/ compiles bench/throughput_harness.cc and reads the net and wire
 # APIs, so build it from this checkout and run its own C++ and Python tests.

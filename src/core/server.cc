@@ -162,7 +162,6 @@ Status DiagnosisServer::SubmitFailingTrace(const pt::PtTraceBundle& bundle) {
   // The analysis budget covers the whole submit, decode included.
   const engine::CancelToken cancel =
       engine::CancelToken::AfterSeconds(options_.analysis_deadline_seconds);
-  const auto start = std::chrono::steady_clock::now();
   auto ingested = Ingest(bundle, /*failing=*/true, "failing bundle rejected");
   if (!ingested.ok()) {
     return ingested.status();
@@ -187,8 +186,6 @@ Status DiagnosisServer::SubmitFailingTrace(const pt::PtTraceBundle& bundle) {
   }
   // The trace was retained as evidence (even on deadline): make it durable.
   KeepEvidence(engine::SiteRecord::Type::kFailingEvidence, bundle, std::move(processed));
-  last_analysis_seconds_ = SecondsSince(start);
-  total_analysis_seconds_ += last_analysis_seconds_;
   return pipeline;
 }
 
@@ -402,16 +399,7 @@ StageStats DiagnosisServer::BuildStageStats() const {
   s.candidate_instructions = counts.candidate_instructions;
   s.rank1_candidates = counts.rank1_candidates;
   s.patterns_generated = counts.patterns_generated;
-  // Wire-stable stage seconds are a view over the pass table: ranking covers
-  // the chain walk plus the type ranking proper, matching the pre-pipeline
-  // accounting.
-  const engine::PassStatsTable& passes = engine_.pass_stats();
-  s.trace_seconds = StatsFor(passes, engine::PassId::kTraceProcess).seconds;
-  s.points_to_seconds = StatsFor(passes, engine::PassId::kPointsTo).seconds;
-  s.rank_seconds = StatsFor(passes, engine::PassId::kDerefChains).seconds +
-                   StatsFor(passes, engine::PassId::kTypeRank).seconds;
-  s.pattern_seconds = StatsFor(passes, engine::PassId::kPatterns).seconds;
-  s.passes = passes;
+  s.passes = engine_.pass_stats();
   s.artifacts = artifact_stats();
   return s;
 }
@@ -444,17 +432,15 @@ DiagnosisReport DiagnosisServer::Diagnose() const {
   report.failing_traces = engine_.failing_traces().size();
   report.success_traces = engine_.success_traces().size();
 
-  engine::ScoreOutcome scored = engine_.Score();
-  report.patterns = scored.scores.scored;
+  const engine::F1ScoresArtifact& scored = engine_.Score();
+  report.patterns = scored.scored;
+  const size_t top_f1_patterns = scored.top_f1_patterns;
   if (options_.repair.enabled) {
     report.repair = engine_.Repair();
   }
 
   report.stages = BuildStageStats();
-  report.stages.top_f1_patterns = scored.scores.top_f1_patterns;
-  report.stages.score_seconds = scored.seconds;
-  report.analysis_seconds = last_analysis_seconds_ + scored.seconds;
-  report.total_analysis_seconds = total_analysis_seconds_ + scored.seconds;
+  report.stages.top_f1_patterns = top_f1_patterns;
   return report;
 }
 

@@ -39,6 +39,9 @@
 
 namespace snorlax::core {
 
+// Paper: at most 10x as many successful traces as failing ones.
+inline constexpr size_t kSuccessTraceMultiplier = 10;
+
 // Per-stage footprint of the pipeline, powering the Figure 7 reproduction.
 struct StageStats {
   size_t module_instructions = 0;    // whole-program instruction count
@@ -48,22 +51,24 @@ struct StageStats {
   size_t patterns_generated = 0;     // after pattern computation (step 6)
   size_t top_f1_patterns = 0;        // patterns sharing the best F1 (step 7)
 
-  // Cumulative wall time per stage, summed over every accepted bundle (the
-  // old per-trace analysis_seconds under-reported once a server ingested more
-  // than one trace). score_seconds covers the Diagnose() call that produced
-  // the report carrying these stats.
-  double trace_seconds = 0.0;      // steps 2-3: decode + trace processing
-  double points_to_seconds = 0.0;  // step 4 (solver runs only; cache hits add 0)
-  double rank_seconds = 0.0;       // step 5: chain walk + candidates + ranking
-  double pattern_seconds = 0.0;    // step 6 (including the slice fallback retry)
-  double score_seconds = 0.0;      // step 7
-
-  // Node-local pass telemetry: per-pass run / cache-hit / seconds counters
-  // and the artifact-store population behind them. NOT serialized by the wire
-  // codec (the fields above keep their exact encoding); a decoded report
-  // carries zeroes here.
+  // Per-pass run / cache-hit / seconds counters, cumulative over every
+  // bundle the server built a trace for and every Diagnose() up to this
+  // report: the one timing record. The report codec carries it, so a decoded report reads the
+  // sender's table. `artifacts` is the store population behind the hits.
   engine::PassStatsTable passes{};
   engine::ArtifactStore::Stats artifacts;
+
+  // Analysis wall time, steps 2-7: the pass seconds from kTraceProcess
+  // through kScore, failing and success bundles alike. kRepair is left out;
+  // it suggests a fix after the diagnosis is made.
+  double AnalysisSeconds() const {
+    double seconds = 0.0;
+    for (size_t i = static_cast<size_t>(engine::PassId::kTraceProcess);
+         i <= static_cast<size_t>(engine::PassId::kScore); ++i) {
+      seconds += passes[i].seconds;
+    }
+    return seconds;
+  }
 
   double TraceReduction() const {
     return executed_instructions == 0
@@ -92,11 +97,6 @@ struct DiagnosisReport {
   trace::DegradationReport degradation;
   trace::ConfidenceTier confidence = trace::ConfidenceTier::kFull;
   StageStats stages;
-  // Server-side analysis wall time for the most recent trace (steps 2-7).
-  double analysis_seconds = 0.0;
-  // Cumulative server-side analysis wall time over every accepted bundle plus
-  // this report's scoring -- the number the latency benches should charge.
-  double total_analysis_seconds = 0.0;
   size_t failing_traces = 0;
   size_t success_traces = 0;
   // kRepair output: set only when Options::repair.enabled (the plan requires
@@ -111,8 +111,6 @@ class DiagnosisServer {
   struct Options {
     trace::TraceOptions trace;
     PatternComputeOptions patterns;
-    // Paper: at most 10x as many successful traces as failing ones.
-    size_t success_trace_multiplier = 10;
     // Ablation knobs (all on = Lazy Diagnosis as published).
     bool use_scope_restriction = true;  // off: whole-program points-to
     bool use_type_ranking = true;       // off: all candidates rank 1 in id order
@@ -172,7 +170,7 @@ class DiagnosisServer {
   bool HasFailure() const { return !engine_.failing_traces().empty(); }
   size_t NumSuccessTraces() const { return engine_.success_traces().size(); }
   size_t SuccessTraceCap() const {
-    return options_.success_trace_multiplier * engine_.failing_traces().size();
+    return kSuccessTraceMultiplier * engine_.failing_traces().size();
   }
 
   // Step 7: scores the computed patterns over all received traces. The
@@ -249,7 +247,7 @@ class DiagnosisServer {
     return HasFailure() && NumSuccessTraces() >= SuccessTraceCap();
   }
   void RecordRejection(const char* what, const support::Status& status);
-  // Maps engine stage counts + the pass table into the wire-stable StageStats.
+  // Maps engine stage counts + the pass table into StageStats.
   StageStats BuildStageStats() const;
   static engine::EngineOptions MakeEngineOptions(const Options& options);
   // Steps 2-3 for one bundle: validation, then the trace -- served from the
@@ -292,8 +290,6 @@ class DiagnosisServer {
   // logged_keys_ below.
   engine::ArtifactStore decode_cache_;
   trace::DegradationReport degradation_;
-  double last_analysis_seconds_ = 0.0;
-  double total_analysis_seconds_ = 0.0;
 
   // Every accepted evidence bundle, once per key, with the trace built from
   // it: the source of each full evidence record a sink receives, and what a

@@ -19,25 +19,6 @@ using support::ByteReader;
 using support::Status;
 using support::StatusCode;
 
-// Varint-encoded element count with the same hostile-input posture as
-// ByteReader::Count(): capped, and never promising more elements than bytes
-// remain (every element below is at least one byte).
-size_t ReadCount(ByteReader* r, size_t max = support::kMaxVectorElements) {
-  const uint64_t n = r->Varint();
-  if (!r->ok()) {
-    return 0;
-  }
-  if (n > max) {
-    r->MarkCorrupt("element count over cap");
-    return 0;
-  }
-  if (n > r->remaining()) {
-    r->MarkCorrupt("element count exceeds remaining bytes");
-    return 0;
-  }
-  return static_cast<size_t>(n);
-}
-
 // Leading codec version byte; a mismatch is version skew, not corruption.
 bool ReadVersion(ByteReader* r, Status* bad) {
   const uint8_t v = r->U8();
@@ -134,7 +115,7 @@ void EncodeObjectSet(const analysis::ObjectSet& s, std::vector<uint8_t>* out) {
 }
 
 void DecodeObjectSet(ByteReader* r, analysis::ObjectSet* out) {
-  const size_t n = ReadCount(r);
+  const size_t n = r->Count();
   uint32_t prev = 0;
   for (size_t i = 0; i < n && r->ok(); ++i) {
     const uint64_t delta = r->Varint();
@@ -163,7 +144,7 @@ void EncodePattern(const engine::BugPattern& p, std::vector<uint8_t>* out) {
 
 void DecodePattern(ByteReader* r, engine::BugPattern* out) {
   const uint8_t kind = r->U8();
-  const size_t n = ReadCount(r);
+  const size_t n = r->Count();
   out->events.clear();
   out->events.reserve(n);
   for (size_t i = 0; i < n && r->ok(); ++i) {
@@ -200,7 +181,7 @@ void EncodeRankedBody(const engine::RankedCandidatesArtifact& a,
 
 void DecodeRankedBody(ByteReader* r, const ir::Module* module,
                       engine::RankedCandidatesArtifact* out) {
-  const size_t n = ReadCount(r);
+  const size_t n = r->Count();
   out->ranked.clear();
   out->ranked.reserve(n);
   for (size_t i = 0; i < n && r->ok(); ++i) {
@@ -292,7 +273,7 @@ struct PointsToSerDes {
   static void Decode(support::ByteReader* r, const ir::Module* module,
                      PointsToResult* out) {
     out->module_ = module;
-    const size_t objects = snorlax::ReadCount(r);
+    const size_t objects = r->Count();
     out->objects_.clear();
     out->objects_.reserve(objects);
     for (size_t i = 0; i < objects && r->ok(); ++i) {
@@ -319,8 +300,8 @@ struct PointsToSerDes {
     // the rep_ table size in dense mode, the explicit count in sparse mode.
     size_t var_bound = 0;
     if (out->sparse_) {
-      var_bound = snorlax::ReadCount(r);
-      const size_t queried = snorlax::ReadCount(r, var_bound);
+      var_bound = r->Count();
+      const size_t queried = r->Count(var_bound);
       for (size_t i = 0; i < queried && r->ok(); ++i) {
         const uint64_t var = r->Varint();
         if (r->ok() && var >= var_bound) {
@@ -330,12 +311,12 @@ struct PointsToSerDes {
         snorlax::DecodeObjectSet(r, &out->sparse_pts_[static_cast<uint32_t>(var)]);
       }
     } else {
-      const size_t vars = snorlax::ReadCount(r);
+      const size_t vars = r->Count();
       out->var_pts_.resize(vars);
       for (size_t i = 0; i < vars && r->ok(); ++i) {
         snorlax::DecodeObjectSet(r, &out->var_pts_[i]);
       }
-      const size_t reps = snorlax::ReadCount(r);
+      const size_t reps = r->Count();
       out->rep_.reserve(reps);
       for (size_t i = 0; i < reps && r->ok(); ++i) {
         const uint64_t rep = r->Varint();
@@ -347,13 +328,13 @@ struct PointsToSerDes {
       }
       var_bound = reps;
     }
-    const size_t bases = snorlax::ReadCount(r);
+    const size_t bases = r->Count();
     out->func_reg_base_.clear();
     out->func_reg_base_.reserve(bases);
     for (size_t i = 0; i < bases && r->ok(); ++i) {
       out->func_reg_base_.push_back(static_cast<uint32_t>(r->Varint()));
     }
-    const size_t accesses = snorlax::ReadCount(r);
+    const size_t accesses = r->Count();
     out->accesses_.clear();
     out->accesses_.reserve(accesses);
     for (size_t i = 0; i < accesses && r->ok(); ++i) {
@@ -500,7 +481,7 @@ support::Status DecodeDerefChains(std::span<const uint8_t> bytes,
   if (!ReadVersion(&r, &bad)) {
     return bad;
   }
-  const size_t n = ReadCount(&r);
+  const size_t n = r.Count();
   out->chain.clear();
   out->chain.reserve(n);
   for (size_t i = 0; i < n && r.ok(); ++i) {
@@ -577,7 +558,7 @@ support::Status DecodePatternSet(std::span<const uint8_t> bytes,
   if (!ReadVersion(&r, &bad)) {
     return bad;
   }
-  const size_t n = ReadCount(&r);
+  const size_t n = r.Count();
   out->patterns.clear();
   out->patterns.reserve(n);
   for (size_t i = 0; i < n && r.ok(); ++i) {
@@ -613,7 +594,7 @@ support::Status DecodeF1Scores(std::span<const uint8_t> bytes,
   if (!ReadVersion(&r, &bad)) {
     return bad;
   }
-  const size_t n = ReadCount(&r);
+  const size_t n = r.Count();
   out->scored.clear();
   out->scored.reserve(n);
   for (size_t i = 0; i < n && r.ok(); ++i) {
@@ -674,14 +655,14 @@ support::Status DecodeRepairPlan(std::span<const uint8_t> bytes,
   }
   out->target = static_cast<rt::FailureKind>(target);
   out->confirmed_patterns = static_cast<size_t>(r.Varint());
-  const size_t n = ReadCount(&r);
+  const size_t n = r.Count();
   out->candidates.clear();
   out->candidates.reserve(n);
   for (size_t i = 0; i < n && r.ok(); ++i) {
     RepairCandidate c;
     DecodePattern(&r, &c.pattern);
     c.f1 = r.F64();
-    const size_t num_globals = ReadCount(&r);
+    const size_t num_globals = r.Count();
     for (size_t g = 0; g < num_globals && r.ok(); ++g) {
       ir::PatchGlobal pg;
       const uint8_t kind = r.U8();
@@ -693,7 +674,7 @@ support::Status DecodeRepairPlan(std::span<const uint8_t> bytes,
       pg.name = r.String();
       c.patch.globals.push_back(std::move(pg));
     }
-    const size_t num_edits = ReadCount(&r);
+    const size_t num_edits = r.Count();
     for (size_t e = 0; e < num_edits && r.ok(); ++e) {
       ir::PatchEdit pe;
       const uint8_t kind = r.U8();

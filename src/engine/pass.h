@@ -5,10 +5,10 @@
 // artifacts (engine/artifact.h). A pass either *runs* (recomputes its output
 // because a declared input changed) or takes a *cache hit* (its output for
 // the current input content-hash is already in the ArtifactStore). Every
-// run/hit/duration is counted per pass -- this table is the single counter
-// interface the server, the benches, and `snorlax_cli diagnose --explain`
-// read; the ad-hoc counters it replaced (`solver_runs()` and the PR 2
-// two-level cache bookkeeping) are gone.
+// run/hit/duration is counted per pass, and this table is the one timing
+// record: the server's reports (core::StageStats::AnalysisSeconds() sums its
+// steps 2-7), the report codec, the benches and `snorlax_cli diagnose
+// --explain` all read it, and no other clock times the same work.
 #ifndef SNORLAX_ENGINE_PASS_H_
 #define SNORLAX_ENGINE_PASS_H_
 

@@ -6,7 +6,6 @@
 
 #include "analysis/points_to.h"
 #include "support/check.h"
-#include "support/profiler.h"
 
 namespace snorlax::engine {
 
@@ -343,36 +342,32 @@ class IndexedCrashEngine {
     scratch_.b_state.assign(candidates_.size(), 0);
     scratch_.b_max_ts_lo.assign(candidates_.size(), 0);
 
-    {
-      SNORLAX_PROFILE("patterns.order_phase");
-      for (size_t i = 0; i < candidates_.size(); ++i) {
-        if (builder_.Full()) {
-          return;
-        }
-        const bool a_is_write = scratch_.is_write[i] != 0;
-        if (!a_is_write && !f_is_write_) {
-          continue;  // a race needs at least one write
-        }
-        if (!scratch_.alias_ok[i]) {
-          continue;
-        }
-        const uint8_t v = OrderVerdict(i);
-        if ((v & 1) != 0) {
-          builder_.AddCrash(OrderKind(a_is_write, f_is_write_),
-                            {PatternEvent{candidates_[i]->id(), 1},
-                             PatternEvent{f_inst_->id(), 0}});
-        } else if ((v & 2) != 0) {
-          builder_.StashUnorderedCrash(OrderKind(a_is_write, f_is_write_),
-                                       {PatternEvent{candidates_[i]->id(), 1},
-                                        PatternEvent{f_inst_->id(), 0}});
-        }
+    for (size_t i = 0; i < candidates_.size(); ++i) {
+      if (builder_.Full()) {
+        return;
+      }
+      const bool a_is_write = scratch_.is_write[i] != 0;
+      if (!a_is_write && !f_is_write_) {
+        continue;  // a race needs at least one write
+      }
+      if (!scratch_.alias_ok[i]) {
+        continue;
+      }
+      const uint8_t v = OrderVerdict(i);
+      if ((v & 1) != 0) {
+        builder_.AddCrash(OrderKind(a_is_write, f_is_write_),
+                          {PatternEvent{candidates_[i]->id(), 1},
+                           PatternEvent{f_inst_->id(), 0}});
+      } else if ((v & 2) != 0) {
+        builder_.StashUnorderedCrash(OrderKind(a_is_write, f_is_write_),
+                                     {PatternEvent{candidates_[i]->id(), 1},
+                                      PatternEvent{f_inst_->id(), 0}});
       }
     }
 
     // a (failing thread) < b (remote) < f: every EB edge crosses the failing
     // thread, so a suspect failing-thread clock empties the whole phase.
     if (!f_suspect_) {
-      SNORLAX_PROFILE("patterns.atomicity_phase");
       for (size_t i = 0; i < candidates_.size(); ++i) {
         for (size_t j = 0; j < candidates_.size(); ++j) {
           if (builder_.Full()) {
@@ -399,7 +394,6 @@ class IndexedCrashEngine {
     // instance (nothing executes after the failure point) or when the
     // failing thread's clock is suspect.
     if (!f_at_failure_ && !f_suspect_) {
-      SNORLAX_PROFILE("patterns.mid_phase");
       for (size_t i = 0; i < candidates_.size(); ++i) {
         for (size_t j = 0; j < candidates_.size(); ++j) {
           if (builder_.Full()) {
@@ -770,10 +764,7 @@ void ComputeCrashPatterns(const ir::Module& module, const trace::ProcessedTrace&
   scratch.ReserveCandidates(candidates.size());
   FillAliasMask(options, context, candidates, failure_chain, &scratch.alias_ok, result);
 
-  {
-    SNORLAX_PROFILE("patterns.anchors");
-    FailingAnchors(trace, failure, failure_chain, &scratch.anchors);
-  }
+  FailingAnchors(trace, failure, failure_chain, &scratch.anchors);
 
   IndexedCrashEngine engine(module, trace, candidates, options, context, scratch, builder,
                             result);
@@ -981,7 +972,6 @@ PatternComputeResult ComputePatterns(const ir::Module& module,
                                      const std::vector<const ir::Instruction*>& failure_chain,
                                      const PatternComputeOptions& options,
                                      const PatternComputeContext& context) {
-  SNORLAX_PROFILE("patterns.compute");
   PatternComputeResult result;
   PatternBuilder builder(options, &result);
   PatternScratch scratch;

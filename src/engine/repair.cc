@@ -4,7 +4,6 @@
 #include <map>
 
 #include "support/check.h"
-#include "support/profiler.h"
 #include "support/str.h"
 
 namespace snorlax::engine {
@@ -460,7 +459,6 @@ Result<std::vector<Patch>> BuildPatchVariants(const ir::Module& module,
 RepairPlan BuildRepairPlan(const ir::Module& module,
                            const std::vector<DiagnosedPattern>& scored,
                            rt::FailureKind target, const RepairOptions& options) {
-  SNORLAX_PROFILE("engine.repair.build");
   RepairPlan plan;
   plan.target = target;
   const std::vector<size_t> confirmed = ConfirmedPatternIndices(scored, options);
@@ -485,7 +483,6 @@ RepairPlan BuildRepairPlan(const ir::Module& module,
       c.status = RepairStatus::kBuilt;
       if (options.validate &&
           !(options.stop_on_validated && plan.HasValidatedFix())) {
-        SNORLAX_PROFILE("engine.repair.validate");
         rt::RepairTrialOptions trial;
         trial.entry = options.entry;
         trial.interp = options.interp;

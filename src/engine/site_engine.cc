@@ -8,7 +8,6 @@
 #include "analysis/slicer.h"
 #include "pt/encoder.h"
 #include "support/check.h"
-#include "support/profiler.h"
 #include "support/str.h"
 
 namespace snorlax::engine {
@@ -352,15 +351,7 @@ Status SiteEngine::AddFailingTrace(std::shared_ptr<const trace::ProcessedTrace> 
       }
     }
     const auto start = std::chrono::steady_clock::now();
-    support::Profiler& prof = support::Profiler::Global();
-    T result = [&] {
-      // Per-pass profiler row (engine.pass.<name>); registration is memoized
-      // by label inside the profiler, and passes run at most a handful of
-      // times per bundle, so the dynamic label lookup is off the hot path.
-      support::Profiler::Scope scope(prof,
-                                     prof.Register(StrFormat("engine.pass.%s", PassName(id))));
-      return compute();
-    }();
+    T result = compute();
     const double seconds = SecondsSince(start);
     ++stats.runs;
     stats.seconds += seconds;
@@ -481,7 +472,7 @@ Status SiteEngine::AddFailingTrace(std::shared_ptr<const trace::ProcessedTrace> 
   return Status::Ok();
 }
 
-ScoreOutcome SiteEngine::Score() {
+const F1ScoresArtifact& SiteEngine::Score() {
   PassStats& stats = StatsFor(pass_stats_, PassId::kScore);
   // Repeated Score() calls would stack entries; keep only the latest verdict.
   last_run_.erase(std::remove_if(last_run_.begin(), last_run_.end(),
@@ -491,12 +482,8 @@ ScoreOutcome SiteEngine::Score() {
     ++stats.cache_hits;
     last_run_.push_back(
         PassTrace{PassId::kScore, false, true, 0.0, 0, "evidence and patterns unchanged"});
-    ScoreOutcome out = last_score_;
-    out.cache_hit = true;
-    out.seconds = 0.0;
-    return out;
+    return last_scores_;
   }
-  SNORLAX_PROFILE("engine.pass.score");
   const auto start = std::chrono::steady_clock::now();
   const size_t prev_failing = score_states_.empty() ? 0 : score_states_[0].failing_seen;
   const size_t prev_success = score_states_.empty() ? 0 : score_states_[0].success_seen;
@@ -551,9 +538,9 @@ ScoreOutcome SiteEngine::Score() {
       StrFormat("+%zu failing / +%zu success traces, %zu patterns",
                 failing_traces_.size() - prev_failing, success_traces_.size() - prev_success,
                 patterns_.size())});
-  last_score_ = ScoreOutcome{std::move(scores), seconds, false};
+  last_scores_ = std::move(scores);
   scores_dirty_ = false;
-  return last_score_;
+  return last_scores_;
 }
 
 // Covers everything the pass reads: the scored report content (pattern
@@ -603,8 +590,8 @@ std::shared_ptr<const RepairPlan> SiteEngine::Repair() {
   if (first_failing == nullptr) {
     return nullptr;
   }
-  const ScoreOutcome outcome = Score();  // plan always follows current evidence
-  const uint64_t key = RepairKey(outcome.scores);
+  const F1ScoresArtifact& scores = Score();  // plan always follows current evidence
+  const uint64_t key = RepairKey(scores);
   PassStats& stats = StatsFor(pass_stats_, PassId::kRepair);
   last_run_.erase(std::remove_if(last_run_.begin(), last_run_.end(),
                                  [](const PassTrace& p) { return p.id == PassId::kRepair; }),
@@ -620,11 +607,10 @@ std::shared_ptr<const RepairPlan> SiteEngine::Repair() {
       return repair_plan_;
     }
   }
-  SNORLAX_PROFILE("engine.pass.repair");
   const auto start = std::chrono::steady_clock::now();
   const rt::FailureKind target = first_failing->failure().kind;
   auto plan = std::make_shared<RepairPlan>(
-      BuildRepairPlan(*module_, outcome.scores.scored, target, options_.repair));
+      BuildRepairPlan(*module_, scores.scored, target, options_.repair));
   const double seconds = SecondsSince(start);
   ++stats.runs;
   stats.seconds += seconds;

@@ -86,12 +86,6 @@ struct StageCounts {
   size_t patterns_generated = 0;
 };
 
-struct ScoreOutcome {
-  F1ScoresArtifact scores;  // best-first, ScorePatterns order
-  double seconds = 0.0;     // wall time of this call (0-ish on a cache hit)
-  bool cache_hit = false;
-};
-
 class SiteEngine {
  public:
   SiteEngine(const ir::Module* module, EngineOptions options);
@@ -112,9 +106,11 @@ class SiteEngine {
   void RecordTraceProcess(double seconds, bool cache_hit = false);
 
   // Step 7. Folds evidence added since the last call into the per-pattern
-  // confusion counts and rebuilds the ranked report; returns the cached
-  // report (kScore cache hit) when nothing changed.
-  ScoreOutcome Score();
+  // confusion counts and rebuilds the ranked report (best-first,
+  // ScorePatterns order); returns the cached report (kScore cache hit) when
+  // nothing changed. The reference stays valid until the next Score() that
+  // finds new evidence.
+  const F1ScoresArtifact& Score();
 
   // kRepair: maps each confirmed pattern of the current report (the top-F1
   // tier, see ConfirmedPatternIndices) to a candidate patch and validates it
@@ -236,7 +232,7 @@ class SiteEngine {
   };
   std::vector<ScoreState> score_states_;
   bool scores_dirty_ = true;
-  ScoreOutcome last_score_;
+  F1ScoresArtifact last_scores_;
   std::shared_ptr<const RepairPlan> repair_plan_;
 
   // Dirty-reason bookkeeping for --explain (what changed since the last run).

@@ -16,7 +16,6 @@ using support::ZigzagDecode;
 using support::ZigzagEncode;
 using support::kMaxByteBlob;
 using support::kMaxStringBytes;
-using support::kMaxVectorElements;
 
 // --- varint field access -----------------------------------------------------
 //
@@ -54,23 +53,6 @@ std::string ReadString(ByteReader* r) {
     return {};
   }
   return std::string(reinterpret_cast<const char*>(v.data()), v.size());
-}
-
-// Capped before any allocation: a forged count is a clean kCorruptData.
-size_t ReadCount(ByteReader* r, size_t max = kMaxVectorElements) {
-  const uint64_t n = r->Varint();
-  if (!r->ok()) {
-    return 0;
-  }
-  if (n > max) {
-    r->MarkCorrupt("element count over cap");
-    return 0;
-  }
-  if (n > r->remaining()) {
-    r->MarkCorrupt("element count exceeds remaining bytes");
-    return 0;
-  }
-  return static_cast<size_t>(n);
 }
 
 }  // namespace
@@ -424,7 +406,7 @@ Status DecodeFailureInfoRec(ByteReader* r, rt::FailureInfo* out) {
     return status;
   }
   out->time_ns = r->Varint();
-  const size_t waiters = ReadCount(r);
+  const size_t waiters = r->Count();
   out->deadlock_cycle.clear();
   out->deadlock_cycle.reserve(waiters);
   for (size_t i = 0; i < waiters && r->ok(); ++i) {
@@ -479,7 +461,7 @@ support::Result<PtTraceBundle> DecodeBundle(std::span<const uint8_t> bytes) {
   bundle.trace_version = ReadU32(&r);
   bundle.module_fingerprint = r.Varint();
   DecodePtConfig(&r, &bundle.config);
-  const size_t threads = ReadCount(&r, 4096);
+  const size_t threads = r.Count(4096);
   bundle.threads.clear();
   bundle.threads.reserve(threads);
   for (size_t i = 0; i < threads && r.ok(); ++i) {

@@ -22,22 +22,7 @@ namespace {
 
 // Bumped on any layout change; independent of kReportVersion (the aggregate's
 // semantic generation), which is itself a field inside the record.
-constexpr uint8_t kReportCodecVersion = 2;
-
-// Varint-encoded element count (pairing AppendVarint) with the same
-// hostile-input posture as ByteReader::Count(): capped, and never promising
-// more elements than bytes remain.
-size_t ReadCount(ByteReader* r, size_t max = support::kMaxVectorElements) {
-  const uint64_t n = r->Varint();
-  if (!r->ok()) {
-    return 0;
-  }
-  if (n > max || n > r->remaining()) {
-    r->MarkCorrupt("element count out of range");
-    return 0;
-  }
-  return static_cast<size_t>(n);
-}
+constexpr uint8_t kReportCodecVersion = 3;
 
 void EncodeValue(const rt::Value& v, std::vector<uint8_t>* out) {
   AppendU8(out, static_cast<uint8_t>(v.kind));
@@ -79,7 +64,7 @@ Status DecodeFailure(ByteReader* r, rt::FailureInfo* out) {
   out->thread = r->U32();
   (void)DecodeValue(r, &out->operand);
   out->time_ns = r->U64();
-  const size_t waiters = ReadCount(r);
+  const size_t waiters = r->Count();
   out->deadlock_cycle.clear();
   out->deadlock_cycle.reserve(waiters);
   for (size_t i = 0; i < waiters && r->ok(); ++i) {
@@ -117,7 +102,7 @@ void EncodePattern(const core::DiagnosedPattern& p, std::vector<uint8_t>* out) {
 Status DecodePattern(ByteReader* r, core::DiagnosedPattern* p) {
   const uint8_t kind = r->U8();
   p->pattern.ordered = r->U8() != 0;
-  const size_t events = ReadCount(r);
+  const size_t events = r->Count();
   p->pattern.events.clear();
   p->pattern.events.reserve(events);
   for (size_t i = 0; i < events && r->ok(); ++i) {
@@ -172,7 +157,7 @@ void DecodeDegradation(ByteReader* r, trace::DegradationReport* d) {
   d->hypothesis_fallback = r->U8() != 0;
   d->slice_fallback = r->U8() != 0;
   d->failure_record_unusable = r->U8() != 0;
-  const size_t notes = ReadCount(r);
+  const size_t notes = r->Count();
   d->notes.clear();
   d->notes.reserve(notes);
   for (size_t i = 0; i < notes && r->ok(); ++i) {
@@ -187,13 +172,8 @@ void EncodeStages(const core::StageStats& s, std::vector<uint8_t>* out) {
   AppendU64(out, s.rank1_candidates);
   AppendU64(out, s.patterns_generated);
   AppendU64(out, s.top_f1_patterns);
-  AppendF64(out, s.trace_seconds);
-  AppendF64(out, s.points_to_seconds);
-  AppendF64(out, s.rank_seconds);
-  AppendF64(out, s.pattern_seconds);
-  AppendF64(out, s.score_seconds);
-  // The node-local telemetry: the per-pass table and the artifact-store
-  // counters behind it.
+  // The pass table (the one timing record) and the artifact-store counters
+  // behind its cache hits.
   AppendVarint(out, engine::kNumPasses);
   for (const engine::PassStats& p : s.passes) {
     AppendU64(out, p.runs);
@@ -216,14 +196,9 @@ void DecodeStages(ByteReader* r, core::StageStats* s) {
   s->rank1_candidates = r->U64();
   s->patterns_generated = r->U64();
   s->top_f1_patterns = r->U64();
-  s->trace_seconds = r->F64();
-  s->points_to_seconds = r->F64();
-  s->rank_seconds = r->F64();
-  s->pattern_seconds = r->F64();
-  s->score_seconds = r->F64();
   // A peer built against a different pass set still decodes: extra passes are
   // dropped, missing ones stay zero.
-  const size_t passes = ReadCount(r, 256);
+  const size_t passes = r->Count(256);
   for (size_t i = 0; i < passes && r->ok(); ++i) {
     engine::PassStats p;
     p.runs = r->U64();
@@ -268,8 +243,6 @@ void EncodeReport(const Report& report, std::vector<uint8_t>* out) {
   EncodeDegradation(d.degradation, out);
   AppendU8(out, static_cast<uint8_t>(d.confidence));
   EncodeStages(d.stages, out);
-  AppendF64(out, d.analysis_seconds);
-  AppendF64(out, d.total_analysis_seconds);
   AppendU64(out, d.failing_traces);
   AppendU64(out, d.success_traces);
   // The repair plan rides as a length-prefixed sub-record in the engine's own
@@ -307,7 +280,7 @@ Status DecodeReport(std::span<const uint8_t> bytes, const ir::Module* module,
   if (!status.ok()) {
     return status;
   }
-  const size_t patterns = ReadCount(&r);
+  const size_t patterns = r.Count();
   d.patterns.clear();
   d.patterns.reserve(patterns);
   for (size_t i = 0; i < patterns && r.ok(); ++i) {
@@ -326,8 +299,6 @@ Status DecodeReport(std::span<const uint8_t> bytes, const ir::Module* module,
   }
   d.confidence = static_cast<trace::ConfidenceTier>(confidence);
   DecodeStages(&r, &d.stages);
-  d.analysis_seconds = r.F64();
-  d.total_analysis_seconds = r.F64();
   d.failing_traces = static_cast<size_t>(r.U64());
   d.success_traces = static_cast<size_t>(r.U64());
   d.repair = nullptr;

@@ -260,7 +260,8 @@ std::string RenderText(const Report& report, const ir::Module* module) {
     out += StrFormat("  %s\n", d.failure.description.c_str());
   }
   out += StrFormat("evidence: %zu failing + %zu successful traces; analysis %.1f ms\n",
-                   d.failing_traces, d.success_traces, d.analysis_seconds * 1000.0);
+                   d.failing_traces, d.success_traces,
+                   d.stages.AnalysisSeconds() * 1000.0);
   out += StrFormat("confidence: %s%s\n", trace::ConfidenceTierName(d.confidence),
                    d.hypothesis_violated ? " (hypothesis violated)" : "");
   if (report.transport.remote) {
@@ -340,7 +341,7 @@ std::string RenderJson(const Report& report, const ir::Module* module) {
   w.Field("rank1_candidates", static_cast<uint64_t>(d.stages.rank1_candidates));
   w.Field("patterns_generated", static_cast<uint64_t>(d.stages.patterns_generated));
   w.Field("top_f1_patterns", static_cast<uint64_t>(d.stages.top_f1_patterns));
-  w.Field("analysis_seconds", d.total_analysis_seconds, 6);
+  w.Field("analysis_seconds", d.stages.AnalysisSeconds(), 6);
   w.Key("passes").BeginArray();
   for (size_t i = 0; i < engine::kNumPasses; ++i) {
     const engine::PassStats& p = d.stages.passes[i];

@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include "support/check.h"
-#include "support/profiler.h"
 #include "support/str.h"
 
 namespace snorlax::rt {
@@ -145,7 +144,6 @@ void Interpreter::NotifyRetired(SimThread& thread, const ir::Instruction* inst) 
 }
 
 RunResult Interpreter::Run(const std::string& entry) {
-  SNORLAX_PROFILE("interp.run");
   SNORLAX_CHECK_MSG(!ran_, "Interpreter::Run is one-shot");
   ran_ = true;
   const ir::Function* main_func = module_->FindFunction(entry);

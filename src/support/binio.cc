@@ -232,7 +232,7 @@ std::span<const uint8_t> ByteReader::BytesView() {
 }
 
 size_t ByteReader::Count(size_t max) {
-  const uint32_t n = U32();
+  const uint64_t n = Varint();
   if (!status_.ok()) {
     return 0;
   }
@@ -246,7 +246,7 @@ size_t ByteReader::Count(size_t max) {
     Fail("element count exceeds remaining bytes");
     return 0;
   }
-  return n;
+  return static_cast<size_t>(n);
 }
 
 support::Status ByteReader::ExpectExhausted() {

@@ -87,8 +87,10 @@ class ByteReader {
   // the buffer the reader was constructed over is alive and unmodified.
   std::span<const uint8_t> View(size_t n);
   std::span<const uint8_t> BytesView();  // u32 length prefix, like Bytes()
-  // Element count for a vector about to be decoded; fails the reader when it
-  // exceeds `max` (default kMaxVectorElements).
+  // Varint element count for a vector about to be decoded (pairs with
+  // AppendVarint). Capped before any allocation: fails the reader when it
+  // exceeds `max` (default kMaxVectorElements) or the bytes that remain,
+  // since every element takes at least one byte.
   size_t Count(size_t max = kMaxVectorElements);
 
   bool ok() const { return status_.ok(); }

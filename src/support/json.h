@@ -1,8 +1,7 @@
 // One JSON emitter for the whole tree. Every machine-readable dump -- the
-// profiler's --profile output, the bench BENCH_*.json lines, the report
-// renderer's --report=json/sarif documents -- builds its text through this
-// writer, so string escaping and number formatting exist in exactly one
-// place.
+// bench BENCH_*.json lines, the report renderer's --report=json/sarif
+// documents -- builds its text through this writer, so string escaping and
+// number formatting exist in exactly one place.
 //
 // The writer is a streaming builder: values are appended in document order
 // and commas/colons are inserted automatically from a small nesting stack.

@@ -5,7 +5,6 @@
 
 #include "support/check.h"
 #include "support/hash.h"
-#include "support/profiler.h"
 #include "support/str.h"
 
 namespace snorlax::trace {
@@ -404,7 +403,6 @@ void ProcessedTrace::SortAndIndex(const std::vector<ThreadRun>& runs, bool runs_
 }
 
 void ProcessedTrace::FinalizeIndex(bool thread_events_built) {
-  SNORLAX_PROFILE("trace.finalize_index");
   const uint32_t n = static_cast<uint32_t>(col_inst_.size());
 
   if (!thread_events_built) {

@@ -28,6 +28,7 @@
 #include "net/agent.h"
 #include "net/cluster_agent.h"
 #include "net/daemon.h"
+#include "net/socket.h"
 #include "trace/processed_trace.h"
 #include "wire/ring.h"
 
@@ -212,38 +213,78 @@ TEST(ClusterTest, RestartedDaemonServesFromLogWithoutReingest) {
   daemon.Stop();
 }
 
+TEST(ClusterTest, BringUpRetriesOnlyAddressInUseAndSurfacesTheLastError) {
+  // A port another listener holds: every attempt fails with address-in-use,
+  // and the third failure is returned.
+  auto holder = net::Socket::Listen(0);
+  ASSERT_TRUE(holder.ok()) << holder.status().ToString();
+  const uint16_t taken = holder.value().local_port();
+  int calls = 0;
+  const support::Status held = bench::RetryOnAddressInUse([&] {
+    ++calls;
+    return net::Socket::Listen(taken).status();
+  });
+  EXPECT_FALSE(held.ok());
+  EXPECT_EQ(calls, 3);
+
+  // Any other failure is not retried.
+  calls = 0;
+  EXPECT_EQ(bench::RetryOnAddressInUse([&] {
+              ++calls;
+              return support::Status::Error(support::StatusCode::kInvalidArgument, "bad");
+            }).code(),
+            support::StatusCode::kInvalidArgument);
+  EXPECT_EQ(calls, 1);
+
+  // A bring-up that loses a port gets a fresh, distinct port set.
+  std::vector<std::vector<uint16_t>> tried;
+  const support::Status started =
+      bench::StartOnFreshPorts(2, [&](const std::vector<uint16_t>& ports) {
+        tried.push_back(ports);
+        return tried.size() == 1 ? net::Socket::Listen(taken).status() : support::Status::Ok();
+      });
+  EXPECT_TRUE(started.ok()) << started.ToString();
+  ASSERT_EQ(tried.size(), 2u);
+  for (const std::vector<uint16_t>& ports : tried) {
+    ASSERT_EQ(ports.size(), 2u);
+    EXPECT_NE(ports[0], ports[1]);
+  }
+}
+
 // Two daemons sharing a ring; returns per-site owners under that ring.
 struct TwoNodeCluster {
   std::unique_ptr<net::DiagnosisDaemon> a;  // node 1
   std::unique_ptr<net::DiagnosisDaemon> b;  // node 2
   wire::RingTopology ring;
+  support::Status started;  // tests assert on it before touching a or b
 
   explicit TwoNodeCluster(const std::vector<bench::CapturedSite>& sites) {
-    auto reserve = [] {
-      auto listener = net::Socket::Listen(0);
-      EXPECT_TRUE(listener.ok());
-      net::Socket sock = listener.take();
-      const uint16_t port = sock.local_port();
-      sock.Close();
-      return port;
-    };
-    const uint16_t port_a = reserve();
-    const uint16_t port_b = reserve();
-    const std::vector<wire::RingMember> members = {
-        {1, "127.0.0.1", port_a}, {2, "127.0.0.1", port_b}};
-    for (int node = 1; node <= 2; ++node) {
-      net::DaemonOptions dopts;
-      dopts.port = node == 1 ? port_a : port_b;
-      dopts.node_id = node;
-      dopts.members = members;
-      auto daemon = std::make_unique<net::DiagnosisDaemon>(dopts);
-      for (const bench::CapturedSite& site : sites) {
-        daemon->RegisterModule(site.workload.module.get());
+    started = bench::StartOnFreshPorts(2, [&](const std::vector<uint16_t>& ports) {
+      const std::vector<wire::RingMember> members = {
+          {1, "127.0.0.1", ports[0]}, {2, "127.0.0.1", ports[1]}};
+      a.reset();
+      b.reset();
+      for (int node = 1; node <= 2; ++node) {
+        net::DaemonOptions dopts;
+        dopts.port = ports[node - 1];
+        dopts.node_id = node;
+        dopts.members = members;
+        auto daemon = std::make_unique<net::DiagnosisDaemon>(dopts);
+        for (const bench::CapturedSite& site : sites) {
+          daemon->RegisterModule(site.workload.module.get());
+        }
+        const support::Status status = daemon->Start();
+        if (!status.ok()) {
+          a.reset();  // stops node 1 when node 2 fails
+          return status;
+        }
+        (node == 1 ? a : b) = std::move(daemon);
       }
-      EXPECT_TRUE(daemon->Start().ok());
-      (node == 1 ? a : b) = std::move(daemon);
+      return support::Status::Ok();
+    });
+    if (started.ok()) {
+      ring = a->topology();
     }
-    ring = a->topology();
   }
 
   uint64_t OwnerOf(const bench::CapturedSite& site) const {
@@ -256,6 +297,7 @@ struct TwoNodeCluster {
 TEST(ClusterTest, WrongShardBundleBouncesWithTopologyAndReroutes) {
   const std::vector<bench::CapturedSite>& sites = Sites();
   TwoNodeCluster cluster(sites);
+  ASSERT_TRUE(cluster.started.ok()) << cluster.started.ToString();
   size_t owned_by_a = 0;
   for (const bench::CapturedSite& site : sites) {
     owned_by_a += cluster.OwnerOf(site) == 1 ? 1 : 0;
@@ -333,6 +375,7 @@ TEST(ClusterTest, WrongShardBundleBouncesWithTopologyAndReroutes) {
 TEST(ClusterTest, DrainHandsOffEverySiteToTheRemainingOwner) {
   const std::vector<bench::CapturedSite>& sites = Sites();
   TwoNodeCluster cluster(sites);
+  ASSERT_TRUE(cluster.started.ok()) << cluster.started.ToString();
   size_t owned_by_a = 0;
   for (const bench::CapturedSite& site : sites) {
     owned_by_a += cluster.OwnerOf(site) == 1 ? 1 : 0;

@@ -95,8 +95,9 @@ report::Report HandBuiltReport() {
   d.stages.rank1_candidates = 12;
   d.stages.artifacts.hits = 5;
   d.stages.artifacts.bytes = 4096;
-  d.analysis_seconds = 0.25;
-  d.total_analysis_seconds = 1.5;
+  engine::StatsFor(d.stages.passes, engine::PassId::kTraceProcess) = {3, 1, 0.25};
+  engine::StatsFor(d.stages.passes, engine::PassId::kScore) = {2, 0, 1.25};
+  engine::StatsFor(d.stages.passes, engine::PassId::kRepair) = {1, 0, 4.0};
   d.failing_traces = 2;
   d.success_traces = 7;
   r.transport.remote = true;
@@ -130,6 +131,13 @@ TEST(ReportCodec, HandBuiltRoundTripIsExact) {
   EXPECT_DOUBLE_EQ(decoded.diagnosis.patterns[0].f1, 0.847);
   ASSERT_EQ(decoded.diagnosis.degradation.notes.size(), 2u);
   EXPECT_EQ(decoded.diagnosis.confidence, trace::ConfidenceTier::kDegraded);
+  const engine::PassStats& trace_process =
+      engine::StatsFor(decoded.diagnosis.stages.passes, engine::PassId::kTraceProcess);
+  EXPECT_EQ(trace_process.runs, 3u);
+  EXPECT_EQ(trace_process.cache_hits, 1u);
+  EXPECT_DOUBLE_EQ(trace_process.seconds, 0.25);
+  // Steps 2-7 only: the repair pass's 4 s is not analysis time.
+  EXPECT_DOUBLE_EQ(decoded.diagnosis.stages.AnalysisSeconds(), 1.5);
   EXPECT_EQ(decoded.diagnosis.repair, nullptr);
   EXPECT_TRUE(decoded.transport.remote);
 }
@@ -166,11 +174,14 @@ TEST(ReportCodec, CodecVersionSkewRejected) {
   std::vector<uint8_t> bytes;
   report::EncodeReport(HandBuiltReport(), &bytes);
   ASSERT_FALSE(bytes.empty());
-  bytes[0] = 0xff;
-  report::Report decoded;
-  const support::Status status = report::DecodeReport(bytes, nullptr, &decoded);
-  ASSERT_FALSE(status.ok());
-  EXPECT_EQ(status.code(), support::StatusCode::kVersionMismatch);
+  // 2 is the layout that still carried the per-stage and per-report seconds.
+  for (const uint8_t lead : {uint8_t{2}, uint8_t{0xff}}) {
+    bytes[0] = lead;
+    report::Report decoded;
+    const support::Status status = report::DecodeReport(bytes, nullptr, &decoded);
+    ASSERT_FALSE(status.ok()) << "report codec " << int{lead};
+    EXPECT_EQ(status.code(), support::StatusCode::kVersionMismatch);
+  }
 }
 
 TEST(ReportCodec, EveryTruncationRejectedCleanly) {

@@ -53,7 +53,7 @@ TEST(DiagnosisServer, PipelineStagesPopulate) {
   EXPECT_LE(report.stages.rank1_candidates, report.stages.candidate_instructions);
   EXPECT_GT(report.stages.patterns_generated, 0u);
   EXPECT_FALSE(report.patterns.empty());
-  EXPECT_GT(report.analysis_seconds, 0.0);
+  EXPECT_GT(report.stages.AnalysisSeconds(), 0.0);
   // The failure chain walked back to the pointer load.
   EXPECT_GE(server.failure_chain().size(), 2u);
 }
@@ -231,6 +231,26 @@ TEST(DiagnosisServer, RejectedVariantDoesNotPoisonTheDecodeMemo) {
   EXPECT_TRUE(accepted.ok()) << accepted.ToString();
   EXPECT_EQ(server.NumSuccessTraces(), 1u);
   EXPECT_EQ(server.degradation().rejected_bundles, 1u);
+}
+
+TEST(DiagnosisServer, SuccessTraceProcessingCountsTowardAnalysisTime) {
+  // Steps 2-3 run for a success bundle too, so the analysis time a report
+  // charges must grow by at least that bundle's trace processing.
+  const std::vector<bench::CapturedSite> sites = bench::CaptureSites({"pbzip2_main"}, 1);
+  ASSERT_EQ(sites.size(), 1u);
+  ASSERT_EQ(sites[0].successes.size(), 1u);
+  DiagnosisServer server(sites[0].workload.module.get());
+  ASSERT_TRUE(server.SubmitFailingTrace(sites[0].failing).ok());
+  const double before = server.Diagnose().stages.AnalysisSeconds();
+  const double traced = server.pass_stats(engine::PassId::kTraceProcess).seconds;
+
+  ASSERT_TRUE(server.SubmitSuccessTrace(sites[0].successes[0]).ok());
+  const engine::PassStats trace_process = server.pass_stats(engine::PassId::kTraceProcess);
+  EXPECT_EQ(trace_process.runs, 2u);
+  const double success_seconds = trace_process.seconds - traced;
+  ASSERT_GT(success_seconds, 0.0);
+  const DiagnosisReport after = server.Diagnose();
+  EXPECT_GE(after.stages.AnalysisSeconds() - before, success_seconds);
 }
 
 TEST(DiagnosisServer, AnalysisCacheMissesOnDifferentExecutedSet) {

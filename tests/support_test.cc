@@ -1,10 +1,12 @@
-// Unit tests for the support library: statistics, RNG and string helpers.
+// Unit tests for the support library: statistics, RNG, string helpers and
+// the byte reader's element counts.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cmath>
 #include <vector>
 
+#include "support/binio.h"
 #include "support/rng.h"
 #include "support/stats.h"
 #include "support/str.h"
@@ -141,6 +143,27 @@ TEST(Str, Pad) {
   EXPECT_EQ(PadRight("ab", 5), "ab   ");
   EXPECT_EQ(PadLeft("ab", 5), "   ab");
   EXPECT_EQ(PadRight("abcdef", 3), "abcdef");
+}
+
+TEST(ByteReader, CountReadsACappedVarint) {
+  using support::ByteReader;
+  using support::StatusCode;
+  std::vector<uint8_t> bytes;
+  support::AppendVarint(&bytes, 300);  // two varint bytes
+  bytes.resize(bytes.size() + 300);
+  ByteReader ok(bytes);
+  EXPECT_EQ(ok.Count(), 300u);
+  EXPECT_TRUE(ok.ok());
+
+  ByteReader capped(bytes);
+  EXPECT_EQ(capped.Count(/*max=*/299), 0u);
+  EXPECT_EQ(capped.status().code(), StatusCode::kCorruptData);
+
+  // A count may not promise more elements than bytes remain.
+  bytes.resize(bytes.size() - 1);
+  ByteReader short_read(bytes);
+  EXPECT_EQ(short_read.Count(), 0u);
+  EXPECT_EQ(short_read.status().code(), StatusCode::kCorruptData);
 }
 
 // Property sweep: OrderingAccuracy is symmetric-in-permutation and bounded.

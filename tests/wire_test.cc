@@ -9,6 +9,7 @@
 //   - hostile length fields are clean rejections, not allocations.
 #include <gtest/gtest.h>
 
+#include "engine/pass.h"
 #include "pt/packets.h"
 #include "report/report.h"
 #include "support/rng.h"
@@ -118,10 +119,11 @@ core::DiagnosisReport RandomReport(Rng& rng) {
   }
   report.confidence = static_cast<trace::ConfidenceTier>(rng.NextBelow(3));
   report.stages.module_instructions = rng.NextU64();
-  report.stages.trace_seconds = rng.NextDouble() * 100.0;
-  report.stages.points_to_seconds = rng.NextDouble();
-  report.analysis_seconds = rng.NextDouble();
-  report.total_analysis_seconds = rng.NextDouble();
+  for (engine::PassStats& pass : report.stages.passes) {
+    pass.runs = rng.NextBelow(100);
+    pass.cache_hits = rng.NextBelow(100);
+    pass.seconds = rng.NextDouble() * 100.0;
+  }
   report.failing_traces = rng.NextU64();
   report.success_traces = rng.NextU64();
   return report;

@@ -41,7 +41,6 @@
 #include "pt/driver.h"
 #include "report/render.h"
 #include "runtime/interpreter.h"
-#include "support/profiler.h"
 #include "workloads/generator.h"
 
 using namespace snorlax;
@@ -65,7 +64,6 @@ int Usage() {
       "           timings, artifact keys, dirty reasons;\n"
       "           --pta-tier=exhaustive|demand|auto picks the step-4 solver,\n"
       "           --pta-budget=N caps demand nodes visited before fallback,\n"
-      "           --profile=<path> dumps the hot-path profiler table as JSON,\n"
       "           --report=text|json|sarif picks the output rendering,\n"
       "           --suggest-fix runs the repair pass: patch synthesis per\n"
       "           confirmed pattern + interpreter validation across timing bands)\n"
@@ -230,7 +228,6 @@ struct DiagnoseFlags {
   bool explain = false;
   bool suggest_fix = false;
   report::Format format = report::Format::kText;
-  std::string profile_path;
   PtaFlags pta;
 };
 
@@ -238,11 +235,6 @@ int CmdDiagnose(const std::string& path, const DiagnoseFlags& flags) {
   auto module = LoadModule(path);
   if (module == nullptr) {
     return 1;
-  }
-  if (!flags.profile_path.empty()) {
-    // Switch the always-compiled probes on for this whole diagnosis (the
-    // workload replays and the pipeline both report into the same table).
-    support::Profiler::Global().Enable();
   }
   core::SnorlaxOptions opts;
   opts.client.interp.work_jitter = 0.04;
@@ -278,15 +270,6 @@ int CmdDiagnose(const std::string& path, const DiagnoseFlags& flags) {
   }
   if (flags.explain && !machine) {
     PrintExplain(snorlax.server());
-  }
-  const std::string& profile_path = flags.profile_path;
-  if (!profile_path.empty()) {
-    if (support::Profiler::Global().DumpJson(profile_path)) {
-      std::printf("profile written to %s\n", profile_path.c_str());
-    } else {
-      std::printf("error: cannot write profile to %s\n", profile_path.c_str());
-      return 1;
-    }
   }
   return 0;
 }
@@ -794,12 +777,6 @@ int main(int argc, char** argv) {
       } else if (flag.rfind("--report=", 0) == 0) {
         if (!report::ParseFormat(flag.substr(9), &flags.format)) {
           std::printf("bad --report '%s' (want text|json|sarif)\n", flag.c_str() + 9);
-          return Usage();
-        }
-      } else if (flag.rfind("--profile=", 0) == 0) {
-        flags.profile_path = flag.substr(10);
-        if (flags.profile_path.empty()) {
-          std::printf("bad --profile: empty path\n");
           return Usage();
         }
       } else if (flag.rfind("--pta-tier=", 0) == 0) {
