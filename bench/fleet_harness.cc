@@ -1,9 +1,7 @@
 #include "bench/fleet_harness.h"
 
 #include <algorithm>
-#include <cerrno>
 #include <chrono>
-#include <cstring>
 #include <filesystem>
 #include <memory>
 #include <thread>
@@ -185,10 +183,10 @@ namespace {
 
 constexpr int kBindAttempts = 3;
 
-// Socket::Listen reports a failed bind as "bind: <strerror(errno)>".
+// Socket::Listen reports a port another socket holds as kUnavailable, and
+// nothing else DiagnosisDaemon::Start() can return carries that code.
 bool IsAddressInUse(const support::Status& status) {
-  return !status.ok() &&
-         status.message().find(std::strerror(EADDRINUSE)) != std::string::npos;
+  return status.code() == support::StatusCode::kUnavailable;
 }
 
 std::string WireDigest(std::vector<net::RemoteReport>&& reports) {

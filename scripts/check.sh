@@ -42,6 +42,12 @@ echo "== pattern engine bench (step-5/6 latency per workload; no gate) =="
 echo "== repair loop (catalogue + 64-scenario cohort, validated-fix gate) =="
 "${BUILD_DIR}/bench/bench_repair" --scenarios=64 --json=BENCH_repair.json
 
+echo "== cluster kill/restart (3 daemons; restored reports must be digest-identical) =="
+# Restore and hand-off rebuild every evidence trace from its bundle (success
+# traces as projections), so a restarted daemon must still report what the
+# uninterrupted fleet does. Exits 1 unless identical_reports is true.
+"${BUILD_DIR}/bench/bench_fleet" --daemons=3 --rounds=3 --kill-restart --json=BENCH_fleet.json
+
 echo "== SARIF render sanity (jq, 2.1.0 shape) =="
 "${BUILD_DIR}/snorlax_cli" generate --bug=oltp-atomicity --seed=9 --out=sample_bug.sir
 "${BUILD_DIR}/snorlax_cli" diagnose sample_bug.sir --suggest-fix --report=sarif \

@@ -1,7 +1,5 @@
 #include "engine/statistical.h"
 
-#include <algorithm>
-
 namespace snorlax::engine {
 
 void AccumulatePatternCounts(const BugPattern& pattern, const trace::ProcessedTrace& trace,
@@ -31,46 +29,6 @@ bool DiagnosedPatternBetter(const DiagnosedPattern& a, const DiagnosedPattern& b
     return a.pattern.events.size() > b.pattern.events.size();
   }
   return a.pattern.Key() < b.pattern.Key();
-}
-
-namespace {
-
-DiagnosedPattern ScoreOne(const BugPattern& pattern,
-                          const std::vector<const trace::ProcessedTrace*>& failing_traces,
-                          const std::vector<const trace::ProcessedTrace*>& success_traces) {
-  DiagnosedPattern d;
-  d.pattern = pattern;
-  // Degraded ingests can leave gaps in the trace lists; score over the
-  // survivors rather than trusting the caller to have filtered.
-  for (const trace::ProcessedTrace* t : failing_traces) {
-    if (t != nullptr) {
-      AccumulatePatternCounts(pattern, *t, /*trace_failed=*/true, &d.counts);
-    }
-  }
-  for (const trace::ProcessedTrace* t : success_traces) {
-    if (t != nullptr) {
-      AccumulatePatternCounts(pattern, *t, /*trace_failed=*/false, &d.counts);
-    }
-  }
-  d.precision = d.counts.Precision();
-  d.recall = d.counts.Recall();
-  d.f1 = d.counts.F1();
-  return d;
-}
-
-}  // namespace
-
-std::vector<DiagnosedPattern> ScorePatterns(
-    const std::vector<BugPattern>& patterns,
-    const std::vector<const trace::ProcessedTrace*>& failing_traces,
-    const std::vector<const trace::ProcessedTrace*>& success_traces) {
-  std::vector<DiagnosedPattern> out;
-  out.reserve(patterns.size());
-  for (const BugPattern& pattern : patterns) {
-    out.push_back(ScoreOne(pattern, failing_traces, success_traces));
-  }
-  std::sort(out.begin(), out.end(), DiagnosedPatternBetter);
-  return out;
 }
 
 }  // namespace snorlax::engine

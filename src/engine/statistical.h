@@ -25,23 +25,15 @@ struct DiagnosedPattern {
   ConfusionCounts counts;
 };
 
-// Scores `patterns` against the traces; returns the list sorted by descending
-// F1 (ties broken by pattern size descending -- a more specific pattern with
-// equal evidence is the better root-cause statement -- then by key).
-std::vector<DiagnosedPattern> ScorePatterns(
-    const std::vector<BugPattern>& patterns,
-    const std::vector<const trace::ProcessedTrace*>& failing_traces,
-    const std::vector<const trace::ProcessedTrace*>& success_traces);
-
-// The total order ScorePatterns sorts by, exposed so the incremental scorer
-// (engine/site_engine.cc) provably produces the same report order as a full
-// recompute: best F1 first, then ordered over unordered, then larger event
-// set, then key.
+// The report order: best F1 first, then ordered over unordered, then larger
+// event set (a more specific pattern with equal evidence is the better
+// root-cause statement), then key. A total order, so the incremental scorer
+// (engine/site_engine.cc) reports the same order however evidence arrived.
 bool DiagnosedPatternBetter(const DiagnosedPattern& a, const DiagnosedPattern& b);
 
 // Folds one trace into a pattern's confusion counts. Confusion counts commute
 // over traces, which is what makes incremental re-scoring digest-identical to
-// scoring from scratch; both paths go through this one function.
+// scoring from scratch.
 void AccumulatePatternCounts(const BugPattern& pattern, const trace::ProcessedTrace& trace,
                              bool trace_failed, ConfusionCounts* counts);
 
@@ -49,7 +41,6 @@ void AccumulatePatternCounts(const BugPattern& pattern, const trace::ProcessedTr
 
 namespace snorlax::core {
 using engine::DiagnosedPattern;
-using engine::ScorePatterns;
 }  // namespace snorlax::core
 
 #endif  // SNORLAX_ENGINE_STATISTICAL_H_

@@ -18,9 +18,8 @@ using support::StatusCode;
 
 namespace {
 
-Status Errno(const char* what) {
-  return Status::Error(StatusCode::kInternal,
-                       StrFormat("%s: %s", what, std::strerror(errno)));
+Status Errno(const char* what, StatusCode code = StatusCode::kInternal) {
+  return Status::Error(code, StrFormat("%s: %s", what, std::strerror(errno)));
 }
 
 sockaddr_in LoopbackAddr(uint16_t port) {
@@ -63,7 +62,7 @@ support::Result<Socket> Socket::Listen(uint16_t port, int backlog) {
   (void)::setsockopt(fd, SOL_SOCKET, SO_REUSEADDR, &one, sizeof(one));
   sockaddr_in addr = LoopbackAddr(port);
   if (::bind(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) != 0) {
-    return Errno("bind");
+    return Errno("bind", errno == EADDRINUSE ? StatusCode::kUnavailable : StatusCode::kInternal);
   }
   if (::listen(fd, backlog) != 0) {
     return Errno("listen");

@@ -27,7 +27,8 @@ class Socket {
   Socket& operator=(const Socket&) = delete;
 
   // Listening socket on 127.0.0.1:`port` (0 = kernel-assigned; read the
-  // result back via local_port()).
+  // result back via local_port()). A port another socket holds fails with
+  // kUnavailable, any other failure with kInternal.
   static support::Result<Socket> Listen(uint16_t port, int backlog = 64);
   // Blocking connect to 127.0.0.1:`port`.
   static support::Result<Socket> ConnectLoopback(uint16_t port);

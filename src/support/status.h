@@ -26,7 +26,8 @@ enum class StatusCode : uint8_t {
   kResourceExhausted,  // caps hit (e.g. success-trace budget)
   kInternal,           // unexpected error absorbed by a crash barrier
   kDeadlineExceeded,   // per-site analysis budget expired at a pass boundary
-  kUnavailable,        // peer unreachable after the bounded retry budget
+  kUnavailable,        // peer unreachable after the bounded retry budget, or
+                       // a listen port another socket holds
   kWrongShard,         // site is owned by another cluster member; re-route
 };
 

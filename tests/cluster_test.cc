@@ -224,7 +224,7 @@ TEST(ClusterTest, BringUpRetriesOnlyAddressInUseAndSurfacesTheLastError) {
     ++calls;
     return net::Socket::Listen(taken).status();
   });
-  EXPECT_FALSE(held.ok());
+  EXPECT_EQ(held.code(), support::StatusCode::kUnavailable) << held.ToString();
   EXPECT_EQ(calls, 3);
 
   // Any other failure is not retried.
