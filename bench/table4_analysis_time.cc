@@ -4,11 +4,7 @@
 // larger speedups for larger programs; we grow each workload module with
 // cold library code proportional to the real system's size, so the same
 // trend emerges: the hybrid analysis cost tracks the trace, not the program.
-//
-// The demand column runs the same per-trace pipeline with the step-4 solver
-// switched to the demand-driven CFL-reachability tier (auto budget): the
-// additional speedup on top of scope restriction. --json/--json=<path> emits
-// the BENCH_analysis.json summary line.
+// --json/--json=<path> emits the summary line.
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
@@ -32,13 +28,11 @@ double Seconds(std::chrono::steady_clock::time_point a,
 }
 
 // Minimum full-pipeline seconds per submission over kReps resubmissions of
-// `bundle` under `tier` (cache off; min absorbs scheduler noise).
-double PipelineSeconds(const workloads::Workload& w, const pt::PtTraceBundle& bundle,
-                       analysis::PointsToOptions::Tier tier, int reps,
+// `bundle` (cache off; min absorbs scheduler noise).
+double PipelineSeconds(const workloads::Workload& w, const pt::PtTraceBundle& bundle, int reps,
                        std::unique_ptr<core::DiagnosisServer>* server_out) {
   core::DiagnosisServer::Options sopts;
   sopts.use_analysis_cache = false;
-  sopts.pta_tier = tier;
   auto server = std::make_unique<core::DiagnosisServer>(w.module.get(), sopts);
   server->SubmitFailingTrace(bundle);  // warm-up: builds the module indexes
   double best = 1e18;
@@ -61,11 +55,10 @@ int main(int argc, char** argv) {
   }
 
   struct Row {
-    std::string system, bug_id, insts, hybrid, stat, demand, speedup, demand_x, breakdown;
+    std::string system, bug_id, insts, hybrid, stat, speedup, breakdown;
   };
   std::vector<Row> rows;
   std::vector<double> speedups;
-  std::vector<double> demand_speedups;
   std::string workload_json;
 
   for (const workloads::WorkloadInfo& info : workloads::AllWorkloads()) {
@@ -84,17 +77,16 @@ int main(int argc, char** argv) {
       }
     }
     if (!bundle.has_value()) {
-      rows.push_back({w.system, w.bug_id, "-", "-", "-", "-", "-", "-", "-"});
+      rows.push_back({w.system, w.bug_id, "-", "-", "-", "-", "-"});
       continue;
     }
 
-    // Hybrid: the full per-trace server pipeline (steps 2-6), exhaustive
-    // solver. Minimum over repetitions: wall-time medians/means absorb
-    // scheduler noise the comparison is not about.
+    // Hybrid: the full per-trace server pipeline (steps 2-6). Minimum over
+    // repetitions: wall-time medians/means absorb scheduler noise the
+    // comparison is not about.
     const int kReps = 7;
     std::unique_ptr<core::DiagnosisServer> server;
-    const double hybrid_s =
-        PipelineSeconds(w, *bundle, analysis::PointsToOptions::Tier::kExhaustive, kReps, &server);
+    const double hybrid_s = PipelineSeconds(w, *bundle, kReps, &server);
     // Cumulative pass seconds over all kReps+1 submissions: where the hybrid
     // time actually goes (decode, solve, rank = chain walk + type ranking,
     // patterns).
@@ -108,12 +100,6 @@ int main(int argc, char** argv) {
         ms(engine::PassId::kDerefChains) + ms(engine::PassId::kTypeRank),
         ms(engine::PassId::kPatterns));
     server.reset();
-
-    // Demand tier: same pipeline, step 4 answered by CFL-reachability.
-    std::unique_ptr<core::DiagnosisServer> demand_server;
-    const double demand_s =
-        PipelineSeconds(w, *bundle, analysis::PointsToOptions::Tier::kAuto, kReps, &demand_server);
-    demand_server.reset();
 
     // Static baseline: the same inclusion-based analysis over the whole
     // module (what the server would pay without the control-flow trace).
@@ -130,45 +116,36 @@ int main(int argc, char** argv) {
     }
 
     const double speedup = static_s / hybrid_s;
-    const double demand_x = demand_s > 0 ? hybrid_s / demand_s : 0.0;
     speedups.push_back(speedup);
-    demand_speedups.push_back(demand_x);
     rows.push_back({w.system, w.bug_id, StrFormat("%zu", w.module->NumInstructions()),
                     FormatDouble(hybrid_s * 1000, 2), FormatDouble(static_s * 1000, 2),
-                    FormatDouble(demand_s * 1000, 2), FormatDouble(speedup, 1) + "x",
-                    FormatDouble(demand_x, 1) + "x", breakdown});
+                    FormatDouble(speedup, 1) + "x", breakdown});
     workload_json += StrFormat(
         "%s{\"system\":\"%s\",\"bug\":\"%s\",\"insts\":%zu,\"hybrid_ms\":%.3f,"
-        "\"static_ms\":%.3f,\"demand_ms\":%.3f,\"speedup\":%.1f,\"demand_speedup\":%.2f}",
+        "\"static_ms\":%.3f,\"speedup\":%.1f}",
         workload_json.empty() ? "" : ",", w.system.c_str(), w.bug_id.c_str(),
-        w.module->NumInstructions(), hybrid_s * 1000, static_s * 1000, demand_s * 1000,
-        speedup, demand_x);
+        w.module->NumInstructions(), hybrid_s * 1000, static_s * 1000, speedup);
   }
 
-  const std::string json = StrFormat(
-      "{\"bench\":\"table4\",\"workloads\":[%s],\"geomean_speedup\":%.1f,"
-      "\"geomean_demand_speedup\":%.2f}",
-      workload_json.c_str(), GeoMean(speedups), GeoMean(demand_speedups));
+  const std::string json =
+      StrFormat("{\"bench\":\"table4\",\"workloads\":[%s],\"geomean_speedup\":%.1f}",
+                workload_json.c_str(), GeoMean(speedups));
 
   const auto print_human = [&] {
     bench::PrintHeader(
         "Table 4: server-side analysis time and speedup vs whole-program static\n"
         "analysis (paper: avg 2.5 s per trace, geomean speedup 24x, larger for\n"
-        "larger programs; absolute times scale with module size); demand = the\n"
-        "same pipeline under the demand-driven step-4 tier");
-    const std::vector<int> widths = {14, 10, 10, 14, 14, 12, 10, 9, 22};
-    bench::PrintRow({"system", "bug id", "insts", "hybrid [ms]", "static [ms]",
-                     "demand [ms]", "speedup", "demand x", "trace/pt/rank/pat [ms]"},
+        "larger programs; absolute times scale with module size)");
+    const std::vector<int> widths = {14, 10, 10, 14, 14, 10, 22};
+    bench::PrintRow({"system", "bug id", "insts", "hybrid [ms]", "static [ms]", "speedup",
+                     "trace/pt/rank/pat [ms]"},
                     widths);
     for (const Row& r : rows) {
-      bench::PrintRow({r.system, r.bug_id, r.insts, r.hybrid, r.stat, r.demand, r.speedup,
-                       r.demand_x, r.breakdown},
+      bench::PrintRow({r.system, r.bug_id, r.insts, r.hybrid, r.stat, r.speedup, r.breakdown},
                       widths);
     }
-    std::printf(
-        "\ngeometric mean speedup: %.1fx (paper: 24x; grows with program size);\n"
-        "demand tier: a further %.1fx on the full pipeline\n",
-        GeoMean(speedups), GeoMean(demand_speedups));
+    std::printf("\ngeometric mean speedup: %.1fx (paper: 24x; grows with program size)\n",
+                GeoMean(speedups));
   };
   if (const auto st = bench::EmitBenchJson(flags, json, print_human); !st.ok()) {
     return 2;

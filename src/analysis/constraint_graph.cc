@@ -18,7 +18,7 @@ void AddBase(ConstraintGraph* g, uint32_t var, AbstractObject obj) {
 }
 
 // Static (direct-call) argument/result binding; parameters occupy registers
-// [0, num_params). Indirect calls bind lazily in the solvers instead.
+// [0, num_params). Indirect calls bind lazily in the solver instead.
 void BindCallArguments(ConstraintGraph* g, const ir::Function& caller,
                        const ir::Instruction& call, const ir::Function& callee,
                        size_t first_arg_operand) {
@@ -123,7 +123,6 @@ ConstraintGraph BuildConstraintGraph(const ir::Module& module, const PointsToOpt
   SNORLAX_CHECK(options.scope == PointsToOptions::Scope::kWholeProgram ||
                 options.executed != nullptr);
   ConstraintGraph g;
-  g.module = &module;
 
   // Variable layout: register vars per function, then return vars, then
   // object-content vars.
@@ -201,29 +200,6 @@ ConstraintGraph BuildConstraintGraph(const ir::Module& module, const PointsToOpt
     }
   }
   return g;
-}
-
-bool PointerOperandVar(const ConstraintGraph& graph, const ir::Instruction& inst, uint32_t* var) {
-  size_t operand_index;
-  switch (inst.opcode()) {
-    case ir::Opcode::kLoad:
-    case ir::Opcode::kLockAcquire:
-    case ir::Opcode::kLockRelease:
-    case ir::Opcode::kFree:
-      operand_index = 0;
-      break;
-    case ir::Opcode::kStore:
-      operand_index = 1;
-      break;
-    default:
-      return false;
-  }
-  const ir::Operand& op = inst.operand(operand_index);
-  if (!op.IsReg()) {
-    return false;
-  }
-  *var = graph.Var(inst.parent()->parent()->id(), op.reg);
-  return true;
 }
 
 }  // namespace snorlax::analysis

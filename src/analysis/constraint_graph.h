@@ -1,21 +1,17 @@
-// Shared constraint-graph construction for the two points-to solver tiers.
+// Constraint generation for the step-4 points-to analysis (points_to.h).
 //
 // BuildConstraintGraph walks the module once (scope-restricted per the
 // paper's hybrid analysis, section 4.2) and records the Andersen constraint
 // system of Figure 3 as flat, program-ordered lists plus the variable layout
-// both solvers share:
+// the solver uses:
 //
 //   [0, ret_var_base)             register variables, func_reg_base[f] + reg
 //   [ret_var_base, obj_var_base)  one return variable per function
 //   [obj_var_base, num_vars)      one content variable per abstract object
 //
-// The exhaustive AndersenSolver (points_to.cc) replays the lists into its
-// dense worklist state in the same program order the old fused
-// generate-and-solve produced, so its results are unchanged. The demand
-// solver (demand_pta.h) indexes the same lists in reverse and explores only
-// the cone a query reaches. Building once and sharing keeps the two tiers
-// answering over an identical constraint system, so they diagnose
-// identically (tests/golden/catalogue.txt checks both against one line).
+// The AndersenSolver (points_to.cc) replays the lists into its dense
+// worklist state in program order. In executed scope the walk visits only
+// the executed set, so the graph's cost tracks the trace, not the program.
 #ifndef SNORLAX_ANALYSIS_CONSTRAINT_GRAPH_H_
 #define SNORLAX_ANALYSIS_CONSTRAINT_GRAPH_H_
 
@@ -30,8 +26,6 @@
 namespace snorlax::analysis {
 
 struct ConstraintGraph {
-  const ir::Module* module = nullptr;
-
   // Variable layout (see file comment).
   std::vector<uint32_t> func_reg_base;
   uint32_t ret_var_base = 0;
@@ -62,13 +56,12 @@ struct ConstraintGraph {
   // Memory-access instructions in scope, with their pointer-operand variable.
   std::vector<std::pair<const ir::Instruction*, uint32_t>> accesses;
 
-  // Build-time tallies, carried into PointsToStats by both solvers.
+  // Build-time tallies, carried into PointsToStats by the solver.
   size_t instructions_analyzed = 0;
   size_t constraints = 0;
 
   uint32_t Var(ir::FuncId func, ir::Reg reg) const { return func_reg_base[func] + reg; }
   uint32_t RetVar(ir::FuncId func) const { return ret_var_base + func; }
-  uint32_t ObjVar(uint32_t obj_index) const { return obj_var_base + obj_index; }
 
   static uint64_t ObjectKey(const AbstractObject& obj) {
     return (static_cast<uint64_t>(obj.kind) << 32) | obj.id;
@@ -80,11 +73,6 @@ struct ConstraintGraph {
 // Builds the scope-restricted constraint graph. `options.executed` must be
 // non-null in kExecutedOnly mode and must outlive the call (not the graph).
 ConstraintGraph BuildConstraintGraph(const ir::Module& module, const PointsToOptions& options);
-
-// Pointer-operand variable of a memory-touching instruction (same operand
-// rules as PointsToResult::PointerOperandPointsTo). Returns false when the
-// instruction takes no register pointer operand.
-bool PointerOperandVar(const ConstraintGraph& graph, const ir::Instruction& inst, uint32_t* var);
 
 }  // namespace snorlax::analysis
 

@@ -5,7 +5,6 @@
 #include <deque>
 
 #include "analysis/constraint_graph.h"
-#include "analysis/demand_pta.h"
 #include "support/check.h"
 #include "support/str.h"
 
@@ -132,10 +131,6 @@ bool PointsToResult::MayAliasAccess(const ir::Instruction& a,
 }
 
 const ObjectSet& PointsToResult::VarSet(uint32_t var) const {
-  if (sparse_) {
-    const auto it = sparse_pts_.find(var);
-    return it == sparse_pts_.end() ? empty_ : it->second;
-  }
   return var_pts_[rep_[var]];
 }
 
@@ -563,18 +558,10 @@ PointsToResult AndersenSolver::Run() {
   return std::move(result_);
 }
 
-PointsToResult RunExhaustiveOnGraph(const ir::Module& module, const PointsToOptions& options,
-                                    const ConstraintGraph& graph) {
+PointsToResult RunPointsTo(const ir::Module& module, const PointsToOptions& options) {
+  const ConstraintGraph graph = BuildConstraintGraph(module, options);
   AndersenSolver solver(module, options, graph);
   return solver.Run();
-}
-
-PointsToResult RunPointsTo(const ir::Module& module, const PointsToOptions& options) {
-  if (options.tier != PointsToOptions::Tier::kExhaustive) {
-    return RunDemandPointsTo(module, options);
-  }
-  const ConstraintGraph graph = BuildConstraintGraph(module, options);
-  return RunExhaustiveOnGraph(module, options, graph);
 }
 
 }  // namespace snorlax::analysis

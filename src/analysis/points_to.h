@@ -19,7 +19,6 @@
 
 #include <cstdint>
 #include <string>
-#include <unordered_map>
 #include <unordered_set>
 #include <vector>
 
@@ -103,24 +102,6 @@ struct PointsToOptions {
   // points-to set). Off = ablation baseline: the plain difference-propagating
   // worklist, for before/after solver benchmarks. Results are identical.
   bool collapse_sccs = true;
-
-  // Solver tier. kExhaustive computes the full fixpoint over every variable
-  // in the scoped graph. kDemand answers only the demanded cone (every
-  // in-scope access's pointer variable plus `query_insts`) by backward
-  // CFL-reachability, producing a sparse result; see demand_pta.h. kAuto is
-  // kDemand with a graph-scaled node budget, so pathological sites fall back
-  // to the exhaustive tier automatically.
-  enum class Tier { kExhaustive, kDemand, kAuto };
-  Tier tier = Tier::kExhaustive;
-  // Demand tiers: worklist nodes visited before the partial run is abandoned
-  // and the exhaustive solver takes over. 0 = unlimited for kDemand, a
-  // graph-scaled default for kAuto.
-  size_t demand_node_budget = 0;
-  // Extra instructions whose pointer-operand variable the demand tier must
-  // answer (e.g. the failing deref chain's links). Every in-scope memory
-  // access is always queried; this only matters for instructions outside
-  // that set. Pointers must outlive the call (not the result).
-  std::vector<const ir::Instruction*> query_insts;
 };
 
 struct PointsToStats {
@@ -134,15 +115,6 @@ struct PointsToStats {
   // Delta-set propagations along copy edges (the hot-loop work unit).
   size_t delta_propagations = 0;
   double solve_seconds = 0.0;
-  // Demand tier (PointsToOptions::Tier). answered_by_demand is set when the
-  // demand solver produced the final (sparse) result; when it attempted and
-  // exceeded its budget, demand_budget_fallback is set instead and the
-  // exhaustive solver's output is returned (queries/nodes still record the
-  // abandoned attempt, solve_seconds includes it).
-  bool answered_by_demand = false;
-  size_t demand_queries = 0;
-  size_t demand_nodes_visited = 0;
-  bool demand_budget_fallback = false;
 };
 
 class PointsToResult {
@@ -159,27 +131,18 @@ class PointsToResult {
 
   // Conservative may-alias for the pointer operands of two memory accesses:
   // false only when both operands have non-empty points-to sets that do not
-  // intersect. Unknown (empty) sets -- non-memory instructions, or variables
-  // a demand-tier result was never asked about -- stay "may alias", so the
-  // pattern engine's pair prefilter can never drop a pair the exhaustive
-  // analysis would keep.
+  // intersect. An empty set (a non-memory instruction, or an operand that is
+  // not a register) is unknown and stays "may alias", so the pattern
+  // engine's pair prefilter never drops a pair it cannot rule out.
   bool MayAliasAccess(const ir::Instruction& a, const ir::Instruction& b) const;
 
   const AbstractObject& object(uint32_t idx) const { return objects_[idx]; }
   size_t num_objects() const { return objects_.size(); }
   const PointsToStats& stats() const { return stats_; }
 
-  // True when the demand tier produced this result: points-to sets are
-  // stored sparsely and only the demanded variables are answered (any other
-  // variable reads as the empty set). Consumers that query arbitrary module
-  // variables -- e.g. the slicer's every-store alias probe -- must use an
-  // exhaustive result instead; the engine enforces this.
-  bool demand_tier() const { return sparse_; }
 
  private:
   friend class AndersenSolver;
-  friend class DemandSolver;
-  friend PointsToResult RunDemandPointsTo(const ir::Module&, const PointsToOptions&);
   // Binary serialization (engine/artifact_codec.cc): cluster hand-off and the
   // durable artifact log ship PointsToResult values between processes.
   friend struct PointsToSerDes;
@@ -194,10 +157,6 @@ class PointsToResult {
   std::vector<uint32_t> func_reg_base_;
   // Memory-access instructions in scope, with their pointer-operand variable.
   std::vector<std::pair<const ir::Instruction*, uint32_t>> accesses_;
-  // Demand-tier storage: sets keyed by variable for just the demanded
-  // variables (var_pts_/rep_ stay empty). See demand_tier().
-  bool sparse_ = false;
-  std::unordered_map<uint32_t, ObjectSet> sparse_pts_;
   // Object index -> ascending indices into accesses_ whose pointer operand
   // may reference that object. Built once post-solve (and post-decode);
   // makes AccessorsOf proportional to its answer instead of a scan over
@@ -212,16 +171,7 @@ class PointsToResult {
 };
 
 // Runs the analysis. `executed` must outlive the call (not the result).
-// Dispatches on options.tier; the demand tiers are implemented in
-// demand_pta.cc and fall back to the exhaustive solver on budget exhaustion.
 PointsToResult RunPointsTo(const ir::Module& module, const PointsToOptions& options);
-
-// Internal: exhaustive Andersen over a prebuilt constraint graph. Shared by
-// RunPointsTo and the demand tier's budget-fallback path (demand_pta.cc) so
-// both build from the identical scoped graph.
-struct ConstraintGraph;
-PointsToResult RunExhaustiveOnGraph(const ir::Module& module, const PointsToOptions& options,
-                                    const ConstraintGraph& graph);
 
 }  // namespace snorlax::analysis
 

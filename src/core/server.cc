@@ -27,8 +27,6 @@ engine::EngineOptions DiagnosisServer::MakeEngineOptions(const Options& options)
   eopts.use_scope_restriction = options.use_scope_restriction;
   eopts.use_type_ranking = options.use_type_ranking;
   eopts.use_slice_fallback = options.use_slice_fallback;
-  eopts.pta_tier = options.pta_tier;
-  eopts.pta_node_budget = options.pta_node_budget;
   eopts.use_artifact_store = options.use_analysis_cache;
   eopts.durable_log = options.durable_log;
   eopts.durable_site = options.durable_site;

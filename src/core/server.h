@@ -119,11 +119,6 @@ class DiagnosisServer {
     // cannot follow, or the failing instruction is not part of the pattern),
     // retry with candidates drawn from the backward slice of the failure.
     bool use_slice_fallback = true;
-    // Step-4 solver tier (engine/site_engine.h): exhaustive Andersen, the
-    // demand-driven CFL-reachability solver, or auto (demand with a
-    // graph-scaled node budget, falling back to exhaustive on exhaustion).
-    analysis::PointsToOptions::Tier pta_tier = analysis::PointsToOptions::Tier::kExhaustive;
-    size_t pta_node_budget = 0;  // demand tiers: 0 = tier default
     // Reuse pass artifacts across repeated failures at the same site via the
     // content-hash keyed artifact store: a pass whose declared inputs are
     // unchanged takes a cache hit instead of re-running (points-to re-runs

@@ -21,6 +21,12 @@ bool ShardKeyLess(const ServerPool::ShardKey& a, const ServerPool::ShardKey& b) 
   return a.failing_inst < b.failing_inst;
 }
 
+// Ingest for a site between ExportSite() and DropSite(): the agent keeps the
+// bundle's sequence number and re-routes it.
+Status HandoffRefusal() {
+  return Status::Error(StatusCode::kWrongShard, "site is being handed off to a new owner");
+}
+
 }  // namespace
 
 ServerPool::ServerPool(ServerPoolOptions options) : options_(options) {}
@@ -99,6 +105,9 @@ Status ServerPool::SubmitFailingTrace(const pt::PtTraceBundle& bundle) {
   // different sites proceed in parallel, and bundles for one site take turns
   // on the shard lock.
   std::lock_guard<std::mutex> lock(shard->mu);
+  if (shard->handing_off) {
+    return HandoffRefusal();
+  }
   return shard->server.SubmitFailingTrace(bundle);
 }
 
@@ -125,6 +134,9 @@ Status ServerPool::SubmitSuccessTrace(ir::InstId failing_inst,
     shard = it->second;
   }
   std::lock_guard<std::mutex> lock(shard->mu);
+  if (shard->handing_off) {
+    return HandoffRefusal();
+  }
   return shard->server.SubmitSuccessTrace(bundle);
 }
 
@@ -214,7 +226,7 @@ support::Result<ServerPool::RecoveryStats> ServerPool::RecoverFromLog(
 }
 
 bool ServerPool::ExportSite(uint64_t module_fingerprint, ir::InstId failing_inst,
-                            std::vector<engine::SiteRecord>* out) const {
+                            std::vector<engine::SiteRecord>* out) {
   const std::shared_ptr<Shard> shard = FindShard(module_fingerprint, failing_inst);
   if (shard == nullptr) {
     return false;
@@ -222,6 +234,17 @@ bool ServerPool::ExportSite(uint64_t module_fingerprint, ir::InstId failing_inst
   std::lock_guard<std::mutex> lock(shard->mu);
   shard->server.ExportSiteRecords(
       [out](engine::SiteRecord&& record) { out->push_back(std::move(record)); });
+  shard->handing_off = true;
+  return true;
+}
+
+bool ServerPool::ReadmitSite(uint64_t module_fingerprint, ir::InstId failing_inst) {
+  const std::shared_ptr<Shard> shard = FindShard(module_fingerprint, failing_inst);
+  if (shard == nullptr) {
+    return false;
+  }
+  std::lock_guard<std::mutex> lock(shard->mu);
+  shard->handing_off = false;
   return true;
 }
 

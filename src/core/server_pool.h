@@ -102,8 +102,14 @@ class ServerPool {
 
   // Streams one site's full state (artifacts, then evidence + rejections in
   // arrival order) for hand-off. False when no shard exists for the site.
+  // From this call until DropSite() or ReadmitSite(), the site refuses
+  // ingest with kWrongShard: a bundle accepted after the export would miss
+  // the records already sent to the new owner.
   bool ExportSite(uint64_t module_fingerprint, ir::InstId failing_inst,
-                  std::vector<engine::SiteRecord>* out) const;
+                  std::vector<engine::SiteRecord>* out);
+  // Lifts ExportSite()'s refusal after a failed hand-off, so the site keeps
+  // ingesting locally. False when no shard exists for the site.
+  bool ReadmitSite(uint64_t module_fingerprint, ir::InstId failing_inst);
   // Builds (or extends) the site's shard from hand-off records, persisting
   // them into this daemon's own durable log so the new owner can itself
   // restart. Fails when the module fingerprint is not registered.
@@ -139,6 +145,7 @@ class ServerPool {
     const ShardKey key;
     std::mutex mu;  // held around every call into `server`
     DiagnosisServer server;
+    bool handing_off = false;  // guarded by mu; see ExportSite()
   };
   // The site's shard, created on first use. Caller holds mu_.
   std::shared_ptr<Shard> ShardFor(const ir::Module* module, ir::InstId failing_inst);

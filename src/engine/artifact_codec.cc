@@ -220,32 +220,13 @@ struct PointsToSerDes {
       AppendU8(out, static_cast<uint8_t>(obj.kind));
       AppendU32(out, obj.id);
     }
-    // Storage mode byte: 0 = dense (exhaustive tier: per-rep sets + union-find
-    // table), 1 = sparse (demand tier: only the queried variables carry sets).
-    AppendU8(out, r.sparse_ ? 1 : 0);
-    if (r.sparse_) {
-      // Explicit variable-count bound (no rep_ table exists to infer it from).
-      AppendVarint(out, r.stats_.variables);
-      std::vector<uint32_t> vars;
-      vars.reserve(r.sparse_pts_.size());
-      for (const auto& [var, set] : r.sparse_pts_) {
-        vars.push_back(var);
-      }
-      std::sort(vars.begin(), vars.end());  // deterministic bytes
-      AppendVarint(out, vars.size());
-      for (const uint32_t var : vars) {
-        AppendVarint(out, var);
-        snorlax::EncodeObjectSet(r.sparse_pts_.at(var), out);
-      }
-    } else {
-      AppendVarint(out, r.var_pts_.size());
-      for (const auto& set : r.var_pts_) {
-        snorlax::EncodeObjectSet(set, out);
-      }
-      AppendVarint(out, r.rep_.size());
-      for (uint32_t rep : r.rep_) {
-        AppendVarint(out, rep);
-      }
+    AppendVarint(out, r.var_pts_.size());
+    for (const auto& set : r.var_pts_) {
+      snorlax::EncodeObjectSet(set, out);
+    }
+    AppendVarint(out, r.rep_.size());
+    for (uint32_t rep : r.rep_) {
+      AppendVarint(out, rep);
     }
     AppendVarint(out, r.func_reg_base_.size());
     for (uint32_t base : r.func_reg_base_) {
@@ -264,10 +245,6 @@ struct PointsToSerDes {
     AppendVarint(out, r.stats_.scc_vars_collapsed);
     AppendVarint(out, r.stats_.delta_propagations);
     AppendF64(out, r.stats_.solve_seconds);
-    AppendU8(out, r.stats_.answered_by_demand ? 1 : 0);
-    AppendVarint(out, r.stats_.demand_queries);
-    AppendVarint(out, r.stats_.demand_nodes_visited);
-    AppendU8(out, r.stats_.demand_budget_fallback ? 1 : 0);
   }
 
   static void Decode(support::ByteReader* r, const ir::Module* module,
@@ -287,46 +264,22 @@ struct PointsToSerDes {
       obj.kind = static_cast<AbstractObject::Kind>(kind);
       out->objects_.push_back(obj);
     }
-    const uint8_t mode = r->U8();
-    if (r->ok() && mode > 1) {
-      r->MarkCorrupt("points-to storage mode out of range");
-      return;
-    }
-    out->sparse_ = mode == 1;
+    const size_t vars = r->Count();
     out->var_pts_.clear();
+    out->var_pts_.resize(vars);
+    for (size_t i = 0; i < vars && r->ok(); ++i) {
+      snorlax::DecodeObjectSet(r, &out->var_pts_[i]);
+    }
+    const size_t reps = r->Count();
     out->rep_.clear();
-    out->sparse_pts_.clear();
-    // The variable-count bound that access vars are validated against below:
-    // the rep_ table size in dense mode, the explicit count in sparse mode.
-    size_t var_bound = 0;
-    if (out->sparse_) {
-      var_bound = r->Count();
-      const size_t queried = r->Count(var_bound);
-      for (size_t i = 0; i < queried && r->ok(); ++i) {
-        const uint64_t var = r->Varint();
-        if (r->ok() && var >= var_bound) {
-          r->MarkCorrupt("sparse points-to variable out of range");
-          return;
-        }
-        snorlax::DecodeObjectSet(r, &out->sparse_pts_[static_cast<uint32_t>(var)]);
+    out->rep_.reserve(reps);
+    for (size_t i = 0; i < reps && r->ok(); ++i) {
+      const uint64_t rep = r->Varint();
+      if (r->ok() && rep >= vars) {
+        r->MarkCorrupt("union-find representative out of range");
+        return;
       }
-    } else {
-      const size_t vars = r->Count();
-      out->var_pts_.resize(vars);
-      for (size_t i = 0; i < vars && r->ok(); ++i) {
-        snorlax::DecodeObjectSet(r, &out->var_pts_[i]);
-      }
-      const size_t reps = r->Count();
-      out->rep_.reserve(reps);
-      for (size_t i = 0; i < reps && r->ok(); ++i) {
-        const uint64_t rep = r->Varint();
-        if (r->ok() && rep >= vars) {
-          r->MarkCorrupt("union-find representative out of range");
-          return;
-        }
-        out->rep_.push_back(static_cast<uint32_t>(rep));
-      }
-      var_bound = reps;
+      out->rep_.push_back(static_cast<uint32_t>(rep));
     }
     const size_t bases = r->Count();
     out->func_reg_base_.clear();
@@ -341,7 +294,7 @@ struct PointsToSerDes {
       const uint32_t id = r->U32();
       const uint64_t var = r->Varint();
       const ir::Instruction* inst = snorlax::ResolveInst(r, module, id);
-      if (r->ok() && var >= var_bound) {
+      if (r->ok() && var >= reps) {
         r->MarkCorrupt("access variable out of range");
         return;
       }
@@ -358,10 +311,6 @@ struct PointsToSerDes {
     out->stats_.scc_vars_collapsed = static_cast<size_t>(r->Varint());
     out->stats_.delta_propagations = static_cast<size_t>(r->Varint());
     out->stats_.solve_seconds = r->F64();
-    out->stats_.answered_by_demand = r->U8() != 0;
-    out->stats_.demand_queries = static_cast<size_t>(r->Varint());
-    out->stats_.demand_nodes_visited = static_cast<size_t>(r->Varint());
-    out->stats_.demand_budget_fallback = r->U8() != 0;
     if (r->ok()) {
       // AccessorsOf reads the object->accessor inverted index, which is
       // derived state the wire format deliberately omits.

@@ -36,7 +36,7 @@ namespace snorlax::engine {
 // Bumped on any layout change; decoders reject other versions as
 // kVersionMismatch (a restarted daemon must never misparse a log written by
 // a newer build).
-inline constexpr uint8_t kArtifactCodecVersion = 2;
+inline constexpr uint8_t kArtifactCodecVersion = 3;
 
 // --- typed artifact codecs ---------------------------------------------------
 // Each encode appends a self-contained record (leading codec version byte).

@@ -202,9 +202,8 @@ struct PatternScratch {
 // For pipeline-derived candidates this is exactly the admission criterion
 // (AccessorsOf over the same union), so the mask provably keeps all of them
 // -- it exists to protect direct ComputePatterns callers that supply
-// arbitrary candidate lists. Conservative on unknown (empty) sets, so a
-// demand-tier result that never answered some variable can only widen the
-// mask, never narrow it.
+// arbitrary candidate lists. Conservative on unknown (empty) sets: they
+// can only widen the mask, never narrow it.
 void FillAliasMask(const PatternComputeOptions& options, const PatternComputeContext& context,
                    const std::vector<const ir::Instruction*>& candidates,
                    const std::vector<const ir::Instruction*>& failure_chain,

@@ -51,13 +51,9 @@ uint64_t SiteEngine::DerefChainsKey(const rt::FailureInfo& failure) const {
 
 uint64_t SiteEngine::PointsToKey(uint64_t chain_key, uint64_t executed_key) const {
   // The seed reads the failure chain and the deadlock cycle, both covered by
-  // chain_key; the solver reads the executed set, the scope knob, and the
-  // tier (a sparse demand artifact and a dense exhaustive one answer
-  // different variable universes, so they must never share a key).
-  uint64_t h = HashCombine(chain_key, executed_key);
-  h = HashCombine(h, options_.use_scope_restriction ? 1 : 0);
-  h = HashCombine(h, static_cast<uint64_t>(options_.pta_tier));
-  return HashCombine(h, options_.pta_node_budget);
+  // chain_key; the solver reads the executed set and the scope knob.
+  const uint64_t h = HashCombine(chain_key, executed_key);
+  return HashCombine(h, options_.use_scope_restriction ? 1 : 0);
 }
 
 uint64_t SiteEngine::TypeRankKey(uint64_t points_to_key) const {
@@ -178,13 +174,6 @@ DerefChainsArtifact SiteEngine::RunDerefChains(const rt::FailureInfo& failure) {
 
 PointsToArtifact SiteEngine::RunPointsTo(const trace::ProcessedTrace& failing,
                                          const DerefChainsArtifact& chains) {
-  return RunPointsToTier(failing, chains, options_.pta_tier, options_.pta_node_budget);
-}
-
-PointsToArtifact SiteEngine::RunPointsToTier(const trace::ProcessedTrace& failing,
-                                             const DerefChainsArtifact& chains,
-                                             analysis::PointsToOptions::Tier tier,
-                                             size_t node_budget) {
   // Step 4: hybrid points-to analysis, scoped to the executed set.
   analysis::PointsToOptions pto;
   if (options_.use_scope_restriction) {
@@ -192,21 +181,6 @@ PointsToArtifact SiteEngine::RunPointsToTier(const trace::ProcessedTrace& failin
     pto.executed = &failing.executed();
   } else {
     pto.scope = analysis::PointsToOptions::Scope::kWholeProgram;
-  }
-  pto.tier = tier;
-  pto.demand_node_budget = node_budget;
-  if (tier != analysis::PointsToOptions::Tier::kExhaustive) {
-    // The demand tier must answer exactly the variables the seed below reads:
-    // each deref-chain link and each blocked acquisition in a deadlock cycle
-    // (in-scope accesses are always queried; this covers any link outside).
-    for (const ir::Instruction* access : chains.chain) {
-      pto.query_insts.push_back(access);
-    }
-    for (const rt::FailureInfo::DeadlockWaiter& w : failing.failure().deadlock_cycle) {
-      if (w.inst != ir::kInvalidInstId) {
-        pto.query_insts.push_back(module_->instruction(w.inst));
-      }
-    }
   }
   PointsToArtifact out;
   out.result =
@@ -294,29 +268,20 @@ PatternSetArtifact SiteEngine::RunPatterns(const trace::ProcessedTrace& failing,
       failure.failing_inst != ir::kInvalidInstId &&
       failure.kind != rt::FailureKind::kDeadlock) {
     out.used_slice_fallback = true;
-    // The backward slice probes the points-to set of *every* module store; a
-    // demand-tier result only answers the demanded cone, so this (rare) path
-    // first recomputes the exhaustive result over the same scope.
-    std::shared_ptr<const analysis::PointsToResult> full = points_to.result;
-    if (full->demand_tier()) {
-      full = RunPointsToTier(failing, chains, analysis::PointsToOptions::Tier::kExhaustive,
-                             /*node_budget=*/0)
-                 .result;
-    }
     const std::unordered_set<ir::InstId> slice =
-        analysis::BackwardSlice(*module_, *full, failure.failing_inst);
+        analysis::BackwardSlice(*module_, *points_to.result, failure.failing_inst);
     analysis::ObjectSet widened = points_to.seed;
     std::vector<const ir::Instruction*> slice_candidates;
     for (ir::InstId id : slice) {
       const ir::Instruction* inst = module_->instruction(id);
       if (inst->IsMemoryAccess() && failing.WasExecuted(id)) {
         slice_candidates.push_back(inst);
-        widened.UnionWith(full->PointerOperandPointsTo(*inst));
+        widened.UnionWith(points_to.result->PointerOperandPointsTo(*inst));
       }
     }
     // Also admit every executed access aliasing the widened set (the racing
     // write shares cells with the sliced loads, not with the failing operand).
-    for (const ir::Instruction* inst : full->AccessorsOf(widened)) {
+    for (const ir::Instruction* inst : points_to.result->AccessorsOf(widened)) {
       if (failing.WasExecuted(inst->id())) {
         slice_candidates.push_back(inst);
       }
@@ -479,15 +444,6 @@ Status SiteEngine::AddFailingTrace(std::shared_ptr<const trace::ProcessedTrace> 
     points_to_ = points_to.result;
     last_executed_key_ = executed_key;
     last_executed_size_ = t.executed().size();
-    if (points_to.result != nullptr) {
-      // Tier detail for --explain; the stats travel in the artifact, so cache
-      // hits report the tier that originally answered.
-      const analysis::PointsToStats& pstats = points_to.result->stats();
-      last_run_.back().reason += StrFormat(
-          " [tier=%s queries=%zu nodes=%zu%s]",
-          pstats.answered_by_demand ? "demand" : "exhaustive", pstats.demand_queries,
-          pstats.demand_nodes_visited, pstats.demand_budget_fallback ? " budget-fallback" : "");
-    }
 
     if (cancel.Expired()) {
       return deadline(PassId::kTypeRank);

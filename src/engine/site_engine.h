@@ -62,12 +62,6 @@ struct EngineOptions {
   bool use_scope_restriction = true;  // off: whole-program points-to
   bool use_type_ranking = true;       // off: all candidates rank 1 in id order
   bool use_slice_fallback = true;     // paper section 7 backward-slice retry
-  // Step-4 solver tier: exhaustive Andersen (default), the demand-driven
-  // CFL-reachability solver (demand_pta.h), or auto = demand with a
-  // graph-scaled node budget whose exhaustion falls back to exhaustive.
-  analysis::PointsToOptions::Tier pta_tier = analysis::PointsToOptions::Tier::kExhaustive;
-  // Demand tiers: nodes-visited budget before falling back (0 = tier default).
-  size_t pta_node_budget = 0;
   // Off: every pass recomputes on every failing trace (benches that time the
   // analysis itself by resubmitting one bundle). Scoring stays incremental
   // either way -- it is an algorithm, not a cache.
@@ -207,12 +201,6 @@ class SiteEngine {
   DerefChainsArtifact RunDerefChains(const rt::FailureInfo& failure);
   PointsToArtifact RunPointsTo(const trace::ProcessedTrace& failing,
                                const DerefChainsArtifact& chains);
-  // Step 4 under an explicit tier; RunPointsTo forwards the configured one.
-  // The demand-tier slice fallback uses it to get an exhaustive result
-  // out-of-band.
-  PointsToArtifact RunPointsToTier(const trace::ProcessedTrace& failing,
-                                   const DerefChainsArtifact& chains,
-                                   analysis::PointsToOptions::Tier tier, size_t node_budget);
   RankedCandidatesArtifact RunTypeRank(const trace::ProcessedTrace& failing,
                                        const DerefChainsArtifact& chains,
                                        const PointsToArtifact& points_to);

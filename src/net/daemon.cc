@@ -217,6 +217,13 @@ support::Status DiagnosisDaemon::Drain(
         remaining.members.end());
     remaining.epoch += 1;
     if (!remaining.members.empty()) {
+      // From here on this daemon routes by the ring without itself: a bundle
+      // it would have ingested is bounced to the site's next owner instead,
+      // whether it arrives before its site is exported or after the drop.
+      {
+        std::lock_guard<std::mutex> lock(mu_);
+        topology_ = remaining;
+      }
       for (const core::ServerPool::ShardKey& key : pool_.SiteKeys()) {
         const uint64_t owner = wire::RingOwnerOf(
             remaining, wire::RingSiteHash(key.module_fingerprint,
@@ -231,6 +238,7 @@ support::Status DiagnosisDaemon::Drain(
           std::lock_guard<std::mutex> lock(mu_);
           ++stats_.handoff_sites_sent;
         } else {
+          pool_.ReadmitSite(key.module_fingerprint, key.failing_inst);
           NoteTransportLoss(
               StrFormat("net: hand-off of site (%llx, %u) to node %llu failed: %s",
                         static_cast<unsigned long long>(key.module_fingerprint),
@@ -561,33 +569,12 @@ void DiagnosisDaemon::HandleBundle(Connection& c, const wire::FrameView& frame) 
                 OwnerOf(bundle.value().module_fingerprint,
                         static_cast<uint32_t>(site_inst), &epoch);
             if (owner != options_.node_id) {
-              // Bounce WITHOUT consuming the sequence number: unlike an
-              // ingest rejection, this verdict is a function of the ring, and
-              // the same bundle must remain ingestable here if a later
-              // topology makes this daemon the owner.
               ack.status = Status::Error(
                   StatusCode::kWrongShard,
                   StrFormat("site owned by node %llu under ring epoch %llu",
                             static_cast<unsigned long long>(owner),
                             static_cast<unsigned long long>(epoch)));
-              {
-                std::lock_guard<std::mutex> lock(mu_);
-                ++stats_.bundles_wrong_shard;
-              }
-              std::vector<uint8_t> ack_bytes;
-              wire::EncodeBundleAck(ack, &ack_bytes);
-              QueueFrame(c, wire::FrameType::kBundleAck, std::move(ack_bytes),
-                         /*sheddable=*/false);
-              // Tell the agent where to go: the current ring rides along so
-              // the re-route needs no second round trip.
-              std::vector<uint8_t> ring_bytes;
-              {
-                std::lock_guard<std::mutex> lock(mu_);
-                wire::EncodeTopology(topology_, &ring_bytes);
-                ++stats_.topology_pushes;
-              }
-              QueueFrame(c, wire::FrameType::kTopology, std::move(ring_bytes),
-                         /*sheddable=*/false);
+              BounceWrongShard(c, ack);
               return;
             }
           }
@@ -595,6 +582,13 @@ void DiagnosisDaemon::HandleBundle(Connection& c, const wire::FrameView& frame) 
         status = payload.kind == wire::BundleKind::kFailing
                      ? pool_.SubmitFailingTrace(bundle.value())
                      : pool_.SubmitSuccessTrace(payload.target_site, bundle.value());
+        if (status.code() == StatusCode::kWrongShard) {
+          // The site is being handed off (ServerPool::ExportSite): its
+          // records are already on their way to the new owner.
+          ack.status = status;
+          BounceWrongShard(c, ack);
+          return;
+        }
         std::lock_guard<std::mutex> lock(mu_);
         ++stats_.bundles_ingested;
         if (!status.ok()) {
@@ -626,6 +620,28 @@ void DiagnosisDaemon::HandleBundle(Connection& c, const wire::FrameView& frame) 
   std::vector<uint8_t> payload;
   wire::EncodeBundleAck(ack, &payload);
   QueueFrame(c, wire::FrameType::kBundleAck, std::move(payload), /*sheddable=*/false);
+}
+
+void DiagnosisDaemon::BounceWrongShard(Connection& c, const wire::BundleAckPayload& ack) {
+  // Bounce WITHOUT consuming the sequence number: unlike an ingest rejection,
+  // this verdict is a function of the ring, and the same bundle must remain
+  // ingestable here if a later topology makes this daemon the owner.
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    ++stats_.bundles_wrong_shard;
+  }
+  std::vector<uint8_t> ack_bytes;
+  wire::EncodeBundleAck(ack, &ack_bytes);
+  QueueFrame(c, wire::FrameType::kBundleAck, std::move(ack_bytes), /*sheddable=*/false);
+  // Tell the agent where to go: the current ring rides along so the re-route
+  // needs no second round trip.
+  std::vector<uint8_t> ring_bytes;
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    wire::EncodeTopology(topology_, &ring_bytes);
+    ++stats_.topology_pushes;
+  }
+  QueueFrame(c, wire::FrameType::kTopology, std::move(ring_bytes), /*sheddable=*/false);
 }
 
 void DiagnosisDaemon::HandleDiagnose(Connection& c) {

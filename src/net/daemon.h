@@ -110,8 +110,10 @@ class DiagnosisDaemon {
 
   // Graceful shutdown (the SIGTERM path): stops accepting new connections,
   // diagnoses everything still owned into `final_reports` (when non-null),
-  // hands each site off to its owner under the ring without this daemon,
-  // fsyncs the durable log, then Stop()s. A failed hand-off leaves the site
+  // adopts the ring without this daemon (so new bundles bounce to their next
+  // owner), hands each site off to that owner, fsyncs the durable log, then
+  // Stop()s. A site refuses ingest from its export until its drop, so no
+  // bundle it acks misses the hand-off. A failed hand-off leaves the site
   // local -- its records stay in the durable log -- and the drain keeps
   // going; the first failure is returned after everything else completes.
   support::Status Drain(std::vector<core::ServerPool::ShardReport>* final_reports = nullptr);
@@ -174,6 +176,9 @@ class DiagnosisDaemon {
   void HandleFrame(Connection& c, const wire::FrameView& frame);
   void HandleHello(Connection& c, const wire::FrameView& frame);
   void HandleBundle(Connection& c, const wire::FrameView& frame);
+  // Acks a bundle this daemon will not ingest with kWrongShard, leaving its
+  // sequence number unconsumed, and pushes the ring so the agent re-routes.
+  void BounceWrongShard(Connection& c, const wire::BundleAckPayload& ack);
   void HandleDiagnose(Connection& c);
   // Cluster handlers (poll thread). A topology push with a newer epoch is
   // adopted and re-broadcast to every handshaken peer.

@@ -94,6 +94,25 @@ TEST(ObjectSet, UnionWithDeltaRecordsOnlyNewBits) {
   EXPECT_EQ(delta.Elements(), (std::vector<uint32_t>{7, 64, 200}));
 }
 
+TEST(ObjectSetGrowth, SparseAscendingInsertsStayCorrect) {
+  // Set() grows capacity geometrically; a sparse ascending insert sequence
+  // must stay correct across every internal reallocation.
+  ObjectSet s;
+  std::vector<uint32_t> expect;
+  for (uint32_t i = 0; i < 40; ++i) {
+    const uint32_t bit = i * 131 + (i % 7);
+    EXPECT_TRUE(s.Set(bit));
+    EXPECT_FALSE(s.Set(bit));
+    expect.push_back(bit);
+  }
+  EXPECT_EQ(s.Count(), expect.size());
+  EXPECT_EQ(s.Elements(), expect);
+  for (const uint32_t bit : expect) {
+    EXPECT_TRUE(s.Test(bit));
+  }
+  EXPECT_FALSE(s.Test(39 * 131 + 4 + 1));
+}
+
 // Mutually-recursive parameter binding makes a static copy cycle
 // (f.p -> g.q -> f.p); the collapse must fold it, and difference
 // propagation with and without SCC collapsing must compute the same sets.

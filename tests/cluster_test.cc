@@ -11,7 +11,8 @@
 //     kWrongShard -- without consuming its sequence number -- and the ring
 //     topology rides along so the sender re-routes;
 //   - drain: SIGTERM-style Drain() hands every owned site to the remaining
-//     owner, whose reports stay digest-identical.
+//     owner, whose reports stay digest-identical; a site being handed off
+//     bounces its bundles the same way, so none is acked and then lost.
 #include <gtest/gtest.h>
 
 #include <cstdio>
@@ -367,6 +368,55 @@ TEST(ClusterTest, WrongShardBundleBouncesWithTopologyAndReroutes) {
   }
   EXPECT_EQ(bench::DigestReports(ToShardReports(reports.take())),
             bench::DigestReports(pool.DiagnoseAll()));
+
+  cluster.a->Stop();
+  cluster.b->Stop();
+}
+
+// Between ServerPool::ExportSite and DropSite (mid-drain), the owner bounces
+// the site's bundles with kWrongShard instead of ingesting them after its
+// records were sent. The agent gets the bundle back for re-routing; once the
+// site is re-admitted (a failed hand-off), the resend is ingested.
+TEST(ClusterTest, SiteBeingHandedOffBouncesItsBundles) {
+  const std::vector<bench::CapturedSite>& sites = Sites();
+  TwoNodeCluster cluster(sites);
+  ASSERT_TRUE(cluster.started.ok()) << cluster.started.ToString();
+  const bench::CapturedSite* site = nullptr;
+  for (const bench::CapturedSite& s : sites) {
+    if (cluster.OwnerOf(s) == 1) {
+      site = &s;
+      break;
+    }
+  }
+  ASSERT_NE(site, nullptr) << "mix hashed entirely to node 2; hand-off test is vacuous";
+  const uint64_t fp = site->failing.module_fingerprint;
+  const ir::InstId inst = site->failing.failure.failing_inst;
+
+  net::AgentOptions aopts;
+  aopts.port = cluster.a->port();
+  net::DiagnosisAgent agent(aopts);
+  agent.EnqueueFailing(site->failing);
+  ASSERT_TRUE(agent.Flush().ok());
+  ASSERT_EQ(cluster.a->stats().bundles_ingested, 1u);
+
+  std::vector<engine::SiteRecord> records;
+  ASSERT_TRUE(cluster.a->pool().ExportSite(fp, inst, &records));
+  agent.EnqueueFailing(site->failing);
+  ASSERT_TRUE(agent.Flush().ok());
+  EXPECT_EQ(agent.stats().bundles_wrong_shard, 1u);
+  EXPECT_EQ(cluster.a->stats().bundles_wrong_shard, 1u);
+  EXPECT_EQ(cluster.a->stats().bundles_ingested, 1u);
+
+  ASSERT_TRUE(cluster.a->pool().ReadmitSite(fp, inst));
+  std::vector<net::DiagnosisAgent::WrongShardBundle> bounced = agent.TakeWrongShard();
+  ASSERT_EQ(bounced.size(), 1u);
+  agent.EnqueueFailing(bounced.front().bundle);
+  ASSERT_TRUE(agent.Flush().ok());
+  EXPECT_EQ(agent.stats().bundles_duplicate, 0u);
+  EXPECT_EQ(cluster.a->stats().bundles_ingested, 2u);
+  const std::vector<core::ServerPool::ShardReport> reports = cluster.a->pool().DiagnoseAll();
+  ASSERT_EQ(reports.size(), 1u);
+  EXPECT_EQ(reports.front().report.failing_traces, 2u);
 
   cluster.a->Stop();
   cluster.b->Stop();

@@ -229,7 +229,8 @@ TEST(Concurrency, DiagnoseAllRacingSubmissions) {
 // DiagnosisDaemon::Drain: the caller exports and drops site X while the poll
 // thread still submits to and diagnoses it. Every call that reached the shard
 // before the drop must finish on a live server (the pool's shard handle keeps
-// it alive), and calls after the drop see a missing or fresh site. Run under
+// it alive), calls between the export and the drop are refused with
+// kWrongShard, and calls after the drop see a missing or fresh site. Run under
 // ASan and TSan: a dropped shard freed under a running call is what they catch.
 TEST(Concurrency, DropSiteRacingIngestAndDiagnose) {
   const Captured site = CaptureSite("pbzip2_main", 4);
@@ -246,11 +247,15 @@ TEST(Concurrency, DropSiteRacingIngestAndDiagnose) {
   std::atomic<bool> ingesting{true};
   std::thread ingest([&] {
     for (size_t round = 0; round < kMinRounds || drops.load() < kMinDrops; ++round) {
-      EXPECT_TRUE(pool.SubmitFailingTrace(site.bundle).ok());
+      const support::Status failing = pool.SubmitFailingTrace(site.bundle);
+      EXPECT_TRUE(failing.ok() || failing.code() == support::StatusCode::kWrongShard)
+          << failing.ToString();
       for (const pt::PtTraceBundle& success : site.successes) {
-        // The site may have been dropped since the failing bundle landed.
+        // The site may have been exported or dropped since the failing
+        // bundle landed.
         const support::Status status = pool.SubmitSuccessTrace(inst, success);
-        EXPECT_TRUE(status.ok() || status.code() == support::StatusCode::kFailedPrecondition)
+        EXPECT_TRUE(status.ok() || status.code() == support::StatusCode::kWrongShard ||
+                    status.code() == support::StatusCode::kFailedPrecondition)
             << status.ToString();
       }
       (void)pool.RequestedDumpPoints(fp, inst);

@@ -18,6 +18,7 @@
 #include "pt/encoder.h"
 #include "wire/frame.h"
 #include "wire/serialize.h"
+#include "workloads/generator.h"
 
 namespace snorlax {
 namespace {
@@ -101,46 +102,6 @@ TEST(EngineStreaming, SolverRunsStrictlyFewerTimesThanFailingSubmissions) {
     EXPECT_LT(pt.runs, kRounds) << site.workload.name;
     EXPECT_EQ(pt.runs, 1u) << site.workload.name;
     EXPECT_EQ(pt.cache_hits, kRounds - 1) << site.workload.name;
-  }
-}
-
-std::unique_ptr<core::ServerPool> MakeTierPool(analysis::PointsToOptions::Tier tier,
-                                               size_t node_budget = 0) {
-  core::ServerPoolOptions options;
-  options.server.pta_tier = tier;
-  options.server.pta_node_budget = node_budget;
-  auto pool = std::make_unique<core::ServerPool>(options);
-  for (const bench::CapturedSite& site : Sites()) {
-    pool->RegisterModule(site.workload.module.get());
-  }
-  return pool;
-}
-
-TEST(EngineTiers, DemandTierDiagnosesDigestIdentically) {
-  ASSERT_FALSE(Sites().empty());
-  auto exhaustive = MakePool(/*use_cache=*/true);
-  auto demand = MakeTierPool(analysis::PointsToOptions::Tier::kAuto);
-  const std::string ex_digest = Drive(exhaustive.get(), /*diagnose_each=*/false);
-  const std::string de_digest = Drive(demand.get(), /*diagnose_each=*/false);
-  ASSERT_FALSE(ex_digest.empty());
-  // The solver tier is a pure mechanism change: the diagnosis must not move.
-  EXPECT_EQ(de_digest, ex_digest);
-}
-
-TEST(EngineTiers, OneNodeBudgetFallsBackAndStillDiagnosesIdentically) {
-  ASSERT_FALSE(Sites().empty());
-  auto exhaustive = MakePool(/*use_cache=*/true);
-  auto strangled = MakeTierPool(analysis::PointsToOptions::Tier::kDemand, /*node_budget=*/1);
-  const std::string ex_digest = Drive(exhaustive.get(), /*diagnose_each=*/false);
-  const std::string fb_digest = Drive(strangled.get(), /*diagnose_each=*/false);
-  EXPECT_EQ(fb_digest, ex_digest);
-  for (const bench::CapturedSite& site : Sites()) {
-    const core::DiagnosisServer* shard = ShardFor(*strangled, site);
-    ASSERT_NE(shard, nullptr);
-    // The budget fallback produced an exhaustive (dense) result.
-    ASSERT_NE(shard->points_to(), nullptr);
-    EXPECT_TRUE(shard->points_to()->stats().demand_budget_fallback);
-    EXPECT_FALSE(shard->points_to()->demand_tier());
   }
 }
 
@@ -410,6 +371,60 @@ TEST(ArtifactCodec, SiteRecordAndArtifactValuesRoundTrip) {
         engine::DecodeSiteRecord({framed.data(), cut}, &ignored).ok())
         << "decoded from " << cut << " of " << framed.size() << " bytes";
   }
+}
+
+TEST(ArtifactCodec, PointsToArtifactRoundTrips) {
+  workloads::GeneratorOptions gopts;
+  gopts.seed = 3;
+  gopts.bug = workloads::GeneratedBug::kStoreThroughStale;
+  const workloads::Workload w = workloads::GenerateWorkload(gopts);
+
+  analysis::PointsToOptions opts;
+  opts.scope = analysis::PointsToOptions::Scope::kWholeProgram;
+  auto result =
+      std::make_shared<analysis::PointsToResult>(analysis::RunPointsTo(*w.module, opts));
+  analysis::ObjectSet all_objects;
+  for (uint32_t i = 0; i < result->num_objects(); ++i) {
+    all_objects.Set(i);
+  }
+  const std::vector<const ir::Instruction*> accesses = result->AccessorsOf(all_objects);
+  ASSERT_FALSE(accesses.empty());
+
+  engine::PointsToArtifact artifact;
+  artifact.result = result;
+  artifact.seed = result->PointerOperandPointsTo(*accesses.front());
+  std::vector<uint8_t> bytes;
+  engine::EncodePointsTo(artifact, &bytes);
+  engine::PointsToArtifact decoded;
+  ASSERT_TRUE(engine::DecodePointsTo(bytes, w.module.get(), &decoded).ok());
+  ASSERT_NE(decoded.result, nullptr);
+
+  EXPECT_EQ(decoded.result->num_objects(), result->num_objects());
+  EXPECT_EQ(decoded.result->stats().variables, result->stats().variables);
+  EXPECT_EQ(decoded.seed.Elements(), artifact.seed.Elements());
+  for (const ir::Instruction* inst : accesses) {
+    EXPECT_EQ(decoded.result->PointerOperandPointsTo(*inst).Elements(),
+              result->PointerOperandPointsTo(*inst).Elements())
+        << "access #" << inst->id();
+  }
+  // AccessorsOf must survive the trip (the index is rebuilt post-decode).
+  for (uint32_t obj = 0; obj < result->num_objects(); ++obj) {
+    analysis::ObjectSet one;
+    one.Set(obj);
+    EXPECT_EQ(decoded.result->AccessorsOf(one), result->AccessorsOf(one)) << "object " << obj;
+  }
+  // Encoding the decoded value again must give identical bytes (the
+  // determinism the artifact digest machinery assumes).
+  std::vector<uint8_t> again;
+  engine::EncodePointsTo(decoded, &again);
+  EXPECT_EQ(bytes, again);
+
+  // A record stamped with the previous codec version is refused, so a
+  // restore recomputes the pass instead of misparsing it.
+  std::vector<uint8_t> old_version = bytes;
+  old_version[0] = engine::kArtifactCodecVersion - 1;
+  EXPECT_EQ(engine::DecodePointsTo(old_version, w.module.get(), &decoded).code(),
+            support::StatusCode::kVersionMismatch);
 }
 
 TEST(ArtifactCodec, ExportedSiteStateRoundTripsThroughImport) {

@@ -15,9 +15,7 @@
 //     captured at the server's requested dump points;
 //   - patterns:  micro_patterns' cohort (bench::PatternBenchWorkloads) at its
 //     max_patterns = 512, failing trace only;
-//   - catalogue: every catalogue site as bench::CaptureSites captures it,
-//     diagnosed under the exhaustive and the auto points-to tier; both must
-//     equal the one frozen line.
+//   - catalogue: every catalogue site as bench::CaptureSites captures it.
 //
 // Two relations ride on the generated and catalogue cases, since success
 // traces are scored as projections onto the pattern instructions:
@@ -372,21 +370,14 @@ std::vector<std::string> CatalogueNames() {
 
 class GoldenCatalogue : public ::testing::TestWithParam<std::string> {};
 
-TEST_P(GoldenCatalogue, BothTiersMatchFrozenDigest) {
+TEST_P(GoldenCatalogue, MatchesFrozenDigest) {
   const std::vector<bench::CapturedSite> sites = bench::CaptureSites({GetParam()});
   ASSERT_EQ(sites.size(), 1u) << "site did not reproduce";
   const bench::CapturedSite& site = sites[0];
-  for (const auto tier :
-       {analysis::PointsToOptions::Tier::kExhaustive, analysis::PointsToOptions::Tier::kAuto}) {
-    SCOPED_TRACE(tier == analysis::PointsToOptions::Tier::kAuto ? "auto tier"
-                                                                 : "exhaustive tier");
-    core::DiagnosisServer::Options options;
-    options.pta_tier = tier;
-    const core::DiagnosisReport report =
-        Diagnose(site.workload, site.failing, site.successes, options);
-    ExpectGolden("catalogue", CatalogueNames(), GetParam(), report);
-    ExpectProjectionOracle(site.workload, site.successes, report);
-  }
+  const core::DiagnosisReport report =
+      Diagnose(site.workload, site.failing, site.successes, {});
+  ExpectGolden("catalogue", CatalogueNames(), GetParam(), report);
+  ExpectProjectionOracle(site.workload, site.successes, report);
 }
 
 INSTANTIATE_TEST_SUITE_P(Catalogue, GoldenCatalogue, ::testing::ValuesIn(CatalogueNames()),

@@ -1,7 +1,9 @@
 // Tests for ServerPool: routing bundles to (module fingerprint, failing PC)
-// shards, rejecting unroutable input, and shard diagnosis matching a
-// standalone DiagnosisServer.
+// shards, rejecting unroutable input, shard diagnosis matching a standalone
+// DiagnosisServer, and refusing a site's ingest while it is handed off.
 #include <gtest/gtest.h>
+
+#include <optional>
 
 #include "core/server_pool.h"
 #include "core/snorlax.h"
@@ -33,6 +35,28 @@ Captured CaptureFailingTrace(const std::string& name) {
   }
   ADD_FAILURE() << "no failure reproduced for " << name;
   return out;
+}
+
+// A success trace of `c`'s workload, traced at `dump_points`.
+std::optional<pt::PtTraceBundle> CaptureSuccessTrace(
+    const Captured& c, const std::vector<std::pair<ir::InstId, int>>& dump_points) {
+  ClientOptions copts;
+  copts.interp = c.workload.interp;
+  DiagnosisClient client(c.workload.module.get(), copts);
+  for (uint64_t seed = c.failing_seed + 1; seed <= c.failing_seed + 2000; ++seed) {
+    ClientRun run = client.RunOnce(seed, dump_points);
+    if (!run.result.failure.IsFailure() && run.trace.has_value()) {
+      return *run.trace;
+    }
+  }
+  return std::nullopt;
+}
+
+// The site's one shard report; the pool must hold exactly that site.
+DiagnosisReport SoleReport(const ServerPool& pool) {
+  const std::vector<ServerPool::ShardReport> reports = pool.DiagnoseAll();
+  EXPECT_EQ(reports.size(), 1u);
+  return reports.empty() ? DiagnosisReport{} : reports.front().report;
 }
 
 TEST(ServerPool, RoutesBySiteAndModule) {
@@ -121,6 +145,54 @@ TEST(ServerPool, ShardReportMatchesStandaloneServer) {
   }
   EXPECT_EQ(got.failing_traces, want.failing_traces);
   EXPECT_EQ(got.confidence, want.confidence);
+}
+
+// DiagnosisDaemon::Drain exports a site, ships the records to its new owner,
+// then drops it. A bundle the site accepted in between would miss the records
+// already sent, so from export until drop the site refuses ingest with
+// kWrongShard: the agent keeps the bundle's sequence number and re-routes it.
+TEST(ServerPool, SiteRefusesIngestFromExportUntilDrop) {
+  Captured pb = CaptureFailingTrace("pbzip2_main");
+  ServerPool pool;
+  pool.RegisterModule(pb.workload.module.get());
+  const uint64_t fp = pt::ModuleFingerprint(*pb.workload.module);
+  const ir::InstId inst = pb.bundle.failure.failing_inst;
+  ASSERT_TRUE(pool.SubmitFailingTrace(pb.bundle).ok());
+  const std::optional<pt::PtTraceBundle> success =
+      CaptureSuccessTrace(pb, pool.RequestedDumpPoints(fp, inst));
+  ASSERT_TRUE(success.has_value());
+
+  std::vector<engine::SiteRecord> records;
+  ASSERT_TRUE(pool.ExportSite(fp, inst, &records));
+  EXPECT_EQ(pool.SubmitFailingTrace(pb.bundle).code(), support::StatusCode::kWrongShard);
+  EXPECT_EQ(pool.SubmitSuccessTrace(inst, *success).code(), support::StatusCode::kWrongShard);
+  // Nothing landed on the exported site, and the refusals are not routing
+  // rejects: the bundles are still owed to the ring.
+  const DiagnosisReport report = SoleReport(pool);
+  EXPECT_EQ(report.failing_traces, 1u);
+  EXPECT_EQ(report.success_traces, 0u);
+  EXPECT_EQ(pool.routing_rejects(), 0u);
+
+  EXPECT_TRUE(pool.DropSite(fp, inst));
+  EXPECT_EQ(pool.num_shards(), 0u);
+}
+
+// A failed hand-off re-admits the site: it ingests locally again.
+TEST(ServerPool, ReadmittedSiteIngestsAgain) {
+  Captured pb = CaptureFailingTrace("pbzip2_main");
+  ServerPool pool;
+  pool.RegisterModule(pb.workload.module.get());
+  const uint64_t fp = pt::ModuleFingerprint(*pb.workload.module);
+  const ir::InstId inst = pb.bundle.failure.failing_inst;
+  ASSERT_TRUE(pool.SubmitFailingTrace(pb.bundle).ok());
+
+  std::vector<engine::SiteRecord> records;
+  ASSERT_TRUE(pool.ExportSite(fp, inst, &records));
+  EXPECT_EQ(pool.SubmitFailingTrace(pb.bundle).code(), support::StatusCode::kWrongShard);
+  ASSERT_TRUE(pool.ReadmitSite(fp, inst));
+  ASSERT_TRUE(pool.SubmitFailingTrace(pb.bundle).ok());
+  EXPECT_EQ(SoleReport(pool).failing_traces, 2u);
+  EXPECT_FALSE(pool.ReadmitSite(fp, inst + 1));  // no such site
 }
 
 }  // namespace

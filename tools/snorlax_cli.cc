@@ -62,8 +62,6 @@ int Usage() {
       "  diagnose run the Lazy Diagnosis workflow (arg = failing traces, default 1;\n"
       "           --explain prints the per-pass pipeline log: ran vs cache hit,\n"
       "           timings, artifact keys, dirty reasons;\n"
-      "           --pta-tier=exhaustive|demand|auto picks the step-4 solver,\n"
-      "           --pta-budget=N caps demand nodes visited before fallback,\n"
       "           --report=text|json|sarif picks the output rendering,\n"
       "           --suggest-fix runs the repair pass: patch synthesis per\n"
       "           confirmed pattern + interpreter validation across timing bands)\n"
@@ -76,8 +74,7 @@ int Usage() {
       "           workload mix (--clients=N, --threads=M, --rounds=R, --json,\n"
       "           --json=<path> to also write the JSON line to a file)\n"
       "  serve    run the TCP diagnosis daemon (--port=P, --deadline-ms=D\n"
-      "           per-site analysis deadline, --workloads=a,b,c,\n"
-      "           --pta-tier=exhaustive|demand|auto, --pta-budget=N;\n"
+      "           per-site analysis deadline, --workloads=a,b,c;\n"
       "           cluster mode: --node-id=N --peers=id@port[,id@port...];\n"
       "           durability: --data-dir=DIR [--fsync]; default port 7433,\n"
       "           SIGTERM/Ctrl-C drains: hands sites to the remaining ring,\n"
@@ -204,31 +201,11 @@ void PrintExplain(const core::DiagnosisServer& server) {
   std::fputs(report::RenderExplainTable(rows, server.artifact_stats()).c_str(), stdout);
 }
 
-// --pta-tier= values; returns false (leaving *out alone) on unknown names.
-bool ParsePtaTier(const std::string& value, analysis::PointsToOptions::Tier* out) {
-  if (value == "exhaustive") {
-    *out = analysis::PointsToOptions::Tier::kExhaustive;
-  } else if (value == "demand") {
-    *out = analysis::PointsToOptions::Tier::kDemand;
-  } else if (value == "auto") {
-    *out = analysis::PointsToOptions::Tier::kAuto;
-  } else {
-    return false;
-  }
-  return true;
-}
-
-struct PtaFlags {
-  analysis::PointsToOptions::Tier tier = analysis::PointsToOptions::Tier::kExhaustive;
-  size_t node_budget = 0;
-};
-
 struct DiagnoseFlags {
   size_t failing_traces = 1;
   bool explain = false;
   bool suggest_fix = false;
   report::Format format = report::Format::kText;
-  PtaFlags pta;
 };
 
 int CmdDiagnose(const std::string& path, const DiagnoseFlags& flags) {
@@ -239,8 +216,6 @@ int CmdDiagnose(const std::string& path, const DiagnoseFlags& flags) {
   core::SnorlaxOptions opts;
   opts.client.interp.work_jitter = 0.04;
   opts.failing_traces = flags.failing_traces;
-  opts.server.pta_tier = flags.pta.tier;
-  opts.server.pta_node_budget = flags.pta.node_budget;
   if (flags.suggest_fix) {
     // The repair pass validates patches by re-running the scenario, so it
     // inherits the client's timing model.
@@ -509,14 +484,6 @@ int CmdServe(int argc, char** argv) {
           static_cast<double>(std::strtoull(flag.c_str() + 14, nullptr, 10)) / 1000.0;
     } else if (flag.rfind("--workloads=", 0) == 0) {
       names = SplitCommas(flag.substr(12));
-    } else if (flag.rfind("--pta-tier=", 0) == 0) {
-      if (!ParsePtaTier(flag.substr(11), &dopts.pool.server.pta_tier)) {
-        std::printf("bad --pta-tier '%s' (want exhaustive|demand|auto)\n",
-                    flag.c_str() + 11);
-        return Usage();
-      }
-    } else if (flag.rfind("--pta-budget=", 0) == 0) {
-      dopts.pool.server.pta_node_budget = std::strtoull(flag.c_str() + 13, nullptr, 10);
     } else if (flag.rfind("--node-id=", 0) == 0) {
       dopts.node_id = std::strtoull(flag.c_str() + 10, nullptr, 10);
     } else if (flag.rfind("--peers=", 0) == 0) {
@@ -779,14 +746,6 @@ int main(int argc, char** argv) {
           std::printf("bad --report '%s' (want text|json|sarif)\n", flag.c_str() + 9);
           return Usage();
         }
-      } else if (flag.rfind("--pta-tier=", 0) == 0) {
-        if (!ParsePtaTier(flag.substr(11), &flags.pta.tier)) {
-          std::printf("bad --pta-tier '%s' (want exhaustive|demand|auto)\n",
-                      flag.c_str() + 11);
-          return Usage();
-        }
-      } else if (flag.rfind("--pta-budget=", 0) == 0) {
-        flags.pta.node_budget = std::strtoull(flag.c_str() + 13, nullptr, 10);
       } else if (!flag.empty() && flag[0] != '-') {
         const uint64_t n = std::strtoull(flag.c_str(), nullptr, 10);
         flags.failing_traces = n == 0 ? 1 : static_cast<size_t>(n);
