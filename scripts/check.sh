@@ -64,6 +64,20 @@ jq -e '.stages.analysis_seconds > 0
        and any(.stages.passes[]; .pass == "trace-process" and .ms > 0)' \
     sample_report.json > /dev/null
 
+echo "== --explain sanity (a row per pass, the store summary, residency verdicts) =="
+# Every pass a plain diagnose runs (kRepair runs only with --suggest-fix)
+# prints a row; the store's residency column knows resident / evicted /
+# absent only.
+explain="$("${BUILD_DIR}/snorlax_cli" diagnose sample_bug.sir --explain)"
+for pass in trace-process deref-chains points-to type-rank patterns score; do
+  grep -Eq "^  ${pass} +(ran|cache-hit|skipped) " <<< "${explain}"
+done
+grep -q '^  artifact store: ' <<< "${explain}"
+if grep -q 'pinned' <<< "${explain}"; then
+  echo "--explain printed a residency verdict the store no longer has" >&2
+  exit 1
+fi
+
 echo "== benchmark harness (perfbench build + unit tests) =="
 # perfbench/ compiles bench/throughput_harness.cc and reads the net and wire
 # APIs, so build it from this checkout and run its own C++ and Python tests.

@@ -77,7 +77,9 @@ support::Result<std::shared_ptr<const trace::ProcessedTrace>> DiagnosisServer::I
   const auto start = std::chrono::steady_clock::now();
   const uint64_t key = trace::TraceKey(bundle, options_.trace);
   if (options_.use_analysis_cache) {
-    if (std::shared_ptr<const trace::ProcessedTrace> known = KnownTrace(key, failing)) {
+    // A success projection is served stale or not: Score() re-projects it.
+    if (std::shared_ptr<const trace::ProcessedTrace> known =
+            failing ? engine_.FailingTrace(key) : engine_.SuccessProjection(key)) {
       // Each submission appends the shared trace as its own evidence; only
       // the packet decoding is skipped.
       engine_.RecordTraceProcess(SecondsSince(start), /*cache_hit=*/true);
@@ -103,26 +105,12 @@ support::Result<std::shared_ptr<const trace::ProcessedTrace>> DiagnosisServer::I
   // bundle still tells the operator what corruption ate it.
   degradation_.MergeFrom(decoded->degradation());
   if (!decoded->HasEvidence()) {
-    // Not kept: a repeat is served only a trace ingest accepted.
+    // Never filed: a repeat is served only a trace ingest accepted.
     Status err = Status::Error(StatusCode::kCorruptData, "no usable events survived decoding");
     RecordRejection(what, err);
     return err;
   }
-  if (failing && options_.use_analysis_cache) {
-    decode_cache_.Put(engine::ArtifactKind::kProcessedTrace, key,
-                      engine::ProcessedTraceArtifact{decoded});
-  }
   return decoded;
-}
-
-std::shared_ptr<const trace::ProcessedTrace> DiagnosisServer::KnownTrace(uint64_t key,
-                                                                         bool failing) {
-  if (!failing) {
-    return engine_.SuccessProjection(key);
-  }
-  const auto* memo =
-      decode_cache_.Find<engine::ProcessedTraceArtifact>(engine::ArtifactKind::kProcessedTrace, key);
-  return memo == nullptr ? nullptr : memo->trace;
 }
 
 void DiagnosisServer::RecordRejection(const char* what, const Status& status) {
@@ -141,26 +129,32 @@ void DiagnosisServer::RecordRejection(const char* what, const Status& status) {
   degradation_.notes.push_back(std::move(note));
 }
 
-const std::shared_ptr<const pt::PtTraceBundle>& DiagnosisServer::KeepEvidence(
-    engine::SiteRecord::Type type, const pt::PtTraceBundle& bundle, uint64_t key) {
-  site_log_.push_back(EvidenceRef{type, key});
-  auto [it, inserted] = evidence_.try_emplace(key);
-  if (inserted) {
-    it->second = std::make_shared<const pt::PtTraceBundle>(bundle);
+Status DiagnosisServer::RunFailingPipeline(const pt::PtTraceBundle& bundle,
+                                           std::shared_ptr<const trace::ProcessedTrace> trace,
+                                           const engine::CancelToken& cancel, const char* what) {
+  Status pipeline;
+  try {
+    pipeline = engine_.AddFailingTrace(bundle, std::move(trace), cancel);
+  } catch (const std::exception& e) {
+    RecordRejection(what, Status::Error(StatusCode::kInternal, e.what()));
+    return Status::Error(StatusCode::kInternal, StrFormat("analysis failed: %s", e.what()));
   }
-  if (options_.durable_log != nullptr) {
-    PersistEvidence(type, key);
-  }
-  return it->second;
+  degradation_.hypothesis_fallback =
+      degradation_.hypothesis_fallback || engine_.hypothesis_violated();
+  degradation_.slice_fallback = degradation_.slice_fallback || engine_.used_slice_fallback();
+  return pipeline;
 }
 
 void DiagnosisServer::PersistEvidence(engine::SiteRecord::Type type, uint64_t key) {
+  if (options_.durable_log == nullptr) {
+    return;
+  }
   engine::SiteRecord record;
   record.type = type;
   record.key = key;
   const bool first = logged_keys_.insert(key).second;
   if (first) {
-    pt::EncodeBundle(*evidence_.at(key), &record.bytes);
+    pt::EncodeBundle(*engine_.EvidenceBundle(key), &record.bytes);
   }
   if (!options_.durable_log->Append(options_.durable_site, record).ok()) {
     ++persist_failures_;
@@ -178,18 +172,12 @@ Status DiagnosisServer::SubmitFailingTrace(const pt::PtTraceBundle& bundle) {
   if (!ingested.ok()) {
     return ingested.status();
   }
-  std::shared_ptr<const trace::ProcessedTrace> processed = ingested.take();
-  Status pipeline;
-  try {
-    pipeline = engine_.AddFailingTrace(processed, cancel);
-  } catch (const std::exception& e) {
-    RecordRejection("pipeline crash barrier", Status::Error(StatusCode::kInternal, e.what()));
-    return Status::Error(StatusCode::kInternal,
-                         StrFormat("analysis failed: %s", e.what()));
+  const uint64_t key = ingested.value()->ContentKey();
+  const Status pipeline =
+      RunFailingPipeline(bundle, ingested.take(), cancel, "pipeline crash barrier");
+  if (pipeline.code() == StatusCode::kInternal) {
+    return pipeline;
   }
-  degradation_.hypothesis_fallback =
-      degradation_.hypothesis_fallback || engine_.hypothesis_violated();
-  degradation_.slice_fallback = degradation_.slice_fallback || engine_.used_slice_fallback();
   if (!pipeline.ok()) {
     // Deadline hit at a pass boundary: the trace stays as scoring evidence
     // and every completed artifact remains valid, but the operator should
@@ -197,7 +185,8 @@ Status DiagnosisServer::SubmitFailingTrace(const pt::PtTraceBundle& bundle) {
     degradation_.notes.push_back(pipeline.ToString());
   }
   // The trace was retained as evidence (even on deadline): make it durable.
-  KeepEvidence(engine::SiteRecord::Type::kFailingEvidence, bundle, processed->ContentKey());
+  site_log_.push_back(EvidenceRef{engine::SiteRecord::Type::kFailingEvidence, key});
+  PersistEvidence(engine::SiteRecord::Type::kFailingEvidence, key);
   return pipeline;
 }
 
@@ -209,29 +198,41 @@ Status DiagnosisServer::SubmitSuccessTrace(const pt::PtTraceBundle& bundle) {
   if (!ingested.ok()) {
     return ingested.status();
   }
-  std::shared_ptr<const trace::ProcessedTrace> projection = ingested.take();
-  const std::shared_ptr<const pt::PtTraceBundle>& kept = KeepEvidence(
-      engine::SiteRecord::Type::kSuccessEvidence, bundle, projection->ContentKey());
-  engine_.AddSuccessTrace(kept, std::move(projection));
+  const uint64_t key = ingested.value()->ContentKey();
+  engine_.AddSuccessTrace(bundle, ingested.take());
+  site_log_.push_back(EvidenceRef{engine::SiteRecord::Type::kSuccessEvidence, key});
+  PersistEvidence(engine::SiteRecord::Type::kSuccessEvidence, key);
   return Status::Ok();
 }
 
-support::Result<std::shared_ptr<const trace::ProcessedTrace>> DiagnosisServer::RestoreEvidence(
-    const engine::SiteRecord& record, bool failing) {
+Status DiagnosisServer::RestoreEvidence(const engine::SiteRecord& record, bool failing) {
   constexpr const char* kWhat = "durable evidence rejected";
+  // Files `bundle` with `trace`, built from the bundle first when null.
+  auto file = [&](const pt::PtTraceBundle& bundle,
+                  std::shared_ptr<const trace::ProcessedTrace> trace) -> Status {
+    if (trace == nullptr) {
+      auto ingested = Ingest(bundle, failing, kWhat);
+      if (!ingested.ok()) {
+        return ingested.status();
+      }
+      trace = ingested.take();
+    }
+    if (!failing) {
+      engine_.AddSuccessTrace(bundle, std::move(trace));
+      return Status::Ok();
+    }
+    // Restore runs without a deadline: with the artifacts imported first
+    // every pass is a cache hit, so this is bounded work.
+    return RunFailingPipeline(bundle, std::move(trace), engine::CancelToken(),
+                              "restore pipeline crash barrier");
+  };
   if (record.bytes.empty()) {
     // A reference record: its key's full record came earlier in the stream,
-    // so the engine already holds its trace (a success projection, stale or
-    // not, is brought up to date by Score()). Only a key first restored as
-    // the other kind, or rejected by the engine, is built from its bundle.
-    if (std::shared_ptr<const trace::ProcessedTrace> known =
-            failing ? engine_.FailingTrace(record.key) : engine_.SuccessProjection(record.key)) {
-      engine_.RecordTraceProcess(0.0, /*cache_hit=*/true);
-      degradation_.MergeFrom(known->degradation());
-      return known;
-    }
-    auto it = evidence_.find(record.key);
-    if (it == evidence_.end()) {
+    // so the engine already holds its bundle and usually its trace (a
+    // success projection, stale or not, is brought up to date by Score()).
+    // Only a key first restored as the other kind is built from its bundle.
+    const pt::PtTraceBundle* bundle = engine_.EvidenceBundle(record.key);
+    if (bundle == nullptr) {
       Status err = Status::Error(
           StatusCode::kCorruptData,
           StrFormat("evidence reference %016llx has no full record",
@@ -239,7 +240,13 @@ support::Result<std::shared_ptr<const trace::ProcessedTrace>> DiagnosisServer::R
       RecordRejection(kWhat, err);
       return err;
     }
-    return Ingest(*it->second, failing, kWhat);
+    std::shared_ptr<const trace::ProcessedTrace> known =
+        failing ? engine_.FailingTrace(record.key) : engine_.SuccessProjection(record.key);
+    if (known != nullptr) {
+      engine_.RecordTraceProcess(0.0, /*cache_hit=*/true);
+      degradation_.MergeFrom(known->degradation());
+    }
+    return file(*bundle, std::move(known));
   }
   auto bundle = pt::DecodeBundle(record.bytes);
   if (!bundle.ok()) {
@@ -252,11 +259,7 @@ support::Result<std::shared_ptr<const trace::ProcessedTrace>> DiagnosisServer::R
     RecordRejection(kWhat, err);
     return err;
   }
-  auto ingested = Ingest(bundle.value(), failing, kWhat);
-  if (ingested.ok() && !evidence_.contains(record.key)) {
-    evidence_.emplace(record.key, std::make_shared<const pt::PtTraceBundle>(bundle.take()));
-  }
-  return ingested;
+  return file(bundle.value(), nullptr);
 }
 
 void DiagnosisServer::ApplyRecord(engine::SiteRecord&& record, bool persist) {
@@ -285,28 +288,9 @@ void DiagnosisServer::ApplyRecord(engine::SiteRecord&& record, bool persist) {
         // was written, and in-order replay re-derives the same cap decision.
         return;
       }
-      auto restored = RestoreEvidence(record, failing);
-      if (!restored.ok()) {
+      if (!RestoreEvidence(record, failing).ok()) {
         ++persist_failures_;
         return;
-      }
-      std::shared_ptr<const trace::ProcessedTrace> t = restored.take();
-      if (failing) {
-        try {
-          // Restore runs without a deadline: with the artifacts imported
-          // above every pass is a cache hit, so this is bounded work.
-          (void)engine_.AddFailingTrace(std::move(t), engine::CancelToken());
-        } catch (const std::exception& e) {
-          RecordRejection("restore pipeline crash barrier",
-                          Status::Error(StatusCode::kInternal, e.what()));
-          return;
-        }
-        degradation_.hypothesis_fallback =
-            degradation_.hypothesis_fallback || engine_.hypothesis_violated();
-        degradation_.slice_fallback =
-            degradation_.slice_fallback || engine_.used_slice_fallback();
-      } else {
-        engine_.AddSuccessTrace(evidence_.at(record.key), std::move(t));
       }
       site_log_.push_back(EvidenceRef{record.type, record.key});
       if (persist) {
@@ -379,7 +363,7 @@ void DiagnosisServer::ExportSiteRecords(
       const std::string& note = rejection_notes_[rejection_i++];
       record.bytes.assign(note.begin(), note.end());
     } else if (sent.insert(ref.key).second) {
-      pt::EncodeBundle(*evidence_.at(ref.key), &record.bytes);
+      pt::EncodeBundle(*engine_.EvidenceBundle(ref.key), &record.bytes);
     }
     fn(std::move(record));
   }
@@ -421,17 +405,6 @@ StageStats DiagnosisServer::BuildStageStats() const {
   s.patterns_generated = counts.patterns_generated;
   s.passes = engine_.pass_stats();
   s.artifacts = artifact_stats();
-  return s;
-}
-
-engine::ArtifactStore::Stats DiagnosisServer::artifact_stats() const {
-  engine::ArtifactStore::Stats s = engine_.store_stats();
-  const engine::ArtifactStore::Stats& memo = decode_cache_.stats();
-  s.hits += memo.hits;
-  s.misses += memo.misses;
-  s.insertions += memo.insertions;
-  s.evictions += memo.evictions;
-  s.entries += memo.entries;
   return s;
 }
 

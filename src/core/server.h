@@ -27,7 +27,6 @@
 #include <functional>
 #include <memory>
 #include <string>
-#include <unordered_map>
 #include <unordered_set>
 #include <vector>
 
@@ -123,9 +122,9 @@ class DiagnosisServer {
     // content-hash keyed artifact store: a pass whose declared inputs are
     // unchanged takes a cache hit instead of re-running (points-to re-runs
     // only when the executed set changes; pattern computation only when the
-    // dynamic trace content changes; byte-identical bundle repeats skip
-    // decoding via the decode memo or the engine's success projection). Off
-    // for benches that time the analysis itself by resubmitting one bundle.
+    // dynamic trace content changes; a byte-identical bundle repeat skips
+    // decoding, served the trace the engine's evidence table holds). Off for
+    // benches that time the analysis itself by resubmitting one bundle.
     bool use_analysis_cache = true;
     // Per-failing-bundle analysis budget, measured from SubmitFailingTrace
     // entry and checked at pass boundaries. On expiry the remaining passes
@@ -215,14 +214,14 @@ class DiagnosisServer {
   // Per-pass run / cache-hit / seconds counters.
   engine::PassStatsTable pass_stats() const { return engine_.pass_stats(); }
   engine::PassStats pass_stats(engine::PassId id) const { return engine_.pass_stats(id); }
-  // Engine artifact store + the server's decode memo, summed.
-  engine::ArtifactStore::Stats artifact_stats() const;
+  // The engine's artifact store counters.
+  const engine::ArtifactStore::Stats& artifact_stats() const { return engine_.store_stats(); }
   // Pass-boundary log of the most recent pipeline run + scoring, for
   // `snorlax_cli diagnose --explain`: ran vs cache hit, duration, artifact
   // key, and why the pass was dirty.
   std::vector<engine::PassTrace> explain() const { return engine_.last_run(); }
   // Residency verdict for the artifact a pass produced under `key`
-  // (--explain's "artifact" column: resident / pinned / evicted / absent).
+  // (--explain's "artifact" column: resident / evicted / absent).
   engine::ResidencyState artifact_state(engine::PassId id, uint64_t key) const {
     return engine_.ArtifactState(id, key);
   }
@@ -253,37 +252,33 @@ class DiagnosisServer {
   static engine::EngineOptions MakeEngineOptions(const Options& options);
   // Steps 2-3 for one bundle: validation, then the trace -- full for a
   // failing bundle, a projection onto the engine's pattern instructions for
-  // a success bundle -- served by KnownTrace() on a byte-identical repeat (a
-  // kTraceProcess cache hit) when caching is on, else built behind a crash
-  // barrier, so any exception a hardening gap lets through costs one bundle,
-  // never the server. A hit hands out the known trace itself: traces are
-  // immutable, so every submission of the bundle shares one object. Merges
-  // the trace's degradation, and rejects a trace with no usable events
-  // without memoizing it. Every failure is recorded as a rejection under
-  // `what`.
+  // a success bundle. When caching is on, a byte-identical repeat is served
+  // the trace the engine already holds for the bundle's key and kind (a
+  // kTraceProcess cache hit; traces are immutable, so every submission of
+  // the bundle shares one object). Otherwise the trace is built behind a
+  // crash barrier, so any exception a hardening gap lets through costs one
+  // bundle, never the server. Merges the trace's degradation, and rejects a
+  // trace with no usable events. Every failure is recorded as a rejection
+  // under `what`.
   support::Result<std::shared_ptr<const trace::ProcessedTrace>> Ingest(
       const pt::PtTraceBundle& bundle, bool failing, const char* what);
-  // The trace already built for bundle `key`, or null: the decode memo's
-  // full trace for a failing bundle, the engine's projection for a success
-  // bundle (stale or not; Score() re-projects it).
-  std::shared_ptr<const trace::ProcessedTrace> KnownTrace(uint64_t key, bool failing);
-  // Files one piece of accepted evidence under its trace::TraceKey `key`:
-  // the arrival-order ledger, the unique-bundle store (a copy only for a new
-  // key), and the durable log. Returns the stored bundle.
-  const std::shared_ptr<const pt::PtTraceBundle>& KeepEvidence(engine::SiteRecord::Type type,
-                                                              const pt::PtTraceBundle& bundle,
-                                                              uint64_t key);
-  // Appends one evidence record to the durable log: the bundle's wire
-  // encoding the first time `key` reaches the log, a key-only reference
-  // after that.
+  // Hands a failing trace and its bundle to the engine's pipeline, which
+  // files them, behind the crash barrier: a crash is recorded as a rejection
+  // under `what` and returns kInternal with nothing filed. Folds the
+  // pipeline's fallbacks into the degradation ledger.
+  support::Status RunFailingPipeline(const pt::PtTraceBundle& bundle,
+                                     std::shared_ptr<const trace::ProcessedTrace> trace,
+                                     const engine::CancelToken& cancel, const char* what);
+  // Appends one evidence record to the durable log, if one is set: the wire
+  // encoding of the bundle the engine holds under `key` the first time `key`
+  // reaches the log, a key-only reference after that.
   void PersistEvidence(engine::SiteRecord::Type type, uint64_t key);
-  // The trace a restored/imported evidence record stands for: a full record
-  // is decoded and ingested like a live bundle, a reference resolves to the
-  // engine's trace of its key, whatever use_analysis_cache says, and is
-  // ingested from its stored bundle only when the engine holds none of its
-  // kind. Failures are recorded rejections.
-  support::Result<std::shared_ptr<const trace::ProcessedTrace>> RestoreEvidence(
-      const engine::SiteRecord& record, bool failing);
+  // Restores one evidence record into the engine: a full record is decoded
+  // and ingested like a live bundle; a reference resolves to the engine's
+  // trace of its key, whatever use_analysis_cache says, and is ingested
+  // from the engine's copy of its bundle only when the engine holds no trace
+  // of its kind. Failures are recorded rejections.
+  support::Status RestoreEvidence(const engine::SiteRecord& record, bool failing);
   // Applies one restored/imported record; when `persist` is set the record is
   // appended to this server's own durable log on acceptance (hand-off).
   void ApplyRecord(engine::SiteRecord&& record, bool persist);
@@ -293,22 +288,11 @@ class DiagnosisServer {
   Options options_;
 
   // Mutable because Diagnose() is conceptually const but drives the engine's
-  // incremental scorer, which memoizes.
+  // incremental scorer, which memoizes. It holds every accepted bundle and
+  // its traces, keyed by trace::TraceKey, as is logged_keys_ below.
   mutable engine::SiteEngine engine_;
-  // Decode memo (kProcessedTrace, failing traces only): a fleet replaying
-  // the same interleaving skips packet decoding, the dominant per-bundle cost
-  // in the steady state. A success repeat needs no memo: the engine keeps
-  // each success bundle's projection. Keyed by trace::TraceKey, as are
-  // evidence_ and logged_keys_ below.
-  engine::ArtifactStore decode_cache_;
   trace::DegradationReport degradation_;
 
-  // Every accepted evidence bundle, once per key: the source of each full
-  // evidence record a sink receives, what a reference record resolves to on
-  // restore, and (shared, not copied) what the engine re-projects a success
-  // trace from. The raw bundle, not a trace-sized copy; it is encoded only
-  // when a sink first needs it.
-  std::unordered_map<uint64_t, std::shared_ptr<const pt::PtTraceBundle>> evidence_;
   // Keys whose full record is in the durable log: later records of the key
   // are references. Rebuilt from the records on restore.
   std::unordered_set<uint64_t> logged_keys_;

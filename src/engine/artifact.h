@@ -21,22 +21,24 @@
 #include "analysis/type_rank.h"
 #include "engine/statistical.h"
 #include "support/hash.h"
-#include "trace/processed_trace.h"
 
 namespace snorlax::engine {
 
 class PatternVerdictCache;
 
+// The values are the kind bytes of durable-log and hand-off records, so they
+// never move. 6 is retired (a kind that was never written to a log); a record
+// carrying it is refused like any other unknown kind.
 enum class ArtifactKind : uint8_t {
-  kExecutedSet = 0,     // steps 2-3 output identity (the set lives in the trace)
-  kDerefChains,         // failure access chain (RETracer-style walk)
-  kPointsTo,            // step 4 output + the failing operand's seed set
-  kRankedCandidates,    // step 5 output
-  kPatternSet,          // step 6 output for one failing trace
-  kF1Scores,            // step 7 output over the full evidence set
-  kProcessedTrace,      // steps 2-3: decoded bundle, keyed by raw content
-  kRepairPlan,          // kRepair output: patches + validation verdicts
+  kExecutedSet = 0,       // steps 2-3 output identity (the set lives in the trace)
+  kDerefChains = 1,       // failure access chain (RETracer-style walk)
+  kPointsTo = 2,          // step 4 output + the failing operand's seed set
+  kRankedCandidates = 3,  // step 5 output
+  kPatternSet = 4,        // step 6 output for one failing trace
+  kF1Scores = 5,          // step 7 output over the full evidence set
+  kRepairPlan = 7,        // kRepair output: patches + validation verdicts
 };
+// One past the largest kind byte.
 inline constexpr size_t kNumArtifactKinds = 8;
 
 const char* ArtifactKindName(ArtifactKind kind);
@@ -93,15 +95,6 @@ struct PatternSetArtifact {
 struct F1ScoresArtifact {
   std::vector<DiagnosedPattern> scored;  // sorted best-first, total order
   size_t top_f1_patterns = 0;
-};
-
-// A decoded bundle in the server's decode memo, keyed by trace::TraceKey. A
-// fleet replaying the same interleaving -- retransmissions, crash loops, the
-// steady state of a widespread bug -- skips packet decoding entirely. The
-// trace is immutable, so each submission appends the same shared object as
-// its evidence. Never persisted: durable and hand-off evidence is the bundle.
-struct ProcessedTraceArtifact {
-  std::shared_ptr<const trace::ProcessedTrace> trace;
 };
 
 }  // namespace snorlax::engine

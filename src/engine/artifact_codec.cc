@@ -694,10 +694,9 @@ support::Status EncodeArtifactValue(ArtifactKind kind, const void* value,
       return Status::Ok();
     case ArtifactKind::kRepairPlan:
       EncodeRepairPlan(*static_cast<const RepairPlan*>(value), out);
-      return Status::Ok();    case ArtifactKind::kProcessedTrace:
-      break;  // the decode memo is never persisted: evidence is its bundle
+      return Status::Ok();
   }
-  return Status::Error(StatusCode::kInvalidArgument, "no codec for this artifact kind");
+  return Status::Error(StatusCode::kInvalidArgument, "unknown artifact kind");
 }
 
 support::Status DecodeArtifactValue(ArtifactKind kind,
@@ -753,10 +752,9 @@ support::Status DecodeArtifactValue(ArtifactKind kind,
       if (!s.ok()) return s;
       *out = std::move(a);
       return Status::Ok();
-    }    case ArtifactKind::kProcessedTrace:
-      break;  // the decode memo is never persisted: evidence is its bundle
+    }
   }
-  return Status::Error(StatusCode::kInvalidArgument, "no codec for this artifact kind");
+  return Status::Error(StatusCode::kInvalidArgument, "unknown artifact kind");
 }
 
 void EncodeSiteRecord(const SiteRecord& record, std::vector<uint8_t>* out) {
@@ -785,13 +783,6 @@ support::Status DecodeSiteRecord(std::span<const uint8_t> bytes,
   out->type = static_cast<SiteRecord::Type>(type);
   out->kind = static_cast<ArtifactKind>(kind);
   return r.ExpectExhausted();
-}
-
-size_t ApproxArtifactBytes(size_t encoded_size) {
-  // Decoded forms re-inflate container overheads the varint layout squeezes
-  // out; 2x encoded size tracks the resident footprint well enough for a
-  // budget knob that only needs the right order of magnitude.
-  return encoded_size * 2;
 }
 
 }  // namespace snorlax::engine

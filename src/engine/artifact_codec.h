@@ -30,6 +30,7 @@
 #include "engine/repair.h"
 #include "support/binio.h"
 #include "support/status.h"
+#include "trace/processed_trace.h"
 
 namespace snorlax::engine {
 
@@ -82,9 +83,9 @@ void EncodeProcessedTrace(const trace::ProcessedTrace& t,
 
 // --- type-erased dispatch ----------------------------------------------------
 // The artifact store holds values behind shared_ptr<void> keyed by kind; the
-// export/import paths round-trip them without knowing the concrete type.
-// kProcessedTrace has no codec: only the server's never-persisted decode memo
-// holds that kind, so either call rejects it with kInvalidArgument.
+// export/import paths round-trip them without knowing the concrete type. A
+// kind byte with no ArtifactKind (the retired 6, or one from a newer build)
+// is rejected with kInvalidArgument.
 
 support::Status EncodeArtifactValue(ArtifactKind kind, const void* value,
                                     std::vector<uint8_t>* out);
@@ -119,11 +120,6 @@ struct SiteRecord {
 void EncodeSiteRecord(const SiteRecord& record, std::vector<uint8_t>* out);
 support::Status DecodeSiteRecord(std::span<const uint8_t> bytes,
                                  SiteRecord* out);
-
-// Approximate resident size of an encoded artifact's decoded form, used for
-// the store's byte-budget accounting. The encoded size is the cheap,
-// good-enough proxy: both scale with the same containers.
-size_t ApproxArtifactBytes(size_t encoded_size);
 
 }  // namespace snorlax::engine
 

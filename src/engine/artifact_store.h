@@ -1,20 +1,15 @@
-// Per-failure-site artifact store: content-hash keyed, budgeted, observable.
+// Per-failure-site artifact store: content-hash keyed, bounded, observable.
 //
 // Mechanism only -- the store neither knows what a pass is nor when to
 // invalidate. Invalidation is implicit in the keys: a pass whose inputs
 // changed computes a different content hash, misses, recomputes, and inserts;
-// the stale entry ages out under the per-kind FIFO budget. Policy (how big
-// the budget is, whether caching is on at all) lives with the caller.
+// the stale entry ages out under the per-kind FIFO cap. Whether caching is on
+// at all is the caller's policy.
 //
-// Two budgets compose:
-//   - max_entries_per_kind: per-kind FIFO population cap (hostile-client
-//     bound -- a new interleaving per bundle cannot grow the store forever);
-//   - max_total_bytes: a global byte budget that evicts oldest-first, but
-//     only artifacts whose kind is in `evictable_kinds`. The default mask is
-//     exactly the derived artifacts -- everything recomputable from the
-//     retained inputs (the executed-set identity, the deref chain, and the
-//     evidence traces the engine owns outside the store) -- so a byte-budget
-//     eviction can cost a pass re-run but never lost evidence.
+// The cap (kMaxEntriesPerKind) is the hostile-client bound: a new
+// interleaving per bundle cannot grow the store forever. Every stored kind
+// is recomputable from the evidence the engine keeps outside the store, so
+// an eviction can cost a pass re-run but never lost evidence.
 #ifndef SNORLAX_ENGINE_ARTIFACT_STORE_H_
 #define SNORLAX_ENGINE_ARTIFACT_STORE_H_
 
@@ -29,29 +24,12 @@
 
 namespace snorlax::engine {
 
-inline constexpr uint32_t ArtifactKindBit(ArtifactKind kind) {
-  return 1u << static_cast<uint32_t>(kind);
-}
-
-// Kinds a byte-budget eviction may drop: derived artifacts the pipeline can
-// recompute from retained inputs, plus the decode memo (recomputable from a
-// re-sent bundle). kExecutedSet and kDerefChains stay pinned -- they are the
-// inputs downstream keys are derived from.
-inline constexpr uint32_t kRecomputableArtifactKinds =
-    ArtifactKindBit(ArtifactKind::kPointsTo) |
-    ArtifactKindBit(ArtifactKind::kRankedCandidates) |
-    ArtifactKindBit(ArtifactKind::kPatternSet) |
-    ArtifactKindBit(ArtifactKind::kF1Scores) |
-    ArtifactKindBit(ArtifactKind::kProcessedTrace) |
-    ArtifactKindBit(ArtifactKind::kRepairPlan);
-
 // Where a (kind, key) pair stands relative to the store -- the distinction
 // `--explain` needs between "never computed" and "computed but evicted".
 enum class ResidencyState : uint8_t {
   kAbsent,    // never inserted (as far as the bounded memory recalls)
-  kResident,  // in the store now, eligible for byte-budget eviction
-  kPinned,    // in the store now and its kind is never byte-evicted
-  kEvicted,   // was inserted, has since been evicted (FIFO cap or bytes)
+  kResident,  // in the store now
+  kEvicted,   // was inserted, has since been pushed out by the FIFO cap
 };
 
 inline const char* ResidencyStateName(ResidencyState state) {
@@ -60,8 +38,6 @@ inline const char* ResidencyStateName(ResidencyState state) {
       return "absent";
     case ResidencyState::kResident:
       return "resident";
-    case ResidencyState::kPinned:
-      return "pinned";
     case ResidencyState::kEvicted:
       return "evicted";
   }
@@ -70,32 +46,19 @@ inline const char* ResidencyStateName(ResidencyState state) {
 
 class ArtifactStore {
  public:
-  struct Options {
-    // Per-kind entry budget (eviction is FIFO by insertion). A diagnosis
-    // site rarely sees more than a handful of distinct executed sets, so a
-    // small budget holds the steady state while bounding a hostile client
-    // that ships a new interleaving with every bundle.
-    size_t max_entries_per_kind = 64;
-    // Global byte budget over the callers' per-entry size estimates; 0 means
-    // unbounded. Only kinds in `evictable_kinds` are eligible; when every
-    // over-budget byte belongs to pinned kinds the store stays over budget
-    // rather than dropping an input.
-    size_t max_total_bytes = 0;
-    uint32_t evictable_kinds = kRecomputableArtifactKinds;
-  };
+  // Per-kind entry cap (eviction is FIFO by insertion). A diagnosis site
+  // rarely sees more than a handful of distinct executed sets, so a small
+  // cap holds the steady state while bounding a hostile client that ships a
+  // new interleaving with every bundle.
+  static constexpr size_t kMaxEntriesPerKind = 64;
 
   struct Stats {
     uint64_t hits = 0;
     uint64_t misses = 0;
     uint64_t insertions = 0;
-    uint64_t evictions = 0;       // per-kind FIFO cap
-    uint64_t byte_evictions = 0;  // global byte budget
-    size_t entries = 0;           // current population across kinds
-    size_t bytes = 0;             // current byte estimate across kinds
+    uint64_t evictions = 0;  // per-kind FIFO cap
+    size_t entries = 0;      // current population across kinds
   };
-
-  ArtifactStore() = default;
-  explicit ArtifactStore(Options options) : options_(options) {}
 
   // Typed lookup. Returns nullptr (and counts a miss) when no artifact of
   // this kind was stored under `key`.
@@ -108,34 +71,34 @@ class ArtifactStore {
       return nullptr;
     }
     ++stats_.hits;
-    return static_cast<const T*>(it->second.value.get());
+    return static_cast<const T*>(it->second.get());
   }
 
-  // Inserts (or replaces) and returns the stored artifact. `bytes` is the
-  // caller's resident-size estimate charged against max_total_bytes (0 when
-  // the caller does not account bytes). Evicts per the budgets above.
+  // Inserts (or replaces) and returns the stored artifact. Evicts the
+  // kind's oldest entry past the cap.
   template <typename T>
-  const T* Put(ArtifactKind kind, uint64_t key, T value, size_t bytes = 0) {
+  const T* Put(ArtifactKind kind, uint64_t key, T value) {
     return static_cast<const T*>(
-        Insert(kind, key, std::shared_ptr<void>(std::make_shared<T>(std::move(value))), bytes));
+        Insert(kind, key, std::shared_ptr<void>(std::make_shared<T>(std::move(value)))));
   }
 
   // Untyped insert for the import paths (durable-log replay, cluster
   // hand-off), where the value was decoded behind shared_ptr<void> already.
-  void PutShared(ArtifactKind kind, uint64_t key, std::shared_ptr<void> value, size_t bytes) {
-    Insert(kind, key, std::move(value), bytes);
+  void PutShared(ArtifactKind kind, uint64_t key, std::shared_ptr<void> value) {
+    Insert(kind, key, std::move(value));
   }
 
   // Enumerates every resident artifact (export path). Insertion order within
   // a kind; kinds in enum order.
-  void ForEach(const std::function<void(ArtifactKind, uint64_t, const std::shared_ptr<void>&,
-                                        size_t)>& fn) const {
+  void ForEach(
+      const std::function<void(ArtifactKind, uint64_t, const std::shared_ptr<void>&)>& fn)
+      const {
     for (size_t k = 0; k < kNumArtifactKinds; ++k) {
       const Slot& slot = slots_[k];
       for (const uint64_t key : slot.order) {
         auto it = slot.by_key.find(key);
         if (it != slot.by_key.end()) {
-          fn(static_cast<ArtifactKind>(k), key, it->second.value, it->second.bytes);
+          fn(static_cast<ArtifactKind>(k), key, it->second);
         }
       }
     }
@@ -150,9 +113,7 @@ class ArtifactStore {
   ResidencyState StateOf(ArtifactKind kind, uint64_t key) const {
     const Slot& slot = slots_[static_cast<size_t>(kind)];
     if (slot.by_key.count(key) != 0) {
-      return (options_.evictable_kinds & ArtifactKindBit(kind)) != 0
-                 ? ResidencyState::kResident
-                 : ResidencyState::kPinned;
+      return ResidencyState::kResident;
     }
     for (const uint64_t k : slot.evicted) {
       if (k == key) {
@@ -165,84 +126,37 @@ class ArtifactStore {
  private:
   static constexpr size_t kEvictedMemory = 256;  // per kind
 
-  struct Entry {
-    std::shared_ptr<void> value;
-    size_t bytes = 0;
-  };
   struct Slot {
-    std::unordered_map<uint64_t, Entry> by_key;
+    std::unordered_map<uint64_t, std::shared_ptr<void>> by_key;
     std::deque<uint64_t> order;    // insertion order, for FIFO eviction
     std::deque<uint64_t> evicted;  // recently evicted keys, bounded
   };
 
-  const void* Insert(ArtifactKind kind, uint64_t key, std::shared_ptr<void> value, size_t bytes) {
+  const void* Insert(ArtifactKind kind, uint64_t key, std::shared_ptr<void> value) {
     Slot& slot = slots_[static_cast<size_t>(kind)];
-    auto it = slot.by_key.find(key);
-    if (it != slot.by_key.end()) {
-      stats_.bytes += bytes;
-      stats_.bytes -= it->second.bytes;
-      it->second = Entry{std::move(value), bytes};
-    } else {
-      it = slot.by_key.emplace(key, Entry{std::move(value), bytes}).first;
+    auto [it, inserted] = slot.by_key.insert_or_assign(key, std::move(value));
+    if (inserted) {
       slot.order.push_back(key);
-      global_order_.emplace_back(static_cast<uint8_t>(kind), key);
       ++stats_.entries;
-      stats_.bytes += bytes;
     }
     ++stats_.insertions;
-    while (slot.by_key.size() > options_.max_entries_per_kind && !slot.order.empty()) {
+    const void* stored = it->second.get();
+    // The new key sits at the back of the order, so it is never the victim.
+    while (slot.by_key.size() > kMaxEntriesPerKind) {
       const uint64_t victim = slot.order.front();
       slot.order.pop_front();
-      EraseEntry(slot, victim, /*byte_budget=*/false);
-    }
-    EvictForBytes(kind, key);
-    return slot.by_key.count(key) ? slot.by_key.find(key)->second.value.get() : nullptr;
-  }
-
-  void EraseEntry(Slot& slot, uint64_t key, bool byte_budget) {
-    auto it = slot.by_key.find(key);
-    if (it == slot.by_key.end()) {
-      return;
-    }
-    stats_.bytes -= it->second.bytes;
-    slot.by_key.erase(it);
-    --stats_.entries;
-    byte_budget ? ++stats_.byte_evictions : ++stats_.evictions;
-    slot.evicted.push_back(key);
-    while (slot.evicted.size() > kEvictedMemory) {
-      slot.evicted.pop_front();
-    }
-  }
-
-  // Oldest-first over the global insertion order, skipping pinned kinds and
-  // the just-inserted entry (evicting what Put returns would hand the caller
-  // a dangling pointer). Stale order entries (already replaced or evicted)
-  // are dropped as encountered.
-  void EvictForBytes(ArtifactKind inserted_kind, uint64_t inserted_key) {
-    if (options_.max_total_bytes == 0) {
-      return;
-    }
-    for (auto it = global_order_.begin();
-         stats_.bytes > options_.max_total_bytes && it != global_order_.end();) {
-      const ArtifactKind kind = static_cast<ArtifactKind>(it->first);
-      Slot& slot = slots_[it->first];
-      if (!slot.by_key.count(it->second)) {
-        it = global_order_.erase(it);  // stale: already gone
-        continue;
+      slot.by_key.erase(victim);
+      --stats_.entries;
+      ++stats_.evictions;
+      slot.evicted.push_back(victim);
+      if (slot.evicted.size() > kEvictedMemory) {
+        slot.evicted.pop_front();
       }
-      if ((options_.evictable_kinds & ArtifactKindBit(kind)) == 0 ||
-          (kind == inserted_kind && it->second == inserted_key)) {
-        ++it;
-        continue;
-      }
-      EraseEntry(slot, it->second, /*byte_budget=*/true);
-      it = global_order_.erase(it);
     }
+    return stored;
   }
 
-  Options options_{};
   Slot slots_[kNumArtifactKinds];
-  std::deque<std::pair<uint8_t, uint64_t>> global_order_;
   Stats stats_;
 };
 

@@ -24,7 +24,7 @@ double SecondsSince(const std::chrono::steady_clock::time_point& start) {
 }  // namespace
 
 SiteEngine::SiteEngine(const ir::Module* module, EngineOptions options)
-    : module_(module), options_(options), store_(options.store) {
+    : module_(module), options_(options) {
   SNORLAX_CHECK(module != nullptr);
   module_fingerprint_ = pt::ModuleFingerprint(*module);
 }
@@ -78,16 +78,19 @@ void SiteEngine::RecordTraceProcess(double seconds, bool cache_hit) {
   last_trace_process_hit_ = cache_hit;
 }
 
-void SiteEngine::AddSuccessTrace(std::shared_ptr<const pt::PtTraceBundle> bundle,
+void SiteEngine::AddSuccessTrace(const pt::PtTraceBundle& bundle,
                                  std::shared_ptr<const trace::ProcessedTrace> projection) {
   SNORLAX_CHECK(projection->projected());
-  auto [it, inserted] = success_evidence_.try_emplace(projection->ContentKey());
-  SuccessEvidence& evidence = it->second;
+  auto [it, inserted] = evidence_.try_emplace(projection->ContentKey());
+  Evidence& evidence = it->second;
+  if (inserted) {
+    evidence.bundle = bundle;
+  }
   // A repeat keeps the bundle's projection unless it is stale and this one
   // is not.
-  if (inserted || (evidence.projection->projection_key() != pattern_insts_.key() &&
-                   projection->projection_key() == pattern_insts_.key())) {
-    evidence.bundle = std::move(bundle);
+  if (evidence.projection == nullptr ||
+      (evidence.projection->projection_key() != pattern_insts_.key() &&
+       projection->projection_key() == pattern_insts_.key())) {
     evidence.projection = std::move(projection);
   }
   success_traces_.push_back(&evidence);
@@ -97,51 +100,49 @@ void SiteEngine::AddSuccessTrace(std::shared_ptr<const pt::PtTraceBundle> bundle
 }
 
 std::shared_ptr<const trace::ProcessedTrace> SiteEngine::SuccessProjection(uint64_t key) const {
-  auto it = success_evidence_.find(key);
-  return it == success_evidence_.end() ? nullptr : it->second.projection;
+  auto it = evidence_.find(key);
+  return it == evidence_.end() ? nullptr : it->second.projection;
 }
 
 std::shared_ptr<const trace::ProcessedTrace> SiteEngine::FailingTrace(uint64_t key) const {
-  // Newest first: a repeated failing bundle is usually the latest one.
-  for (auto it = failing_traces_.rbegin(); it != failing_traces_.rend(); ++it) {
-    if ((*it)->ContentKey() == key) {
-      return *it;
-    }
-  }
-  return nullptr;
+  auto it = evidence_.find(key);
+  return it == evidence_.end() ? nullptr : it->second.failing;
+}
+
+const pt::PtTraceBundle* SiteEngine::EvidenceBundle(uint64_t key) const {
+  auto it = evidence_.find(key);
+  return it == evidence_.end() ? nullptr : &it->second.bundle;
 }
 
 size_t SiteEngine::RefreshProjections() {
   PassStats& stats = StatsFor(pass_stats_, PassId::kTraceProcess);
   const uint64_t current = pattern_insts_.key();
   size_t rebuilt = 0;
-  std::vector<uint64_t> dropped;
-  for (auto& [key, evidence] : success_evidence_) {
-    if (evidence.projection->projection_key() == current) {
+  bool dropped = false;
+  for (auto& [key, evidence] : evidence_) {
+    if (evidence.projection == nullptr || evidence.projection->projection_key() == current) {
       continue;
     }
     const auto start = std::chrono::steady_clock::now();
     try {
       evidence.projection = std::make_shared<const trace::ProcessedTrace>(
-          module_, *evidence.bundle, evidence.projection->options(), &pattern_insts_);
+          module_, evidence.bundle, evidence.projection->options(), &pattern_insts_);
     } catch (const std::exception& e) {
       // The same crash barrier as ingest: a rebuild that throws costs this
-      // bundle's evidence, never the service.
+      // bundle's success submissions their score, never the service. The
+      // bundle stays filed, so the durable log and hand-off keep it.
       ++score_degradation_.rejected_bundles;
       score_degradation_.notes.push_back(
           StrFormat("success evidence dropped: re-projection failed: %s", e.what()));
-      dropped.push_back(key);
+      std::erase(success_traces_, &evidence);
+      evidence.projection = nullptr;
+      dropped = true;
     }
     ++stats.runs;
     stats.seconds += SecondsSince(start);
     ++rebuilt;
   }
-  for (const uint64_t key : dropped) {
-    const SuccessEvidence* gone = &success_evidence_.at(key);
-    std::erase(success_traces_, gone);
-    success_evidence_.erase(key);
-  }
-  if (!dropped.empty()) {
+  if (dropped) {
     // Patterns already folded the dropped submissions: recount from scratch.
     score_states_.clear();
   }
@@ -344,13 +345,22 @@ void SiteEngine::MergePatterns(const PatternSetArtifact& computed) {
   }
 }
 
-Status SiteEngine::AddFailingTrace(std::shared_ptr<const trace::ProcessedTrace> failing,
+Status SiteEngine::AddFailingTrace(const pt::PtTraceBundle& bundle,
+                                   std::shared_ptr<const trace::ProcessedTrace> failing,
                                    const CancelToken& cancel) {
   // Steps 4-6 read the whole trace; a projection would lose candidates.
   SNORLAX_CHECK(!failing->projected());
   const trace::ProcessedTrace& t = *failing;
-  // Retained up front: even a deadline-aborted pipeline keeps the trace as
+  // Filed up front: even a deadline-aborted pipeline keeps the trace as
   // scoring evidence (its mere arrival is statistical signal).
+  auto [filed, inserted] = evidence_.try_emplace(t.ContentKey());
+  const bool new_failing = filed->second.failing == nullptr;
+  if (inserted) {
+    filed->second.bundle = bundle;
+  }
+  if (new_failing) {
+    filed->second.failing = failing;
+  }
   failing_traces_.push_back(std::move(failing));
   scores_dirty_ = true;
   const bool first = failing_traces_.size() == 1;
@@ -382,7 +392,8 @@ Status SiteEngine::AddFailingTrace(std::shared_ptr<const trace::ProcessedTrace> 
     ++stats.runs;
     stats.seconds += seconds;
     if (options_.use_artifact_store) {
-      store_.Put<T>(kind, key, result, PersistArtifact(kind, key, &result));
+      PersistArtifact(kind, key, &result);
+      store_.Put<T>(kind, key, result);
     }
     last_run_.push_back(PassTrace{id, true, false, seconds, key, dirty_reason});
     return result;
@@ -398,9 +409,8 @@ Status SiteEngine::AddFailingTrace(std::shared_ptr<const trace::ProcessedTrace> 
   const uint64_t executed_key = ExecutedSetKey(t);
   if (options_.use_artifact_store) {
     const ExecutedSetArtifact executed_set{executed_key, t.executed().size()};
-    store_.Put<ExecutedSetArtifact>(ArtifactKind::kExecutedSet, executed_key, executed_set,
-                                    PersistArtifact(ArtifactKind::kExecutedSet, executed_key,
-                                                    &executed_set));
+    PersistArtifact(ArtifactKind::kExecutedSet, executed_key, &executed_set);
+    store_.Put<ExecutedSetArtifact>(ArtifactKind::kExecutedSet, executed_key, executed_set);
   }
   const std::string store_off = "artifact store disabled";
   const std::string site_reason =
@@ -484,6 +494,11 @@ Status SiteEngine::AddFailingTrace(std::shared_ptr<const trace::ProcessedTrace> 
     // Crash barrier contract: an analysis exception rejects the bundle, so
     // the trace must not linger as evidence either.
     failing_traces_.pop_back();
+    if (inserted) {
+      evidence_.erase(filed);
+    } else if (new_failing) {
+      filed->second.failing = nullptr;
+    }
     throw;
   }
   return Status::Ok();
@@ -637,8 +652,8 @@ std::shared_ptr<const RepairPlan> SiteEngine::Repair() {
       StrFormat("%zu confirmed patterns, %zu validated", plan->candidates.size(),
                 plan->ValidatedCount())});
   if (options_.use_artifact_store) {
-    const size_t bytes = PersistArtifact(ArtifactKind::kRepairPlan, key, plan.get());
-    store_.PutShared(ArtifactKind::kRepairPlan, key, plan, bytes);
+    PersistArtifact(ArtifactKind::kRepairPlan, key, plan.get());
+    store_.PutShared(ArtifactKind::kRepairPlan, key, plan);
   }
   repair_plan_ = std::move(plan);
   return repair_plan_;
@@ -650,9 +665,6 @@ ResidencyState SiteEngine::ArtifactState(PassId id, uint64_t key) const {
   }
   ArtifactKind kind;
   switch (id) {
-    case PassId::kTraceProcess:
-      kind = ArtifactKind::kProcessedTrace;
-      break;
     case PassId::kDerefChains:
       kind = ArtifactKind::kDerefChains;
       break;
@@ -677,30 +689,23 @@ ResidencyState SiteEngine::ArtifactState(PassId id, uint64_t key) const {
   return store_.StateOf(kind, key);
 }
 
-size_t SiteEngine::PersistArtifact(ArtifactKind kind, uint64_t key, const void* value) {
-  const bool want_log = options_.durable_log != nullptr;
-  const bool want_bytes = options_.store.max_total_bytes > 0;
-  if (!want_log && !want_bytes) {
-    return 0;
+void SiteEngine::PersistArtifact(ArtifactKind kind, uint64_t key, const void* value) {
+  const uint64_t logged_key = HashCombine(static_cast<uint64_t>(kind), key);
+  if (options_.durable_log == nullptr || !logged_artifacts_.insert(logged_key).second) {
+    return;
   }
-  std::vector<uint8_t> encoded;
-  if (!EncodeArtifactValue(kind, value, &encoded).ok()) {
+  SiteRecord record;
+  record.type = SiteRecord::Type::kArtifact;
+  record.kind = kind;
+  record.key = key;
+  if (!EncodeArtifactValue(kind, value, &record.bytes).ok()) {
     ++durable_append_failures_;
-    return 0;
+    logged_artifacts_.erase(logged_key);  // nothing was written
+    return;
   }
-  const size_t bytes = ApproxArtifactBytes(encoded.size());
-  if (want_log &&
-      logged_artifacts_.insert(HashCombine(static_cast<uint64_t>(kind), key)).second) {
-    SiteRecord record;
-    record.type = SiteRecord::Type::kArtifact;
-    record.kind = kind;
-    record.key = key;
-    record.bytes = std::move(encoded);
-    if (!options_.durable_log->Append(options_.durable_site, record).ok()) {
-      ++durable_append_failures_;
-    }
+  if (!options_.durable_log->Append(options_.durable_site, record).ok()) {
+    ++durable_append_failures_;
   }
-  return bytes;
 }
 
 Status SiteEngine::ImportArtifact(ArtifactKind kind, uint64_t key,
@@ -711,14 +716,13 @@ Status SiteEngine::ImportArtifact(ArtifactKind kind, uint64_t key,
     return decoded;
   }
   logged_artifacts_.insert(HashCombine(static_cast<uint64_t>(kind), key));
-  store_.PutShared(kind, key, std::move(value), ApproxArtifactBytes(bytes.size()));
+  store_.PutShared(kind, key, std::move(value));
   return Status::Ok();
 }
 
 void SiteEngine::ExportArtifacts(
     const std::function<void(ArtifactKind, uint64_t, std::vector<uint8_t>&&)>& fn) const {
-  store_.ForEach([&](ArtifactKind kind, uint64_t key, const std::shared_ptr<void>& value,
-                     size_t /*bytes*/) {
+  store_.ForEach([&](ArtifactKind kind, uint64_t key, const std::shared_ptr<void>& value) {
     std::vector<uint8_t> encoded;
     if (EncodeArtifactValue(kind, value.get(), &encoded).ok()) {
       fn(kind, key, std::move(encoded));
@@ -740,8 +744,6 @@ const char* ArtifactKindName(ArtifactKind kind) {
       return "pattern-set";
     case ArtifactKind::kF1Scores:
       return "f1-scores";
-    case ArtifactKind::kProcessedTrace:
-      return "processed-trace";
     case ArtifactKind::kRepairPlan:
       return "repair-plan";
   }

@@ -19,12 +19,17 @@
 // evidence added since the last Score() call is folded in, and the rebuilt
 // report is digest-identical to a recompute from scratch.
 //
+// Evidence lives in one table keyed by trace::TraceKey: each accepted
+// bundle once, with its full failing trace and/or its success projection. A
+// byte-identical repeat is served the trace the table holds, and the durable
+// log and hand-off stream read the bundle from it.
+//
 // Success evidence is lazy: step 7 only asks whether a success trace embeds
-// a pattern, so a success trace is stored as its bundle plus a projection
-// onto U, the union of every merged pattern's instructions
-// (trace::ProcessedTrace's projecting constructor). When a failing trace
-// adds patterns with new instructions, U's key changes, and Score()
-// re-projects each stale success bundle once before folding it.
+// a pattern, so a success trace is a projection onto U, the union of every
+// merged pattern's instructions (trace::ProcessedTrace's projecting
+// constructor). When a failing trace adds patterns with new instructions,
+// U's key changes, and Score() re-projects each stale success bundle once
+// before folding it.
 //
 // Thread-compatibility: not internally synchronized. Its owner
 // (core::DiagnosisServer, itself single-owner) makes every call.
@@ -66,7 +71,6 @@ struct EngineOptions {
   // analysis itself by resubmitting one bundle). Scoring stays incremental
   // either way -- it is an algorithm, not a cache.
   bool use_artifact_store = true;
-  ArtifactStore::Options store;
   // kRepair (the closing-the-loop pass): off by default -- patch synthesis is
   // cheap but interpreter validation re-executes the failing scenario across
   // timing bands, which only the diagnose-with---suggest-fix path should pay.
@@ -94,20 +98,21 @@ class SiteEngine {
   SiteEngine(const ir::Module* module, EngineOptions options);
 
   // Runs kDerefChains -> kPointsTo -> kTypeRank -> kPatterns for one failing
-  // trace, consulting the artifact store before each pass. `cancel` is
-  // checked at every pass boundary; on expiry the remaining passes are
-  // skipped and kDeadlineExceeded returned -- the trace is still retained as
-  // scoring evidence and every artifact already produced stays valid.
-  // Traces are shared, not copied: the engine holds the same immutable
-  // object as the server's decode memo.
-  // `failing` must be a full trace, never a projection.
-  support::Status AddFailingTrace(std::shared_ptr<const trace::ProcessedTrace> failing,
+  // trace, `failing`, built in full from `bundle`, consulting the artifact
+  // store before each pass. `cancel` is checked at every pass boundary; on
+  // expiry the remaining passes are skipped and kDeadlineExceeded returned --
+  // the trace is still retained as scoring evidence and every artifact
+  // already produced stays valid. An exception from a pass propagates and
+  // leaves the evidence as it was. The evidence table copies the bundle the
+  // first time its key is filed and keeps the first full trace of a key;
+  // repeats share it.
+  support::Status AddFailingTrace(const pt::PtTraceBundle& bundle,
+                                  std::shared_ptr<const trace::ProcessedTrace> failing,
                                   const CancelToken& cancel);
   // One success submission: `projection` is `bundle` projected onto
-  // pattern_instructions() as they stood when it was built. The bundle is
-  // shared with the caller's evidence store, not copied. Repeats of one
-  // bundle share one projection.
-  void AddSuccessTrace(std::shared_ptr<const pt::PtTraceBundle> bundle,
+  // pattern_instructions() as they stood when it was built. Filed like a
+  // failing trace; repeats of one bundle share one projection.
+  void AddSuccessTrace(const pt::PtTraceBundle& bundle,
                        std::shared_ptr<const trace::ProcessedTrace> projection);
   // U: every instruction of every merged pattern. A success trace is
   // projected onto it.
@@ -115,9 +120,12 @@ class SiteEngine {
   // The projection held for the success bundle with trace::TraceKey `key`,
   // or null. It may predate the current U; Score() re-projects it then.
   std::shared_ptr<const trace::ProcessedTrace> SuccessProjection(uint64_t key) const;
-  // A failing trace built from the bundle with trace::TraceKey `key`, or
-  // null. Scans the failing traces newest first.
+  // The full trace held for the failing bundle with trace::TraceKey `key`,
+  // or null.
   std::shared_ptr<const trace::ProcessedTrace> FailingTrace(uint64_t key) const;
+  // The accepted bundle with trace::TraceKey `key`, or null. A success
+  // bundle whose re-projection failed keeps its entry here.
+  const pt::PtTraceBundle* EvidenceBundle(uint64_t key) const;
   // Steps 2-3 run in the ingest layer, which reports its time here so the
   // whole pipeline reads off one table. `cache_hit` marks a bundle whose
   // trace was already built (the raw content was seen before) rather than
@@ -183,9 +191,8 @@ class SiteEngine {
   // `snorlax_cli diagnose --explain`.
   const std::vector<PassTrace>& last_run() const { return last_run_; }
   // Residency of the artifact a pass produced under `key` (--explain's
-  // "artifact" column): distinguishes computed-and-resident, pinned,
-  // computed-but-evicted under the byte budget, and never-stored. A pure
-  // probe -- does not touch the store's hit/miss counters.
+  // "artifact" column): resident, evicted by the per-kind FIFO cap, or never
+  // stored. A pure probe -- does not touch the store's hit/miss counters.
   ResidencyState ArtifactState(PassId id, uint64_t key) const;
 
  private:
@@ -218,27 +225,31 @@ class SiteEngine {
   // Re-projects every success bundle whose projection is not onto the
   // current U behind a crash barrier; returns how many rebuilds it ran.
   size_t RefreshProjections();
-  // Encodes `value` once, appends it to the durable log (deduped: a key is
-  // written at most once per engine lifetime) and returns the byte estimate
-  // the store should charge. Encoding is skipped entirely when neither the
-  // log nor the byte budget needs it.
-  size_t PersistArtifact(ArtifactKind kind, uint64_t key, const void* value);
+  // Appends `value` to the durable log, encoded, unless the log already
+  // holds its (kind, key): a key is written at most once per engine
+  // lifetime, and a key the log holds is never encoded.
+  void PersistArtifact(ArtifactKind kind, uint64_t key, const void* value);
 
   const ir::Module* module_;
   uint64_t module_fingerprint_ = 0;
   EngineOptions options_;
   ArtifactStore store_;
 
-  std::vector<std::shared_ptr<const trace::ProcessedTrace>> failing_traces_;
-  // Success evidence, once per bundle content key: the bundle and its
-  // current projection. success_traces_ lists one entry per submission in
-  // arrival order (node pointers into the map, which stay valid).
-  struct SuccessEvidence {
-    std::shared_ptr<const pt::PtTraceBundle> bundle;
+  // The evidence table, once per trace::TraceKey: the accepted bundle, its
+  // full failing trace if it was submitted as a failure, and its current
+  // success projection if it was submitted as a success (null after a
+  // re-projection that threw).
+  struct Evidence {
+    pt::PtTraceBundle bundle;
+    std::shared_ptr<const trace::ProcessedTrace> failing;
     std::shared_ptr<const trace::ProcessedTrace> projection;
   };
-  std::unordered_map<uint64_t, SuccessEvidence> success_evidence_;
-  std::vector<const SuccessEvidence*> success_traces_;
+  std::unordered_map<uint64_t, Evidence> evidence_;
+  // One entry per submission in arrival order, repeats included: the failing
+  // traces, and node pointers into evidence_ (which stay valid) for the
+  // successes.
+  std::vector<std::shared_ptr<const trace::ProcessedTrace>> failing_traces_;
+  std::vector<const Evidence*> success_traces_;
   trace::DegradationReport score_degradation_;
 
   // Module pre-processing shared across traces (built on first use).

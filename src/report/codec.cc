@@ -22,7 +22,7 @@ namespace {
 
 // Bumped on any layout change; independent of kReportVersion (the aggregate's
 // semantic generation), which is itself a field inside the record.
-constexpr uint8_t kReportCodecVersion = 3;
+constexpr uint8_t kReportCodecVersion = 4;
 
 void EncodeValue(const rt::Value& v, std::vector<uint8_t>* out) {
   AppendU8(out, static_cast<uint8_t>(v.kind));
@@ -184,9 +184,7 @@ void EncodeStages(const core::StageStats& s, std::vector<uint8_t>* out) {
   AppendU64(out, s.artifacts.misses);
   AppendU64(out, s.artifacts.insertions);
   AppendU64(out, s.artifacts.evictions);
-  AppendU64(out, s.artifacts.byte_evictions);
   AppendU64(out, s.artifacts.entries);
-  AppendU64(out, s.artifacts.bytes);
 }
 
 void DecodeStages(ByteReader* r, core::StageStats* s) {
@@ -212,9 +210,7 @@ void DecodeStages(ByteReader* r, core::StageStats* s) {
   s->artifacts.misses = r->U64();
   s->artifacts.insertions = r->U64();
   s->artifacts.evictions = r->U64();
-  s->artifacts.byte_evictions = r->U64();
   s->artifacts.entries = static_cast<size_t>(r->U64());
-  s->artifacts.bytes = static_cast<size_t>(r->U64());
 }
 
 }  // namespace

@@ -482,8 +482,7 @@ std::string RenderExplainTable(const std::vector<PassRow>& rows,
                    "%llu evictions\n",
                    static_cast<unsigned long long>(store.hits),
                    static_cast<unsigned long long>(store.misses), store.entries,
-                   static_cast<unsigned long long>(store.evictions +
-                                                   store.byte_evictions));
+                   static_cast<unsigned long long>(store.evictions));
   return out;
 }
 

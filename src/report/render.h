@@ -37,8 +37,8 @@ std::string RenderSarif(const Report& report, const ir::Module* module = nullptr
 
 // One row of `snorlax_cli diagnose --explain`: the engine's pass-boundary
 // trace joined with the artifact store's residency verdict for that pass's
-// output (resident / pinned / evicted / absent) -- the distinction between
-// "never computed" and "computed but evicted under the byte budget".
+// output (resident / evicted / absent) -- the distinction between "never
+// computed" and "computed but evicted by the per-kind FIFO cap".
 struct PassRow {
   engine::PassTrace trace;
   engine::ResidencyState residency = engine::ResidencyState::kAbsent;

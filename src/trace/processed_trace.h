@@ -63,7 +63,7 @@ struct TraceOptions {
 // (mtc_period_ns, cyc_unit_ns, enable_timing); the snapshot time; the whole
 // failure record -- plus the options. A trace is a pure function of (module,
 // bundle, options), so equal keys mean equal traces within one module. This
-// one value keys the server's decode memo, step 6, and the durable and
+// one value keys the engine's evidence table, step 6, and the durable and
 // hand-off evidence records.
 uint64_t TraceKey(const pt::PtTraceBundle& bundle, const TraceOptions& options);
 
@@ -150,8 +150,8 @@ class ProcessedTrace {
   // TraceContainsPattern gives the same verdict as on the full trace.
   ProcessedTrace(const ir::Module* module, const pt::PtTraceBundle& bundle,
                  TraceOptions options = {}, const InstSet* keep = nullptr);
-  // Immutable once built and shared by pointer (decode memo, engine
-  // evidence, the server's evidence store); a deep copy is always a mistake.
+  // Immutable once built and shared by pointer (the engine's evidence table
+  // and every submission of its bundle); a deep copy is always a mistake.
   ProcessedTrace(const ProcessedTrace&) = delete;
   ProcessedTrace& operator=(const ProcessedTrace&) = delete;
 

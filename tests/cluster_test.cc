@@ -205,7 +205,7 @@ TEST(ClusterTest, RestartedDaemonServesFromLogWithoutReingest) {
   EXPECT_EQ(bench::DigestReports(ToShardReports(reports.take())), digest_before);
 
   // A fleet client re-sending the byte-identical bundle post-restart skips
-  // decoding too: restoring the log re-primed the decode memo.
+  // decoding too: restoring the log refilled the engine's evidence table.
   agent.EnqueueFailing(site.failing);
   ASSERT_TRUE(agent.Flush().ok());
   const engine::PassStats resent = shard->pass_stats(engine::PassId::kTraceProcess);

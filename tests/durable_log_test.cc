@@ -548,6 +548,35 @@ TEST(DurableLogTest, ReferenceWhoseFullRecordWasLostIsACountedRejection) {
   ExpectOneRejectedRecord(*Restore(std::move(records)), 1);
 }
 
+TEST(DurableLogTest, ArtifactRecordWithTheRetiredKindByteIsACountedFailure) {
+  // Kind bytes are on-disk values: kRepairPlan keeps 7 after 6 was retired,
+  // so a log written before the retirement still restores.
+  static_assert(static_cast<uint8_t>(engine::ArtifactKind::kRepairPlan) == 7);
+  TempDir dir;
+  JournalSite(dir.path);
+  // Byte 6 over a valid executed-set payload: read as any other kind, it
+  // would import cleanly.
+  SiteRecord retired = ArtifactRecord(0x6666, 0x1234);
+  retired.kind = static_cast<engine::ArtifactKind>(6);
+  std::vector<SiteRecord> records = SiteRecords(dir.path, &retired);
+  auto is_retired = [](const SiteRecord& r) {
+    return r.type == SiteRecord::Type::kArtifact && static_cast<uint8_t>(r.kind) == 6;
+  };
+  ASSERT_EQ(std::count_if(records.begin(), records.end(), is_retired), 1);
+  std::unique_ptr<core::DiagnosisServer> restored = Restore(std::move(records));
+  EXPECT_EQ(restored->durable_failures(), 1u);
+  EXPECT_EQ(restored->degradation().rejected_bundles, 0u);
+  // The rest of the log restores as written: no analysis pass re-runs.
+  EXPECT_EQ(restored->pass_stats(engine::PassId::kPointsTo).runs, 0u);
+  EXPECT_EQ(restored->pass_stats(engine::PassId::kPatterns).runs, 0u);
+  EXPECT_FALSE(restored->Diagnose().patterns.empty());
+  size_t exported_retired = 0;
+  restored->ExportSiteRecords([&](SiteRecord&& record) {
+    exported_retired += is_retired(record) ? 1 : 0;
+  });
+  EXPECT_EQ(exported_retired, 0u);
+}
+
 TEST(DurableLogTest, ImportedForgedFingerprintBundleIsRejected) {
   core::DiagnosisServer server(Site().workload.module.get());
   ASSERT_TRUE(server.SubmitFailingTrace(Site().failing).ok());

@@ -245,75 +245,44 @@ TEST(ArtifactStore, PutFindAndReplace) {
 }
 
 TEST(ArtifactStore, FifoEvictionUnderBudget) {
-  engine::ArtifactStore::Options options;
-  options.max_entries_per_kind = 2;
-  engine::ArtifactStore store(options);
+  engine::ArtifactStore store;
   const auto kind = engine::ArtifactKind::kExecutedSet;
-  store.Put(kind, 1, engine::ExecutedSetArtifact{1, 1});
-  store.Put(kind, 2, engine::ExecutedSetArtifact{2, 2});
-  store.Put(kind, 3, engine::ExecutedSetArtifact{3, 3});
+  const uint64_t cap = engine::ArtifactStore::kMaxEntriesPerKind;
+  // One entry past the per-kind cap pushes out the oldest, and only it.
+  for (uint64_t key = 1; key <= cap + 1; ++key) {
+    store.Put(kind, key, engine::ExecutedSetArtifact{key, key});
+  }
   EXPECT_EQ(store.Find<engine::ExecutedSetArtifact>(kind, 1), nullptr);
   EXPECT_NE(store.Find<engine::ExecutedSetArtifact>(kind, 2), nullptr);
-  EXPECT_NE(store.Find<engine::ExecutedSetArtifact>(kind, 3), nullptr);
+  EXPECT_NE(store.Find<engine::ExecutedSetArtifact>(kind, cap + 1), nullptr);
   EXPECT_EQ(store.stats().evictions, 1u);
-  EXPECT_EQ(store.stats().entries, 2u);
-  // Budgets are per kind: a different kind still has room.
+  EXPECT_EQ(store.stats().entries, cap);
+  // The cap is per kind: a different kind still has room.
   store.Put(engine::ArtifactKind::kDerefChains, 1, engine::DerefChainsArtifact{});
   EXPECT_NE(store.Find<engine::DerefChainsArtifact>(engine::ArtifactKind::kDerefChains, 1),
             nullptr);
+  EXPECT_EQ(store.stats().evictions, 1u);
 }
 
-TEST(ArtifactStore, ByteBudgetEvictsOldestRecomputableOnly) {
-  engine::ArtifactStore::Options options;
-  options.max_total_bytes = 100;
-  engine::ArtifactStore store(options);
-  // Pinned input first (kExecutedSet is not in the recomputable mask), then
-  // recomputable artifacts until the budget overflows.
-  store.Put(engine::ArtifactKind::kExecutedSet, 1, engine::ExecutedSetArtifact{1, 1}, 40);
-  store.Put(engine::ArtifactKind::kF1Scores, 10, engine::F1ScoresArtifact{}, 30);
-  store.Put(engine::ArtifactKind::kF1Scores, 11, engine::F1ScoresArtifact{}, 30);
-  EXPECT_EQ(store.stats().byte_evictions, 0u);
-  EXPECT_EQ(store.stats().bytes, 100u);
-
-  // 40 over budget: the two oldest recomputable entries go; the pinned input
-  // -- older than both -- survives.
-  store.Put(engine::ArtifactKind::kF1Scores, 12, engine::F1ScoresArtifact{}, 40);
-  EXPECT_EQ(store.stats().byte_evictions, 2u);
-  EXPECT_EQ(store.stats().evictions, 0u);  // counted separately from FIFO caps
-  EXPECT_EQ(store.stats().bytes, 80u);
-  EXPECT_NE(store.Find<engine::ExecutedSetArtifact>(engine::ArtifactKind::kExecutedSet, 1),
-            nullptr);
-  EXPECT_EQ(store.Find<engine::F1ScoresArtifact>(engine::ArtifactKind::kF1Scores, 10),
-            nullptr);
-  EXPECT_EQ(store.Find<engine::F1ScoresArtifact>(engine::ArtifactKind::kF1Scores, 11),
-            nullptr);
-  EXPECT_NE(store.Find<engine::F1ScoresArtifact>(engine::ArtifactKind::kF1Scores, 12),
-            nullptr);
-}
-
-TEST(ArtifactStore, ByteBudgetNeverEvictsPinnedInputsOrTheJustInserted) {
-  engine::ArtifactStore::Options options;
-  options.max_total_bytes = 50;
-  engine::ArtifactStore store(options);
-  // Only pinned kinds over budget: the store stays over budget rather than
-  // dropping an input every downstream key derives from.
-  store.Put(engine::ArtifactKind::kExecutedSet, 1, engine::ExecutedSetArtifact{1, 1}, 40);
-  store.Put(engine::ArtifactKind::kDerefChains, 2, engine::DerefChainsArtifact{}, 40);
-  EXPECT_EQ(store.stats().byte_evictions, 0u);
-  EXPECT_EQ(store.stats().bytes, 80u);
-
-  // A recomputable entry bigger than the whole budget: older recomputable
-  // state is evicted, but the entry itself survives -- Put's return pointer
-  // must never dangle.
-  store.Put(engine::ArtifactKind::kF1Scores, 3, engine::F1ScoresArtifact{}, 10);
-  const auto* huge =
-      store.Put(engine::ArtifactKind::kF1Scores, 4, engine::F1ScoresArtifact{}, 70);
-  ASSERT_NE(huge, nullptr);
-  EXPECT_EQ(store.Find<engine::F1ScoresArtifact>(engine::ArtifactKind::kF1Scores, 3),
-            nullptr);
-  EXPECT_NE(store.Find<engine::F1ScoresArtifact>(engine::ArtifactKind::kF1Scores, 4),
-            nullptr);
-  EXPECT_EQ(store.stats().byte_evictions, 1u);
+TEST(ArtifactStore, StateOfReadsResidentThenEvictedAndAbsentForUnknownKeys) {
+  engine::ArtifactStore store;
+  const auto kind = engine::ArtifactKind::kPointsTo;
+  EXPECT_EQ(store.StateOf(kind, 1), engine::ResidencyState::kAbsent);
+  store.Put(kind, 1, engine::PointsToArtifact{});
+  EXPECT_EQ(store.StateOf(kind, 1), engine::ResidencyState::kResident);
+  // The same key under another kind was never stored.
+  EXPECT_EQ(store.StateOf(engine::ArtifactKind::kPatternSet, 1),
+            engine::ResidencyState::kAbsent);
+  for (uint64_t key = 2; key <= engine::ArtifactStore::kMaxEntriesPerKind + 1; ++key) {
+    store.Put(kind, key, engine::PointsToArtifact{});
+  }
+  EXPECT_EQ(store.StateOf(kind, 1), engine::ResidencyState::kEvicted);
+  EXPECT_EQ(store.StateOf(kind, 2), engine::ResidencyState::kResident);
+  EXPECT_EQ(store.StateOf(kind, 0xabcdef), engine::ResidencyState::kAbsent);
+  EXPECT_STREQ(engine::ResidencyStateName(engine::ResidencyState::kEvicted), "evicted");
+  // A probe is not a lookup.
+  EXPECT_EQ(store.stats().hits, 0u);
+  EXPECT_EQ(store.stats().misses, 0u);
 }
 
 TEST(ArtifactCodec, SiteRecordAndArtifactValuesRoundTrip) {

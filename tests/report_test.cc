@@ -94,7 +94,7 @@ report::Report HandBuiltReport() {
   d.stages.executed_instructions = 350;
   d.stages.rank1_candidates = 12;
   d.stages.artifacts.hits = 5;
-  d.stages.artifacts.bytes = 4096;
+  d.stages.artifacts.entries = 17;
   engine::StatsFor(d.stages.passes, engine::PassId::kTraceProcess) = {3, 1, 0.25};
   engine::StatsFor(d.stages.passes, engine::PassId::kScore) = {2, 0, 1.25};
   engine::StatsFor(d.stages.passes, engine::PassId::kRepair) = {1, 0, 4.0};
@@ -174,8 +174,9 @@ TEST(ReportCodec, CodecVersionSkewRejected) {
   std::vector<uint8_t> bytes;
   report::EncodeReport(HandBuiltReport(), &bytes);
   ASSERT_FALSE(bytes.empty());
-  // 2 is the layout that still carried the per-stage and per-report seconds.
-  for (const uint8_t lead : {uint8_t{2}, uint8_t{0xff}}) {
+  // 2 is the layout that still carried the per-stage and per-report seconds,
+  // 3 the one that still carried the artifact store's byte counters.
+  for (const uint8_t lead : {uint8_t{2}, uint8_t{3}, uint8_t{0xff}}) {
     bytes[0] = lead;
     report::Report decoded;
     const support::Status status = report::DecodeReport(bytes, nullptr, &decoded);

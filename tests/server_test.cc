@@ -4,6 +4,7 @@
 
 #include <algorithm>
 #include <string>
+#include <unordered_set>
 #include <vector>
 
 #include "bench/throughput_harness.h"
@@ -327,6 +328,66 @@ TEST(DiagnosisServer, FailingBundleAlsoSubmittedAsSuccessKeepsItsFullAnalysis) {
     std::sort(got_keys.begin(), got_keys.end());
     EXPECT_EQ(got_keys, want_keys);
   }
+}
+
+TEST(DiagnosisServer, FailingRepeatPastSixtyFourUniqueBundlesIsACacheHit) {
+  // More distinct failing bundles of one site than a 64-entry cache holds,
+  // then the first again. The engine's evidence table still holds the first
+  // bundle's full trace, so the repeat is served it: a kTraceProcess cache
+  // hit, not a second decode.
+  workloads::Workload workload = workloads::Build("pbzip2_main");
+  ClientOptions copts;
+  copts.interp = workload.interp;
+  DiagnosisClient client(workload.module.get(), copts);
+  std::vector<pt::PtTraceBundle> failing;
+  std::unordered_set<uint64_t> keys;
+  for (uint64_t seed = 1; failing.size() < 65 && seed <= 20000; ++seed) {
+    ClientRun run = client.RunOnce(seed);
+    if (!run.result.failure.IsFailure() || !run.trace.has_value() ||
+        (!failing.empty() &&
+         run.trace->failure.failing_inst != failing[0].failure.failing_inst) ||
+        !keys.insert(trace::TraceKey(*run.trace, {})).second) {
+      continue;
+    }
+    failing.push_back(std::move(*run.trace));
+  }
+  ASSERT_EQ(failing.size(), 65u);
+
+  DiagnosisServer server(workload.module.get());
+  for (const pt::PtTraceBundle& bundle : failing) {
+    ASSERT_TRUE(server.SubmitFailingTrace(bundle).ok());
+  }
+  EXPECT_EQ(server.pass_stats(engine::PassId::kTraceProcess).runs, 65u);
+  EXPECT_EQ(server.pass_stats(engine::PassId::kTraceProcess).cache_hits, 0u);
+  ASSERT_TRUE(server.SubmitFailingTrace(failing[0]).ok());
+  EXPECT_EQ(server.pass_stats(engine::PassId::kTraceProcess).runs, 65u);
+  EXPECT_EQ(server.pass_stats(engine::PassId::kTraceProcess).cache_hits, 1u);
+  EXPECT_EQ(server.Diagnose().failing_traces, 66u);
+}
+
+TEST(DiagnosisServer, ExplainReadsEveryPassThatRanAsResident) {
+  // The --explain "artifact" column: each pass that ran and stored an
+  // artifact reads resident; rows with no artifact key (trace processing,
+  // scoring) read absent, and the CLI prints "-" for them.
+  Captured cap = CaptureFailingTrace("pbzip2_main");
+  DiagnosisServer server(cap.workload.module.get());
+  ASSERT_TRUE(server.SubmitFailingTrace(cap.bundle).ok());
+  (void)server.Diagnose();
+  std::vector<engine::PassId> resident;
+  for (const engine::PassTrace& t : server.explain()) {
+    const engine::ResidencyState state = server.artifact_state(t.id, t.artifact_key);
+    if (t.artifact_key == 0) {
+      EXPECT_EQ(state, engine::ResidencyState::kAbsent) << engine::PassName(t.id);
+      continue;
+    }
+    EXPECT_TRUE(t.ran) << engine::PassName(t.id);
+    EXPECT_EQ(state, engine::ResidencyState::kResident) << engine::PassName(t.id);
+    resident.push_back(t.id);
+  }
+  EXPECT_EQ(resident, (std::vector<engine::PassId>{engine::PassId::kDerefChains,
+                                                   engine::PassId::kPointsTo,
+                                                   engine::PassId::kTypeRank,
+                                                   engine::PassId::kPatterns}));
 }
 
 TEST(DiagnosisServer, SuccessTraceProcessingCountsTowardAnalysisTime) {
