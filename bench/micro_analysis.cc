@@ -36,14 +36,14 @@ void BM_AndersenExecutedScope(benchmark::State& state) {
   // module size (the lazy-analysis claim behind Table 4).
   workloads::Workload w = workloads::Build("mysql_169");
   bench::AddColdLibrary(w.module.get(), static_cast<size_t>(state.range(0)));
-  std::unordered_set<ir::InstId> executed;
+  trace::InstSet executed;
   for (const auto& func : w.module->functions()) {
     if (func->name().rfind("cold_", 0) == 0) {
       continue;
     }
     for (const auto& bb : func->blocks()) {
       for (const auto& inst : bb->instructions()) {
-        executed.insert(inst->id());
+        executed.Insert(inst->id());
       }
     }
   }

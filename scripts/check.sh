@@ -43,9 +43,10 @@ echo "== repair loop (catalogue + 64-scenario cohort, validated-fix gate) =="
 "${BUILD_DIR}/bench/bench_repair" --scenarios=64 --json=BENCH_repair.json
 
 echo "== cluster kill/restart (3 daemons; restored reports must be digest-identical) =="
-# Restore and hand-off rebuild every evidence trace from its bundle (success
-# traces as projections), so a restarted daemon must still report what the
-# uninterrupted fleet does. Exits 1 unless identical_reports is true.
+# Restore and hand-off rebuild every evidence trace from its bundle (every
+# trace a projection: a success onto the pattern instructions, a failure onto
+# what steps 6-7 read of it), so a restarted daemon must still report what
+# the uninterrupted fleet does. Exits 1 unless identical_reports is true.
 "${BUILD_DIR}/bench/bench_fleet" --daemons=3 --rounds=3 --kill-restart --json=BENCH_fleet.json
 
 echo "== SARIF render sanity (jq, 2.1.0 shape) =="
@@ -67,11 +68,17 @@ jq -e '.stages.analysis_seconds > 0
 echo "== --explain sanity (a row per pass, the store summary, residency verdicts) =="
 # Every pass a plain diagnose runs (kRepair runs only with --suggest-fix)
 # prints a row; the store's residency column knows resident / evicted /
-# absent only.
+# absent only. The diagnosed failing bundle's trace-process row must report
+# a projection, never a full build.
 explain="$("${BUILD_DIR}/snorlax_cli" diagnose sample_bug.sir --explain)"
 for pass in trace-process deref-chains points-to type-rank patterns score; do
   grep -Eq "^  ${pass} +(ran|cache-hit|skipped) " <<< "${explain}"
 done
+if ! grep -Eq "^  trace-process .*projected onto [0-9]+ of [0-9]+ executed instructions" \
+    <<< "${explain}"; then
+  echo "--explain: the failing bundle's trace-process row reports no projection" >&2
+  exit 1
+fi
 grep -q '^  artifact store: ' <<< "${explain}"
 if grep -q 'pinned' <<< "${explain}"; then
   echo "--explain printed a residency verdict the store no longer has" >&2

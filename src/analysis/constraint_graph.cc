@@ -151,23 +151,21 @@ ConstraintGraph BuildConstraintGraph(const ir::Module& module, const PointsToOpt
     g.alloca_index[ConstraintGraph::ObjectKey(obj)] = static_cast<uint32_t>(g.objects.size());
     g.objects.push_back(obj);
   };
-  // Executed scope iterates the executed set itself, sorted back to program
-  // order via the dense InstId numbering, instead of scanning the whole
-  // module: cold library code never appears in a trace, so graph-construction
-  // cost tracks the trace, not the program (the same argument as Table 4's
-  // solver speedup, applied to constraint generation).
+  // Executed scope iterates the executed set itself, which yields ids in
+  // ascending order, i.e. program order via the dense InstId numbering,
+  // instead of scanning the whole module: cold library code never appears in
+  // a trace, so graph-construction cost tracks the trace, not the program
+  // (the same argument as Table 4's solver speedup, applied to constraint
+  // generation).
   std::vector<const ir::Instruction*> scoped;
   if (options.scope == PointsToOptions::Scope::kExecutedOnly) {
     scoped.reserve(options.executed->size());
     for (const ir::InstId id : *options.executed) {
-      if (id < module.NumInstructions()) {
-        scoped.push_back(module.instruction(id));
+      if (id >= module.NumInstructions()) {
+        break;
       }
+      scoped.push_back(module.instruction(id));
     }
-    std::sort(scoped.begin(), scoped.end(),
-              [](const ir::Instruction* a, const ir::Instruction* b) {
-                return a->id() < b->id();
-              });
     for (const ir::Instruction* inst : scoped) {
       if (inst->opcode() == ir::Opcode::kAlloca) {
         add_object({AbstractObject::Kind::kAllocaSite, inst->id()});

@@ -23,6 +23,7 @@
 #include <vector>
 
 #include "ir/module.h"
+#include "trace/inst_set.h"
 
 namespace snorlax::analysis {
 
@@ -96,7 +97,7 @@ struct PointsToOptions {
   enum class Scope { kWholeProgram, kExecutedOnly };
   Scope scope = Scope::kWholeProgram;
   // Required (non-null) when scope == kExecutedOnly.
-  const std::unordered_set<ir::InstId>* executed = nullptr;
+  const trace::InstSet* executed = nullptr;
   // Collapse strongly-connected components of the copy-edge graph onto one
   // union-find representative (variables in a copy cycle provably share a
   // points-to set). Off = ablation baseline: the plain difference-propagating

@@ -67,7 +67,7 @@ Status DiagnosisServer::ValidateBundle(const pt::PtTraceBundle& bundle,
   return Status::Ok();
 }
 
-support::Result<std::shared_ptr<const trace::ProcessedTrace>> DiagnosisServer::Ingest(
+support::Result<DiagnosisServer::Ingested> DiagnosisServer::Ingest(
     const pt::PtTraceBundle& bundle, bool failing, const char* what) {
   Status valid = ValidateBundle(bundle, failing);
   if (!valid.ok()) {
@@ -75,24 +75,31 @@ support::Result<std::shared_ptr<const trace::ProcessedTrace>> DiagnosisServer::I
     return valid;
   }
   const auto start = std::chrono::steady_clock::now();
-  const uint64_t key = trace::TraceKey(bundle, options_.trace);
+  Ingested out;
+  out.key = trace::TraceKey(bundle, options_.trace);
   if (options_.use_analysis_cache) {
-    // A success projection is served stale or not: Score() re-projects it.
+    // A success projection is served stale or not, and a failing trace
+    // whatever it kept: Score() and the pipeline re-project them as needed.
     if (std::shared_ptr<const trace::ProcessedTrace> known =
-            failing ? engine_.FailingTrace(key) : engine_.SuccessProjection(key)) {
+            failing ? engine_.FailingTrace(out.key) : engine_.SuccessProjection(out.key)) {
       // Each submission appends the shared trace as its own evidence; only
       // the packet decoding is skipped.
       engine_.RecordTraceProcess(SecondsSince(start), /*cache_hit=*/true);
       degradation_.MergeFrom(known->degradation());
-      return known;
+      out.trace = std::move(known);
+      return out;
     }
   }
-  std::shared_ptr<const trace::ProcessedTrace> decoded;
+  const trace::TraceDecode* decoded = nullptr;
   try {
-    // A failing bundle is built in full; a success bundle is projected onto
-    // the site's current pattern instructions.
-    decoded = std::make_shared<const trace::ProcessedTrace>(
-        module_, bundle, options_.trace, failing ? nullptr : &engine_.pattern_instructions());
+    // Decoded once; a success bundle is projected onto the site's current
+    // pattern instructions straight away, a failing bundle by the pipeline
+    // once steps 4-5 have named what it must keep.
+    decoded = &engine_.Decode(bundle, options_.trace);
+    if (!failing) {
+      out.trace = std::make_shared<const trace::ProcessedTrace>(
+          *decoded, &engine_.pattern_instructions());
+    }
   } catch (const std::exception& e) {
     // Crash barrier: a corruption pattern the hardened paths did not
     // anticipate must cost one bundle, not the whole diagnosis service.
@@ -100,7 +107,12 @@ support::Result<std::shared_ptr<const trace::ProcessedTrace>> DiagnosisServer::I
     RecordRejection(what, err);
     return err;
   }
-  engine_.RecordTraceProcess(SecondsSince(start), /*cache_hit=*/false);
+  if (failing) {
+    out.decoded = decoded;
+    out.decode_seconds = SecondsSince(start);
+  } else {
+    engine_.RecordTraceProcess(SecondsSince(start), /*cache_hit=*/false);
+  }
   // Degradation accrues even for bundles rejected below: a decoded-but-empty
   // bundle still tells the operator what corruption ate it.
   degradation_.MergeFrom(decoded->degradation());
@@ -110,7 +122,7 @@ support::Result<std::shared_ptr<const trace::ProcessedTrace>> DiagnosisServer::I
     RecordRejection(what, err);
     return err;
   }
-  return decoded;
+  return out;
 }
 
 void DiagnosisServer::RecordRejection(const char* what, const Status& status) {
@@ -130,11 +142,12 @@ void DiagnosisServer::RecordRejection(const char* what, const Status& status) {
 }
 
 Status DiagnosisServer::RunFailingPipeline(const pt::PtTraceBundle& bundle,
-                                           std::shared_ptr<const trace::ProcessedTrace> trace,
+                                           const Ingested& ingested,
                                            const engine::CancelToken& cancel, const char* what) {
   Status pipeline;
   try {
-    pipeline = engine_.AddFailingTrace(bundle, std::move(trace), cancel);
+    pipeline = engine_.AddFailingTrace(bundle, ingested.key, ingested.decoded,
+                                       ingested.decode_seconds, cancel);
   } catch (const std::exception& e) {
     RecordRejection(what, Status::Error(StatusCode::kInternal, e.what()));
     return Status::Error(StatusCode::kInternal, StrFormat("analysis failed: %s", e.what()));
@@ -172,9 +185,9 @@ Status DiagnosisServer::SubmitFailingTrace(const pt::PtTraceBundle& bundle) {
   if (!ingested.ok()) {
     return ingested.status();
   }
-  const uint64_t key = ingested.value()->ContentKey();
+  const uint64_t key = ingested.value().key;
   const Status pipeline =
-      RunFailingPipeline(bundle, ingested.take(), cancel, "pipeline crash barrier");
+      RunFailingPipeline(bundle, ingested.value(), cancel, "pipeline crash barrier");
   if (pipeline.code() == StatusCode::kInternal) {
     return pipeline;
   }
@@ -198,8 +211,8 @@ Status DiagnosisServer::SubmitSuccessTrace(const pt::PtTraceBundle& bundle) {
   if (!ingested.ok()) {
     return ingested.status();
   }
-  const uint64_t key = ingested.value()->ContentKey();
-  engine_.AddSuccessTrace(bundle, ingested.take());
+  const uint64_t key = ingested.value().key;
+  engine_.AddSuccessTrace(bundle, std::move(ingested.value().trace));
   site_log_.push_back(EvidenceRef{engine::SiteRecord::Type::kSuccessEvidence, key});
   PersistEvidence(engine::SiteRecord::Type::kSuccessEvidence, key);
   return Status::Ok();
@@ -207,23 +220,23 @@ Status DiagnosisServer::SubmitSuccessTrace(const pt::PtTraceBundle& bundle) {
 
 Status DiagnosisServer::RestoreEvidence(const engine::SiteRecord& record, bool failing) {
   constexpr const char* kWhat = "durable evidence rejected";
-  // Files `bundle` with `trace`, built from the bundle first when null.
-  auto file = [&](const pt::PtTraceBundle& bundle,
-                  std::shared_ptr<const trace::ProcessedTrace> trace) -> Status {
-    if (trace == nullptr) {
-      auto ingested = Ingest(bundle, failing, kWhat);
-      if (!ingested.ok()) {
-        return ingested.status();
+  // Files `bundle` as `ingested` (the held trace of its key), ingesting the
+  // bundle first when that is empty.
+  auto file = [&](const pt::PtTraceBundle& bundle, Ingested ingested) -> Status {
+    if (ingested.trace == nullptr) {
+      auto fresh = Ingest(bundle, failing, kWhat);
+      if (!fresh.ok()) {
+        return fresh.status();
       }
-      trace = ingested.take();
+      ingested = std::move(fresh.value());
     }
     if (!failing) {
-      engine_.AddSuccessTrace(bundle, std::move(trace));
+      engine_.AddSuccessTrace(bundle, std::move(ingested.trace));
       return Status::Ok();
     }
     // Restore runs without a deadline: with the artifacts imported first
     // every pass is a cache hit, so this is bounded work.
-    return RunFailingPipeline(bundle, std::move(trace), engine::CancelToken(),
+    return RunFailingPipeline(bundle, ingested, engine::CancelToken(),
                               "restore pipeline crash barrier");
   };
   if (record.bytes.empty()) {
@@ -240,11 +253,13 @@ Status DiagnosisServer::RestoreEvidence(const engine::SiteRecord& record, bool f
       RecordRejection(kWhat, err);
       return err;
     }
-    std::shared_ptr<const trace::ProcessedTrace> known =
+    Ingested known;
+    known.key = record.key;
+    known.trace =
         failing ? engine_.FailingTrace(record.key) : engine_.SuccessProjection(record.key);
-    if (known != nullptr) {
+    if (known.trace != nullptr) {
       engine_.RecordTraceProcess(0.0, /*cache_hit=*/true);
-      degradation_.MergeFrom(known->degradation());
+      degradation_.MergeFrom(known.trace->degradation());
     }
     return file(*bundle, std::move(known));
   }
@@ -259,7 +274,7 @@ Status DiagnosisServer::RestoreEvidence(const engine::SiteRecord& record, bool f
     RecordRejection(kWhat, err);
     return err;
   }
-  return file(bundle.value(), nullptr);
+  return file(bundle.value(), Ingested{});
 }
 
 void DiagnosisServer::ApplyRecord(engine::SiteRecord&& record, bool persist) {
@@ -375,10 +390,10 @@ uint64_t DiagnosisServer::durable_failures() const {
 
 std::vector<std::pair<ir::InstId, int>> DiagnosisServer::RequestedDumpPoints() const {
   std::vector<std::pair<ir::InstId, int>> out;
-  if (engine_.failing_traces().empty()) {
+  if (engine_.num_failing_traces() == 0) {
     return out;
   }
-  const rt::FailureInfo& failure = engine_.failing_traces().front()->failure();
+  const rt::FailureInfo& failure = engine_.failing_trace(0).failure();
   if (failure.failing_inst == ir::kInvalidInstId) {
     return out;
   }
@@ -410,7 +425,7 @@ StageStats DiagnosisServer::BuildStageStats() const {
 
 DiagnosisReport DiagnosisServer::Diagnose() const {
   DiagnosisReport report;
-  if (engine_.failing_traces().empty()) {
+  if (engine_.num_failing_traces() == 0) {
     // Nothing was diagnosable -- but if bundles were rejected on the way
     // here, the operator should see why instead of a silent empty report.
     report.degradation = degradation_;
@@ -418,13 +433,13 @@ DiagnosisReport DiagnosisServer::Diagnose() const {
                                                 : trace::ConfidenceTier::kFull;
     return report;
   }
-  report.failure = engine_.failing_traces().front()->failure();
+  report.failure = engine_.failing_trace(0).failure();
   report.hypothesis_violated = engine_.hypothesis_violated();
   const engine::F1ScoresArtifact& scored = engine_.Score();
   report.degradation = degradation_;
   report.degradation.MergeFrom(engine_.score_degradation());
   report.confidence = report.degradation.tier();
-  report.failing_traces = engine_.failing_traces().size();
+  report.failing_traces = engine_.num_failing_traces();
   report.success_traces = engine_.num_success_traces();
   report.patterns = scored.scored;
   const size_t top_f1_patterns = scored.top_f1_patterns;

@@ -32,6 +32,7 @@
 
 #include "engine/durable_log.h"
 #include "engine/site_engine.h"
+#include "faults/fault_plan.h"
 #include "support/status.h"
 #include "trace/degradation.h"
 #include "trace/processed_trace.h"
@@ -163,10 +164,10 @@ class DiagnosisServer {
   // rank 0 = the failing PC, 1+ = first instructions of predecessor blocks.
   std::vector<std::pair<ir::InstId, int>> RequestedDumpPoints() const;
 
-  bool HasFailure() const { return !engine_.failing_traces().empty(); }
+  bool HasFailure() const { return engine_.num_failing_traces() > 0; }
   size_t NumSuccessTraces() const { return engine_.num_success_traces(); }
   size_t SuccessTraceCap() const {
-    return kSuccessTraceMultiplier * engine_.failing_traces().size();
+    return kSuccessTraceMultiplier * engine_.num_failing_traces();
   }
 
   // Step 7: scores the computed patterns over all received traces. The
@@ -236,6 +237,14 @@ class DiagnosisServer {
   }
   // True when the last pipeline run needed the backward-slice fallback.
   bool used_slice_fallback() const { return engine_.used_slice_fallback(); }
+  // The trace of the i-th failing submission, as the engine holds it (a
+  // projection; see engine::SiteEngine).
+  size_t num_failing_traces() const { return engine_.num_failing_traces(); }
+  const trace::ProcessedTrace& failing_trace(size_t i) const {
+    return engine_.failing_trace(i);
+  }
+  // Chaos hook for tests: see engine::SiteEngine::InjectFaults.
+  void InjectFaults(const faults::FaultPlan& plan) { engine_.InjectFaults(plan); }
   // Degradation accumulated across every submitted bundle so far.
   const trace::DegradationReport& degradation() const { return degradation_; }
 
@@ -250,24 +259,36 @@ class DiagnosisServer {
   // Maps engine stage counts + the pass table into StageStats.
   StageStats BuildStageStats() const;
   static engine::EngineOptions MakeEngineOptions(const Options& options);
-  // Steps 2-3 for one bundle: validation, then the trace -- full for a
-  // failing bundle, a projection onto the engine's pattern instructions for
-  // a success bundle. When caching is on, a byte-identical repeat is served
-  // the trace the engine already holds for the bundle's key and kind (a
-  // kTraceProcess cache hit; traces are immutable, so every submission of
-  // the bundle shares one object). Otherwise the trace is built behind a
-  // crash barrier, so any exception a hardening gap lets through costs one
-  // bundle, never the server. Merges the trace's degradation, and rejects a
-  // trace with no usable events. Every failure is recorded as a rejection
-  // under `what`.
-  support::Result<std::shared_ptr<const trace::ProcessedTrace>> Ingest(
-      const pt::PtTraceBundle& bundle, bool failing, const char* what);
-  // Hands a failing trace and its bundle to the engine's pipeline, which
-  // files them, behind the crash barrier: a crash is recorded as a rejection
-  // under `what` and returns kInternal with nothing filed. Folds the
-  // pipeline's fallbacks into the degradation ledger.
-  support::Status RunFailingPipeline(const pt::PtTraceBundle& bundle,
-                                     std::shared_ptr<const trace::ProcessedTrace> trace,
+  // What Ingest hands on: the bundle's trace::TraceKey, and either the trace
+  // to file or, for a new failing bundle, its decode.
+  struct Ingested {
+    uint64_t key = 0;
+    // The held trace of a byte-identical repeat, or a new success bundle's
+    // projection; null for a new failing bundle.
+    std::shared_ptr<const trace::ProcessedTrace> trace;
+    // A new failing bundle's decode (the engine's decode buffer) and the
+    // time it took; the pipeline projects it.
+    const trace::TraceDecode* decoded = nullptr;
+    double decode_seconds = 0.0;
+  };
+  // Steps 2-3 for one bundle: validation, then the trace. When caching is
+  // on, a byte-identical repeat is served the trace the engine already
+  // holds for the bundle's key and kind (a kTraceProcess cache hit; every
+  // submission of the bundle shares one object). Otherwise the bundle is
+  // decoded once, behind a crash barrier, so any exception a hardening gap
+  // lets through costs one bundle, never the server: a success bundle is
+  // then projected onto the engine's pattern instructions (one timed
+  // kTraceProcess run), and a failing bundle is left decoded for the
+  // pipeline, which times its decode and projection as one run. Merges the
+  // decode's degradation, and rejects a bundle with no usable events. Every
+  // failure is recorded as a rejection under `what`.
+  support::Result<Ingested> Ingest(const pt::PtTraceBundle& bundle, bool failing,
+                                   const char* what);
+  // Hands a failing bundle, as Ingest left it, to the engine's pipeline,
+  // which projects and files it, behind the crash barrier: a crash is
+  // recorded as a rejection under `what` and returns kInternal with nothing
+  // filed. Folds the pipeline's fallbacks into the degradation ledger.
+  support::Status RunFailingPipeline(const pt::PtTraceBundle& bundle, const Ingested& ingested,
                                      const engine::CancelToken& cancel, const char* what);
   // Appends one evidence record to the durable log, if one is set: the wire
   // encoding of the bundle the engine holds under `key` the first time `key`

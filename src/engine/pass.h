@@ -21,11 +21,14 @@
 
 namespace snorlax::engine {
 
-// One pass per paper step. kTraceProcess (steps 2-3) is executed by the
-// ingest layer (decode + executed-set recovery happen before the engine sees
-// the trace) but is counted here so the whole pipeline reads off one table.
+// One pass per paper step. kTraceProcess (steps 2-3) is one run per new
+// bundle: its decode, which yields the executed set, plus the projection
+// built from that decode -- by the ingest layer for a success bundle, by the
+// engine after steps 4-5 for a failing one, both timed into the same run. A
+// re-projection of a held bundle is a run of its own; an evidence-table hit
+// is a cache hit.
 enum class PassId : uint8_t {
-  kTraceProcess = 0,  // steps 2-3: decode + trace processing
+  kTraceProcess = 0,  // steps 2-3: decode + projection
   kDerefChains,       // RETracer-style failure access chain
   kPointsTo,          // step 4: hybrid points-to, scoped to executed code
   kTypeRank,          // step 5: type-based candidate ranking

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <map>
+#include <optional>
 
 #include "support/check.h"
 #include "support/str.h"
@@ -463,6 +464,18 @@ RepairPlan BuildRepairPlan(const ir::Module& module,
   plan.target = target;
   const std::vector<size_t> confirmed = ConfirmedPatternIndices(scored, options);
   plan.confirmed_patterns = confirmed.size();
+  rt::RepairTrialOptions trial;
+  trial.entry = options.entry;
+  trial.interp = options.interp;
+  trial.jitter_bands = options.jitter_bands;
+  trial.seeds_per_band = options.seeds_per_band;
+  trial.first_seed = options.first_seed;
+  trial.min_baseline_failures = options.min_baseline_failures;
+  trial.max_seeds_per_band = options.max_seeds_per_band;
+  trial.max_overhead_ratio = options.max_overhead_ratio;
+  // The unpatched module's sweep is the same for every candidate: run it
+  // once, on the first candidate that is validated.
+  std::optional<rt::RepairBaseline> baseline;
   for (size_t idx : confirmed) {
     const DiagnosedPattern& dp = scored[idx];
     Result<std::vector<Patch>> variants = BuildPatchVariants(module, dp.pattern);
@@ -483,16 +496,11 @@ RepairPlan BuildRepairPlan(const ir::Module& module,
       c.status = RepairStatus::kBuilt;
       if (options.validate &&
           !(options.stop_on_validated && plan.HasValidatedFix())) {
-        rt::RepairTrialOptions trial;
-        trial.entry = options.entry;
-        trial.interp = options.interp;
-        trial.jitter_bands = options.jitter_bands;
-        trial.seeds_per_band = options.seeds_per_band;
-        trial.first_seed = options.first_seed;
-        trial.min_baseline_failures = options.min_baseline_failures;
-        trial.max_seeds_per_band = options.max_seeds_per_band;
-        trial.max_overhead_ratio = options.max_overhead_ratio;
-        const rt::RepairVerdict verdict = rt::ValidateRepair(module, c.patch, target, trial);
+        if (!baseline.has_value()) {
+          baseline = rt::SweepRepairBaseline(module, target, trial);
+        }
+        const rt::RepairVerdict verdict =
+            rt::ValidateRepair(module, c.patch, target, trial, *baseline);
         c.runs_per_module = verdict.runs_per_module;
         c.baseline_failures = verdict.baseline_failures;
         c.recurrences = verdict.recurrences;

@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <bit>
 #include <chrono>
+#include <numeric>
+#include <optional>
 #include <unordered_set>
 
 #include "analysis/slicer.h"
@@ -27,16 +29,18 @@ SiteEngine::SiteEngine(const ir::Module* module, EngineOptions options)
     : module_(module), options_(options) {
   SNORLAX_CHECK(module != nullptr);
   module_fingerprint_ = pt::ModuleFingerprint(*module);
+  for (ir::InstId id = 0; id < module->NumInstructions(); ++id) {
+    const ir::Opcode op = module->instruction(id)->opcode();
+    if (op == ir::Opcode::kLockAcquire || op == ir::Opcode::kLockRelease) {
+      lock_ops_.push_back(id);
+    }
+  }
 }
 
-uint64_t SiteEngine::ExecutedSetKey(const trace::ProcessedTrace& failing) const {
-  // Commutative (sum of mixes): unordered_set iteration order is not
-  // deterministic across processes, the key must be.
-  uint64_t h = Mix64(failing.executed().size());
-  for (ir::InstId id : failing.executed()) {
-    h += Mix64(id);
-  }
-  return h;
+uint64_t SiteEngine::ExecutedSetKey(const trace::InstSet& executed) const {
+  // Commutative (sum of mixes), so the key does not depend on how the set
+  // was built.
+  return Mix64(executed.size()) + executed.member_hash_sum();
 }
 
 uint64_t SiteEngine::DerefChainsKey(const rt::FailureInfo& failure) const {
@@ -74,8 +78,12 @@ void SiteEngine::RecordTraceProcess(double seconds, bool cache_hit) {
     ++stats.runs;
     stats.seconds += seconds;
   }
-  last_trace_process_seconds_ = seconds;
-  last_trace_process_hit_ = cache_hit;
+}
+
+const trace::TraceDecode& SiteEngine::Decode(const pt::PtTraceBundle& bundle,
+                                             const trace::TraceOptions& options) {
+  decode_.Decode(module_, bundle, options);
+  return decode_;
 }
 
 void SiteEngine::AddSuccessTrace(const pt::PtTraceBundle& bundle,
@@ -119,28 +127,49 @@ size_t SiteEngine::RefreshProjections() {
   const uint64_t current = pattern_insts_.key();
   size_t rebuilt = 0;
   bool dropped = false;
-  for (auto& [key, evidence] : evidence_) {
-    if (evidence.projection == nullptr || evidence.projection->projection_key() == current) {
-      continue;
-    }
+  // One rebuild behind the crash barrier of ingest: a rebuild that throws
+  // costs this bundle's submissions of that kind their score, never the
+  // service. The bundle stays filed, so the durable log and hand-off keep
+  // it.
+  const auto rebuild = [&](Evidence& evidence, bool failing) {
     const auto start = std::chrono::steady_clock::now();
     try {
-      evidence.projection = std::make_shared<const trace::ProcessedTrace>(
-          module_, evidence.bundle, evidence.projection->options(), &pattern_insts_);
+      rebuild_faults_.MaybeThrow();
+      const trace::ProcessedTrace& stale = failing ? *evidence.failing : *evidence.projection;
+      Decode(evidence.bundle, stale.options());
+      if (failing) {
+        trace::InstSet keep = *stale.kept();
+        keep.InsertAll(pattern_insts_);
+        evidence.failing = std::make_shared<const trace::ProcessedTrace>(decode_, &keep);
+      } else {
+        evidence.projection = std::make_shared<const trace::ProcessedTrace>(decode_,
+                                                                            &pattern_insts_);
+      }
     } catch (const std::exception& e) {
-      // The same crash barrier as ingest: a rebuild that throws costs this
-      // bundle's success submissions their score, never the service. The
-      // bundle stays filed, so the durable log and hand-off keep it.
       ++score_degradation_.rejected_bundles;
       score_degradation_.notes.push_back(
-          StrFormat("success evidence dropped: re-projection failed: %s", e.what()));
-      std::erase(success_traces_, &evidence);
-      evidence.projection = nullptr;
+          StrFormat("%s evidence dropped: re-projection failed: %s",
+                    failing ? "failing" : "success", e.what()));
+      if (failing) {
+        std::erase(failing_traces_, &evidence);
+        evidence.failing = nullptr;
+      } else {
+        std::erase(success_traces_, &evidence);
+        evidence.projection = nullptr;
+      }
       dropped = true;
     }
     ++stats.runs;
     stats.seconds += SecondsSince(start);
     ++rebuilt;
+  };
+  for (auto& [key, evidence] : evidence_) {
+    if (evidence.failing != nullptr && !evidence.failing->kept()->ContainsAll(pattern_insts_)) {
+      rebuild(evidence, /*failing=*/true);
+    }
+    if (evidence.projection != nullptr && evidence.projection->projection_key() != current) {
+      rebuild(evidence, /*failing=*/false);
+    }
   }
   if (dropped) {
     // Patterns already folded the dropped submissions: recount from scratch.
@@ -173,13 +202,14 @@ DerefChainsArtifact SiteEngine::RunDerefChains(const rt::FailureInfo& failure) {
   return out;
 }
 
-PointsToArtifact SiteEngine::RunPointsTo(const trace::ProcessedTrace& failing,
+PointsToArtifact SiteEngine::RunPointsTo(const trace::InstSet& executed,
+                                         const rt::FailureInfo& failure,
                                          const DerefChainsArtifact& chains) {
   // Step 4: hybrid points-to analysis, scoped to the executed set.
   analysis::PointsToOptions pto;
   if (options_.use_scope_restriction) {
     pto.scope = analysis::PointsToOptions::Scope::kExecutedOnly;
-    pto.executed = &failing.executed();
+    pto.executed = &executed;
   } else {
     pto.scope = analysis::PointsToOptions::Scope::kWholeProgram;
   }
@@ -192,7 +222,7 @@ PointsToArtifact SiteEngine::RunPointsTo(const trace::ProcessedTrace& failing,
   for (const ir::Instruction* access : chains.chain) {
     out.seed.UnionWith(out.result->PointerOperandPointsTo(*access));
   }
-  for (const rt::FailureInfo::DeadlockWaiter& w : failing.failure().deadlock_cycle) {
+  for (const rt::FailureInfo::DeadlockWaiter& w : failure.deadlock_cycle) {
     if (w.inst != ir::kInvalidInstId) {
       out.seed.UnionWith(out.result->PointerOperandPointsTo(*module_->instruction(w.inst)));
     }
@@ -200,7 +230,7 @@ PointsToArtifact SiteEngine::RunPointsTo(const trace::ProcessedTrace& failing,
   return out;
 }
 
-RankedCandidatesArtifact SiteEngine::RunTypeRank(const trace::ProcessedTrace& failing,
+RankedCandidatesArtifact SiteEngine::RunTypeRank(const trace::InstSet& executed,
                                                  const DerefChainsArtifact& chains,
                                                  const PointsToArtifact& points_to) {
   // Candidate target events: executed instructions whose pointer operand may
@@ -210,7 +240,7 @@ RankedCandidatesArtifact SiteEngine::RunTypeRank(const trace::ProcessedTrace& fa
   std::vector<const ir::Instruction*> executed_candidates;
   executed_candidates.reserve(candidates.size());
   for (const ir::Instruction* c : candidates) {
-    if (failing.WasExecuted(c->id())) {
+    if (executed.Contains(c->id())) {
       executed_candidates.push_back(c);
     }
   }
@@ -231,12 +261,12 @@ RankedCandidatesArtifact SiteEngine::RunTypeRank(const trace::ProcessedTrace& fa
   return out;
 }
 
-PatternSetArtifact SiteEngine::RunPatterns(const trace::ProcessedTrace& failing,
+PatternSetArtifact SiteEngine::RunPatterns(const trace::InstSet& executed,
+                                           const rt::FailureInfo& failure,
                                            const DerefChainsArtifact& chains,
                                            const PointsToArtifact& points_to,
                                            const RankedCandidatesArtifact& ranked,
-                                           uint64_t trace_key) {
-  const rt::FailureInfo& failure = failing.failure();
+                                           uint64_t trace_key, const ProjectFn& project) {
   PatternSetArtifact out;
   out.effective_ranked = ranked;
   // The verdict memo rides the artifact-store knob: with the store off the
@@ -257,8 +287,9 @@ PatternSetArtifact SiteEngine::RunPatterns(const trace::ProcessedTrace& failing,
   PatternComputeContext context;
   context.points_to = points_to.result.get();
   context.verdicts = out.verdicts.get();
-  PatternComputeResult computed = ComputePatterns(*module_, failing, ranked.ranked, failure,
-                                                  chains.chain, options_.patterns, context);
+  PatternComputeResult computed = ComputePatterns(*module_, project(ranked), ranked.ranked,
+                                                  failure, chains.chain, options_.patterns,
+                                                  context);
 
   // Fallback (paper section 7): if the alias-derived candidates yielded no
   // pattern, widen to the instructions with control/data dependences to the
@@ -275,7 +306,7 @@ PatternSetArtifact SiteEngine::RunPatterns(const trace::ProcessedTrace& failing,
     std::vector<const ir::Instruction*> slice_candidates;
     for (ir::InstId id : slice) {
       const ir::Instruction* inst = module_->instruction(id);
-      if (inst->IsMemoryAccess() && failing.WasExecuted(id)) {
+      if (inst->IsMemoryAccess() && executed.Contains(id)) {
         slice_candidates.push_back(inst);
         widened.UnionWith(points_to.result->PointerOperandPointsTo(*inst));
       }
@@ -283,7 +314,7 @@ PatternSetArtifact SiteEngine::RunPatterns(const trace::ProcessedTrace& failing,
     // Also admit every executed access aliasing the widened set (the racing
     // write shares cells with the sliced loads, not with the failing operand).
     for (const ir::Instruction* inst : points_to.result->AccessorsOf(widened)) {
-      if (failing.WasExecuted(inst->id())) {
+      if (executed.Contains(inst->id())) {
         slice_candidates.push_back(inst);
       }
     }
@@ -311,11 +342,12 @@ PatternSetArtifact SiteEngine::RunPatterns(const trace::ProcessedTrace& failing,
     // admit candidates beyond alias reach of the failure chain (the corrupt
     // value flowed through memory the operand walk cannot follow), so the
     // alias prefilter would undo the widening it just performed.
+    // The widened R is re-projected once before the retry reads it.
     PatternComputeContext fallback_context;
     fallback_context.verdicts = out.verdicts.get();
     PatternComputeResult retry =
-        ComputePatterns(*module_, failing, out.effective_ranked.ranked, failure, chains.chain,
-                        options_.patterns, fallback_context);
+        ComputePatterns(*module_, project(out.effective_ranked), out.effective_ranked.ranked,
+                        failure, chains.chain, options_.patterns, fallback_context);
     retry.pair_tests += computed.pair_tests;
     retry.alias_skips += computed.alias_skips;
     retry.verdict_hits += computed.verdict_hits;
@@ -345,57 +377,105 @@ void SiteEngine::MergePatterns(const PatternSetArtifact& computed) {
   }
 }
 
-Status SiteEngine::AddFailingTrace(const pt::PtTraceBundle& bundle,
-                                   std::shared_ptr<const trace::ProcessedTrace> failing,
+trace::InstSet SiteEngine::FailingKeepSet(const trace::InstSet& executed,
+                                          const rt::FailureInfo& failure,
+                                          const RankedCandidatesArtifact* ranked,
+                                          const std::vector<const ir::Instruction*>* chain) {
+  trace::InstSet keep = pattern_insts_;
+  if (ranked != nullptr) {
+    for (const analysis::RankedInstruction& r : ranked->ranked) {
+      keep.Insert(r.inst->id());
+    }
+  }
+  if (chain != nullptr) {
+    for (const ir::Instruction* access : *chain) {
+      keep.Insert(access->id());
+    }
+  }
+  for (const ir::InstId id : lock_ops_) {
+    if (executed.Contains(id)) {
+      keep.Insert(id);
+    }
+  }
+  for (const rt::FailureInfo::DeadlockWaiter& w : failure.deadlock_cycle) {
+    if (w.inst != ir::kInvalidInstId) {
+      keep.Insert(w.inst);
+    }
+  }
+  if (failure.failing_inst != ir::kInvalidInstId) {
+    keep.Insert(failure.failing_inst);
+  }
+  return keep;
+}
+
+Status SiteEngine::AddFailingTrace(const pt::PtTraceBundle& bundle, uint64_t key,
+                                   const trace::TraceDecode* decoded, double decode_seconds,
                                    const CancelToken& cancel) {
-  // Steps 4-6 read the whole trace; a projection would lose candidates.
-  SNORLAX_CHECK(!failing->projected());
-  const trace::ProcessedTrace& t = *failing;
-  // Filed up front: even a deadline-aborted pipeline keeps the trace as
-  // scoring evidence (its mere arrival is statistical signal).
-  auto [filed, inserted] = evidence_.try_emplace(t.ContentKey());
-  const bool new_failing = filed->second.failing == nullptr;
-  if (inserted) {
-    filed->second.bundle = bundle;
-  }
-  if (new_failing) {
-    filed->second.failing = failing;
-  }
-  failing_traces_.push_back(std::move(failing));
-  scores_dirty_ = true;
-  const bool first = failing_traces_.size() == 1;
-  const rt::FailureInfo& failure = t.failure();
-  stage_counts_.executed_instructions = t.executed().size();
+  auto [filed, inserted] = evidence_.try_emplace(key);
+  Evidence& evidence = filed->second;
+  SNORLAX_CHECK(decoded != nullptr || evidence.failing != nullptr);
+  // The trace step 6 reads and what it keeps. A repeat starts from the
+  // table's trace; a fresh decode builds its own once R is known, keeping at
+  // least what the table's trace of the bundle kept.
+  std::shared_ptr<const trace::ProcessedTrace> trace =
+      decoded != nullptr ? nullptr : evidence.failing;
+  trace::InstSet kept =
+      evidence.failing != nullptr ? *evidence.failing->kept() : trace::InstSet{};
+  const trace::InstSet& executed =
+      decoded != nullptr ? decoded->executed() : trace->executed();
+  const rt::FailureInfo& failure = decoded != nullptr ? decoded->failure() : trace->failure();
+  const bool first = failing_traces_.empty();
+  stage_counts_.executed_instructions = executed.size();
+
+  // Decode and every projection built here are one kTraceProcess run; a
+  // repeat's run is its re-projection, if it needs one.
+  double trace_seconds = decode_seconds;
+  bool trace_ran = decoded != nullptr;
+  const auto cover = [&](const trace::InstSet& keep) -> const trace::ProcessedTrace& {
+    if (trace != nullptr && kept.ContainsAll(keep)) {
+      return *trace;
+    }
+    const auto start = std::chrono::steady_clock::now();
+    kept.InsertAll(keep);
+    const trace::TraceDecode* source = decoded;
+    if (source == nullptr) {
+      source = &Decode(evidence.bundle, trace->options());
+    }
+    trace = std::make_shared<const trace::ProcessedTrace>(*source, &kept);
+    trace_seconds += SecondsSince(start);
+    trace_ran = true;
+    return *trace;
+  };
 
   last_run_.clear();
-  last_run_.push_back(PassTrace{PassId::kTraceProcess, !last_trace_process_hit_,
-                                last_trace_process_hit_, last_trace_process_seconds_, 0,
-                                last_trace_process_hit_ ? "bundle content already decoded"
-                                                        : "decoded by ingest layer"});
+  last_run_.push_back(PassTrace{PassId::kTraceProcess, decoded != nullptr, decoded == nullptr,
+                                0.0, 0, ""});
 
   // Runs one pass: consult the store under `key`, recompute on miss, record
-  // stats and the --explain entry either way.
-  auto execute = [&](PassId id, ArtifactKind kind, uint64_t key, const std::string& dirty_reason,
-                     auto compute) {
+  // stats and the --explain entry either way. Projections built inside a
+  // pass are trace processing, not that pass.
+  auto execute = [&](PassId id, ArtifactKind kind, uint64_t artifact_key,
+                     const std::string& dirty_reason, auto compute) {
     using T = decltype(compute());
     PassStats& stats = StatsFor(pass_stats_, id);
     if (options_.use_artifact_store) {
-      if (const T* hit = store_.Find<T>(kind, key)) {
+      if (const T* hit = store_.Find<T>(kind, artifact_key)) {
         ++stats.cache_hits;
-        last_run_.push_back(PassTrace{id, false, true, 0.0, key, "artifact reused"});
+        last_run_.push_back(PassTrace{id, false, true, 0.0, artifact_key, "artifact reused"});
         return *hit;
       }
     }
     const auto start = std::chrono::steady_clock::now();
+    const double trace_before = trace_seconds;
     T result = compute();
-    const double seconds = SecondsSince(start);
+    const double seconds = SecondsSince(start) - (trace_seconds - trace_before);
     ++stats.runs;
     stats.seconds += seconds;
     if (options_.use_artifact_store) {
-      PersistArtifact(kind, key, &result);
-      store_.Put<T>(kind, key, result);
+      PersistArtifact(kind, artifact_key, &result);
+      store_.Put<T>(kind, artifact_key, result);
     }
-    last_run_.push_back(PassTrace{id, true, false, seconds, key, dirty_reason});
+    last_run_.push_back(PassTrace{id, true, false, seconds, artifact_key, dirty_reason});
     return result;
   };
 
@@ -406,9 +486,9 @@ Status SiteEngine::AddFailingTrace(const pt::PtTraceBundle& bundle,
                          StrFormat("analysis deadline exceeded before %s pass", PassName(next)));
   };
 
-  const uint64_t executed_key = ExecutedSetKey(t);
+  const uint64_t executed_key = ExecutedSetKey(executed);
   if (options_.use_artifact_store) {
-    const ExecutedSetArtifact executed_set{executed_key, t.executed().size()};
+    const ExecutedSetArtifact executed_set{executed_key, executed.size()};
     PersistArtifact(ArtifactKind::kExecutedSet, executed_key, &executed_set);
     store_.Put<ExecutedSetArtifact>(ArtifactKind::kExecutedSet, executed_key, executed_set);
   }
@@ -423,7 +503,7 @@ Status SiteEngine::AddFailingTrace(const pt::PtTraceBundle& bundle,
           : (first ? "first failing trace at this site"
                    : (executed_key != last_executed_key_
                           ? StrFormat("executed set changed (%zu -> %zu instructions)",
-                                      last_executed_size_, t.executed().size())
+                                      last_executed_size_, executed.size())
                           : "artifact evicted"));
   const std::string rank_reason =
       !options_.use_artifact_store
@@ -434,14 +514,18 @@ Status SiteEngine::AddFailingTrace(const pt::PtTraceBundle& bundle,
           ? store_off
           : (first ? "first failing trace at this site" : "new dynamic interleaving");
 
-  try {
+  // What R is known so far: a deadline before step 6 still files a trace,
+  // kept onto that much.
+  std::optional<DerefChainsArtifact> chains_known;
+  std::optional<RankedCandidatesArtifact> ranked_known;
+  const auto passes = [&]() -> Status {
     if (cancel.Expired()) {
       return deadline(PassId::kDerefChains);
     }
     const uint64_t chain_key = DerefChainsKey(failure);
-    DerefChainsArtifact chains =
+    const DerefChainsArtifact& chains = chains_known.emplace(
         execute(PassId::kDerefChains, ArtifactKind::kDerefChains, chain_key, site_reason,
-                [&] { return RunDerefChains(failure); });
+                [&] { return RunDerefChains(failure); }));
     failure_chain_ = chains.chain;
 
     if (cancel.Expired()) {
@@ -450,18 +534,18 @@ Status SiteEngine::AddFailingTrace(const pt::PtTraceBundle& bundle,
     const uint64_t points_to_key = PointsToKey(chain_key, executed_key);
     PointsToArtifact points_to =
         execute(PassId::kPointsTo, ArtifactKind::kPointsTo, points_to_key, points_to_reason,
-                [&] { return RunPointsTo(t, chains); });
+                [&] { return RunPointsTo(executed, failure, chains); });
     points_to_ = points_to.result;
     last_executed_key_ = executed_key;
-    last_executed_size_ = t.executed().size();
+    last_executed_size_ = executed.size();
 
     if (cancel.Expired()) {
       return deadline(PassId::kTypeRank);
     }
     const uint64_t rank_key = TypeRankKey(points_to_key);
-    RankedCandidatesArtifact ranked =
-        execute(PassId::kTypeRank, ArtifactKind::kRankedCandidates, rank_key,
-                rank_reason, [&] { return RunTypeRank(t, chains, points_to); });
+    const RankedCandidatesArtifact& ranked = ranked_known.emplace(
+        execute(PassId::kTypeRank, ArtifactKind::kRankedCandidates, rank_key, rank_reason,
+                [&] { return RunTypeRank(executed, chains, points_to); }));
     ranked_ = ranked.ranked;
     stage_counts_.candidate_instructions = ranked.candidate_instructions;
     stage_counts_.rank1_candidates = ranked.rank1_candidates;
@@ -471,11 +555,17 @@ Status SiteEngine::AddFailingTrace(const pt::PtTraceBundle& bundle,
     }
     // Pattern computation consumes the partially-ordered dynamic trace, a
     // pure function of its bundle: the trace's bundle key stands for it.
-    const uint64_t trace_key = t.ContentKey();
-    const uint64_t patterns_key = PatternsKey(rank_key, trace_key);
+    const uint64_t patterns_key = PatternsKey(rank_key, key);
+    const ProjectFn project = [&](const RankedCandidatesArtifact& r) -> const trace::ProcessedTrace& {
+      return cover(FailingKeepSet(executed, failure, &r, &chains.chain));
+    };
     PatternSetArtifact pattern_set =
         execute(PassId::kPatterns, ArtifactKind::kPatternSet, patterns_key, patterns_reason,
-                [&] { return RunPatterns(t, chains, points_to, ranked, trace_key); });
+                [&] { return RunPatterns(executed, failure, chains, points_to, ranked, key,
+                                         project); });
+    // A cache hit names its R without running: project onto it now.
+    project(pattern_set.effective_ranked);
+    ranked_known = pattern_set.effective_ranked;
     // Engine detail for --explain; counters travel in the artifact, so cache
     // hits report the run that originally computed the set.
     last_run_.back().reason +=
@@ -490,18 +580,50 @@ Status SiteEngine::AddFailingTrace(const pt::PtTraceBundle& bundle,
     hypothesis_violated_ = hypothesis_violated_ || pattern_set.hypothesis_violated;
     MergePatterns(pattern_set);
     stage_counts_.patterns_generated = patterns_.size();
+    return Status::Ok();
+  };
+
+  const auto record_trace_process = [&] {
+    if (!trace_ran) {
+      return;
+    }
+    PassStats& stats = StatsFor(pass_stats_, PassId::kTraceProcess);
+    ++stats.runs;
+    stats.seconds += trace_seconds;
+  };
+  Status status;
+  try {
+    status = passes();
+    // Filed even when the deadline cut the passes short: the trace's mere
+    // arrival is statistical signal. It keeps the R known so far.
+    cover(FailingKeepSet(executed, failure, ranked_known ? &*ranked_known : nullptr,
+                         chains_known ? &chains_known->chain : nullptr));
   } catch (...) {
     // Crash barrier contract: an analysis exception rejects the bundle, so
-    // the trace must not linger as evidence either.
-    failing_traces_.pop_back();
+    // nothing is filed.
+    record_trace_process();
     if (inserted) {
       evidence_.erase(filed);
-    } else if (new_failing) {
-      filed->second.failing = nullptr;
     }
     throw;
   }
-  return Status::Ok();
+  record_trace_process();
+  PassTrace& row = last_run_.front();
+  row.ran = trace_ran;
+  row.seconds = trace_ran ? trace_seconds : 0.0;
+  const std::string projected = StrFormat("projected onto %zu of %zu executed instructions",
+                                          trace->indexed_instructions(), executed.size());
+  row.reason = decoded != nullptr ? "decoded by ingest layer, " + projected
+               : trace_ran        ? "bundle content already decoded; re-" + projected
+                                  : "bundle content already decoded";
+  // Filing may release the trace `executed` and `failure` refer to.
+  if (inserted) {
+    evidence.bundle = bundle;
+  }
+  evidence.failing = std::move(trace);
+  failing_traces_.push_back(&evidence);
+  scores_dirty_ = true;
+  return status;
 }
 
 const F1ScoresArtifact& SiteEngine::Score() {
@@ -526,40 +648,71 @@ const F1ScoresArtifact& SiteEngine::Score() {
   // Fold only the traces each pattern has not consumed yet (all of them for a
   // pattern discovered this round). Counts commute over traces, so the totals
   // equal a from-scratch scoring pass.
+  // One submission's fold. With the store on, a repeat of a bundle reuses
+  // the verdict its first submission computed; with it off (benches timing
+  // the analysis itself) every fold asks the trace.
+  const auto fold = [&](size_t i, Evidence& evidence, bool failed, ConfusionCounts* counts) {
+    const trace::ProcessedTrace& trace = failed ? *evidence.failing : *evidence.projection;
+    if (!options_.use_artifact_store) {
+      AccumulatePatternCounts(patterns_[i], trace, failed, counts);
+      return;
+    }
+    std::vector<uint8_t>& verdicts = failed ? evidence.failing_verdicts : evidence.success_verdicts;
+    if (verdicts.size() <= i) {
+      verdicts.resize(patterns_.size(), 0);
+    }
+    if (verdicts[i] == 0) {
+      verdicts[i] = TraceContainsPattern(trace, patterns_[i]) ? 2 : 1;
+    }
+    AccumulateVerdict(verdicts[i] == 2, failed, counts);
+  };
   for (size_t i = 0; i < patterns_.size(); ++i) {
     ScoreState& state = score_states_[i];
-    const BugPattern& pattern = patterns_[i];
     for (size_t j = state.failing_seen; j < failing_traces_.size(); ++j) {
-      if (failing_traces_[j] != nullptr) {
-        AccumulatePatternCounts(pattern, *failing_traces_[j], /*trace_failed=*/true,
-                                &state.counts);
-      }
+      fold(i, *failing_traces_[j], /*failed=*/true, &state.counts);
     }
     for (size_t j = state.success_seen; j < success_traces_.size(); ++j) {
-      AccumulatePatternCounts(pattern, *success_traces_[j]->projection, /*trace_failed=*/false,
-                              &state.counts);
+      fold(i, *success_traces_[j], /*failed=*/false, &state.counts);
     }
     state.failing_seen = failing_traces_.size();
     state.success_seen = success_traces_.size();
   }
 
-  F1ScoresArtifact scores;
-  scores.scored.resize(patterns_.size());
-  for (size_t i = 0; i < patterns_.size(); ++i) {
-    DiagnosedPattern& d = scores.scored[i];
-    d.pattern = patterns_[i];
-    d.counts = score_states_[i].counts;
+  // The report is updated in place: a pattern is copied into it once, when
+  // it is merged, and every later Score() rewrites counts and re-sorts. The
+  // order is a strict total order, so the result does not depend on the
+  // order it starts from.
+  std::vector<DiagnosedPattern>& scored = last_scores_.scored;
+  for (size_t i = scored.size(); i < patterns_.size(); ++i) {
+    scored.emplace_back().pattern = patterns_[i];
+    scored_pattern_.push_back(i);
+  }
+  for (size_t pos = 0; pos < scored.size(); ++pos) {
+    DiagnosedPattern& d = scored[pos];
+    d.counts = score_states_[scored_pattern_[pos]].counts;
     d.precision = d.counts.Precision();
     d.recall = d.counts.Recall();
     d.f1 = d.counts.F1();
   }
-  std::sort(scores.scored.begin(), scores.scored.end(), DiagnosedPatternBetter);
-  if (!scores.scored.empty()) {
-    const double best = scores.scored.front().f1;
-    for (const DiagnosedPattern& p : scores.scored) {
-      if (p.f1 == best) {
-        ++scores.top_f1_patterns;
-      }
+  std::vector<uint32_t> order(scored.size());
+  std::iota(order.begin(), order.end(), 0u);
+  std::sort(order.begin(), order.end(), [&](uint32_t a, uint32_t b) {
+    return DiagnosedPatternBetter(scored[a], scored[b]);
+  });
+  std::vector<DiagnosedPattern> sorted;
+  std::vector<size_t> sorted_pattern;
+  sorted.reserve(scored.size());
+  sorted_pattern.reserve(scored.size());
+  for (const uint32_t pos : order) {
+    sorted.push_back(std::move(scored[pos]));
+    sorted_pattern.push_back(scored_pattern_[pos]);
+  }
+  scored = std::move(sorted);
+  scored_pattern_ = std::move(sorted_pattern);
+  last_scores_.top_f1_patterns = 0;
+  for (const DiagnosedPattern& p : scored) {
+    if (p.f1 == scored.front().f1) {
+      ++last_scores_.top_f1_patterns;
     }
   }
 
@@ -571,7 +724,6 @@ const F1ScoresArtifact& SiteEngine::Score() {
       StrFormat("+%zu failing / +%zu success traces, %zu patterns, %zu re-projected",
                 failing_traces_.size() - prev_failing, success_traces_.size() - prev_success,
                 patterns_.size(), reprojected)});
-  last_scores_ = std::move(scores);
   scores_dirty_ = false;
   return last_scores_;
 }
@@ -613,17 +765,13 @@ std::shared_ptr<const RepairPlan> SiteEngine::Repair() {
   if (!options_.repair.enabled) {
     return nullptr;
   }
-  const trace::ProcessedTrace* first_failing = nullptr;
-  for (const auto& t : failing_traces_) {
-    if (t != nullptr) {
-      first_failing = t.get();
-      break;
-    }
-  }
-  if (first_failing == nullptr) {
+  if (failing_traces_.empty()) {
     return nullptr;
   }
   const F1ScoresArtifact& scores = Score();  // plan always follows current evidence
+  if (failing_traces_.empty()) {
+    return nullptr;  // Score() dropped every failing trace
+  }
   const uint64_t key = RepairKey(scores);
   PassStats& stats = StatsFor(pass_stats_, PassId::kRepair);
   last_run_.erase(std::remove_if(last_run_.begin(), last_run_.end(),
@@ -641,7 +789,7 @@ std::shared_ptr<const RepairPlan> SiteEngine::Repair() {
     }
   }
   const auto start = std::chrono::steady_clock::now();
-  const rt::FailureKind target = first_failing->failure().kind;
+  const rt::FailureKind target = failing_traces_.front()->failing->failure().kind;
   auto plan = std::make_shared<RepairPlan>(
       BuildRepairPlan(*module_, scores.scored, target, options_.repair));
   const double seconds = SecondsSince(start);

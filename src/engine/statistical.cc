@@ -4,7 +4,10 @@ namespace snorlax::engine {
 
 void AccumulatePatternCounts(const BugPattern& pattern, const trace::ProcessedTrace& trace,
                              bool trace_failed, ConfusionCounts* counts) {
-  const bool present = TraceContainsPattern(trace, pattern);
+  AccumulateVerdict(TraceContainsPattern(trace, pattern), trace_failed, counts);
+}
+
+void AccumulateVerdict(bool present, bool trace_failed, ConfusionCounts* counts) {
   if (trace_failed) {
     if (present) {
       ++counts->true_positive;

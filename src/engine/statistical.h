@@ -36,6 +36,8 @@ bool DiagnosedPatternBetter(const DiagnosedPattern& a, const DiagnosedPattern& b
 // scoring from scratch.
 void AccumulatePatternCounts(const BugPattern& pattern, const trace::ProcessedTrace& trace,
                              bool trace_failed, ConfusionCounts* counts);
+// The same fold from a known TraceContainsPattern verdict.
+void AccumulateVerdict(bool present, bool trace_failed, ConfusionCounts* counts);
 
 }  // namespace snorlax::engine
 

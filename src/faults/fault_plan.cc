@@ -29,6 +29,8 @@ const char* FaultKindName(FaultKind kind) {
       return "versionskew";
     case FaultKind::kFrameCorrupt:
       return "frame";
+    case FaultKind::kRebuildThrow:
+      return "rebuild";
   }
   return "unknown";
 }
@@ -41,6 +43,10 @@ bool ParseKind(const std::string& name, FaultKind* out) {
       *out = kind;
       return true;
     }
+  }
+  if (name == FaultKindName(FaultKind::kRebuildThrow)) {
+    *out = FaultKind::kRebuildThrow;
+    return true;
   }
   return false;
 }

@@ -30,6 +30,8 @@ enum class FaultKind : uint8_t {
   kFrameCorrupt,     // wire-layer fault: truncate / bit-flip / duplicate a
                      // protocol frame in flight (applied to encoded frames by
                      // FrameFaultInjector, not to in-memory bundles)
+  kRebuildThrow,     // engine-side fault: a re-projection of held evidence
+                     // throws (RebuildFaultInjector); no bundle changes
 };
 
 inline constexpr FaultKind kAllFaultKinds[] = {
@@ -39,6 +41,10 @@ inline constexpr FaultKind kAllFaultKinds[] = {
     FaultKind::kForgeFailure,   FaultKind::kVersionSkew,
     FaultKind::kFrameCorrupt,
 };
+
+// kRebuildThrow is left out of kAllFaultKinds: it corrupts no bundle or
+// frame, so the sweeps over the list would only add clean rows. Parse()
+// accepts it by name all the same.
 
 // Stable spelling used by plan specs, the CLI, and bench tables.
 const char* FaultKindName(FaultKind kind);

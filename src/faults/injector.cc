@@ -1,6 +1,7 @@
 #include "faults/injector.h"
 
 #include <algorithm>
+#include <stdexcept>
 
 #include "pt/packets.h"
 #include "support/str.h"
@@ -69,6 +70,9 @@ void FaultInjector::ApplyOne(const FaultSpec& fault, pt::PtTraceBundle* bundle,
     case FaultKind::kFrameCorrupt:
       // Wire-layer fault: meaningless against an in-memory bundle. Applied by
       // FrameFaultInjector to encoded frames instead.
+      break;
+    case FaultKind::kRebuildThrow:
+      // Engine-side fault, applied by RebuildFaultInjector.
       break;
   }
 }
@@ -295,6 +299,22 @@ std::vector<std::string> FrameFaultInjector::Apply(std::vector<uint8_t>* frame,
       break;
   }
   return log;
+}
+
+RebuildFaultInjector::RebuildFaultInjector(const FaultPlan& plan) : rng_(plan.seed) {
+  double miss = 1.0;
+  for (const FaultSpec& fault : plan.faults) {
+    if (fault.kind == FaultKind::kRebuildThrow) {
+      miss *= 1.0 - std::clamp(fault.rate, 0.0, 1.0);
+    }
+  }
+  rate_ = 1.0 - miss;
+}
+
+void RebuildFaultInjector::MaybeThrow() {
+  if (rate_ > 0.0 && rng_.NextBool(rate_)) {
+    throw std::runtime_error("injected rebuild fault");
+  }
 }
 
 }  // namespace snorlax::faults

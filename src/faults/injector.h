@@ -63,6 +63,22 @@ class FrameFaultInjector {
   Rng rng_;
 };
 
+// RebuildFaultInjector: the engine-side sibling. At the plan's kRebuildThrow
+// rate it makes a re-projection of evidence the engine already holds throw,
+// so tests reach the crash barrier around that rebuild, which no valid
+// bundle triggers. Same seeded-Rng determinism contract.
+class RebuildFaultInjector {
+ public:
+  explicit RebuildFaultInjector(const FaultPlan& plan);
+
+  // Throws std::runtime_error when the fault fires for this rebuild.
+  void MaybeThrow();
+
+ private:
+  double rate_ = 0.0;
+  Rng rng_;
+};
+
 }  // namespace snorlax::faults
 
 #endif  // SNORLAX_FAULTS_INJECTOR_H_

@@ -50,41 +50,61 @@ SweepStats Sweep(const ir::Module& module, FailureKind target,
   return stats;
 }
 
+}  // namespace
+
 // The adaptive baseline sweep: grows every band's seed range in
 // seeds_per_band chunks until the target failure reproduced
-// min_baseline_failures times or each band hit max_seeds_per_band. On
-// return, `seeds` holds the per-band counts the patched sweep must replay.
-SweepStats SweepBaseline(const ir::Module& module, FailureKind target,
-                         const RepairTrialOptions& options,
-                         const std::vector<double>& bands,
-                         std::vector<uint64_t>* seeds) {
+// min_baseline_failures times or each band hit max_seeds_per_band. The
+// per-band counts it ends with are what the patched sweep must replay.
+RepairBaseline SweepRepairBaseline(const ir::Module& module, FailureKind target,
+                                   const RepairTrialOptions& options) {
+  RepairBaseline baseline;
+  baseline.bands = options.jitter_bands;
+  if (baseline.bands.empty()) {
+    baseline.bands.push_back(options.interp.work_jitter);
+  }
   const uint64_t chunk = std::max<uint64_t>(options.seeds_per_band, 1);
   const uint64_t cap = std::max(options.max_seeds_per_band, chunk);
-  seeds->assign(bands.size(), 0);
+  baseline.seeds.assign(baseline.bands.size(), 0);
   SweepStats stats;
   bool grew = true;
   while (stats.target_failures < options.min_baseline_failures && grew) {
     grew = false;
-    for (size_t i = 0; i < bands.size(); ++i) {
-      if ((*seeds)[i] >= cap) {
+    for (size_t i = 0; i < baseline.bands.size(); ++i) {
+      if (baseline.seeds[i] >= cap) {
         continue;
       }
-      const uint64_t add = std::min(chunk, cap - (*seeds)[i]);
-      SweepBand(module, target, options, bands[i], (*seeds)[i], add, &stats);
-      (*seeds)[i] += add;
+      const uint64_t add = std::min(chunk, cap - baseline.seeds[i]);
+      SweepBand(module, target, options, baseline.bands[i], baseline.seeds[i], add, &stats);
+      baseline.seeds[i] += add;
       grew = true;
       if (stats.target_failures >= options.min_baseline_failures) {
         break;
       }
     }
   }
-  return stats;
+  baseline.runs = stats.runs;
+  baseline.target_failures = stats.target_failures;
+  baseline.other_failures = stats.other_failures;
+  baseline.success_virtual_ns = stats.success_virtual_ns;
+  baseline.successes = stats.successes;
+  return baseline;
 }
-
-}  // namespace
 
 RepairVerdict ValidateRepair(const ir::Module& module, const ir::Patch& patch,
                              FailureKind target, const RepairTrialOptions& options) {
+  auto patched = ir::ApplyPatch(module, patch);
+  if (!patched.ok()) {
+    // The baseline would go unused.
+    return ValidateRepair(module, patch, target, options, RepairBaseline{});
+  }
+  return ValidateRepair(module, patch, target, options,
+                        SweepRepairBaseline(module, target, options));
+}
+
+RepairVerdict ValidateRepair(const ir::Module& module, const ir::Patch& patch,
+                             FailureKind target, const RepairTrialOptions& options,
+                             const RepairBaseline& baseline) {
   RepairVerdict verdict;
   auto patched = ir::ApplyPatch(module, patch);
   if (!patched.ok()) {
@@ -93,12 +113,6 @@ RepairVerdict ValidateRepair(const ir::Module& module, const ir::Patch& patch,
     return verdict;
   }
 
-  std::vector<double> bands = options.jitter_bands;
-  if (bands.empty()) {
-    bands.push_back(options.interp.work_jitter);
-  }
-  std::vector<uint64_t> seeds;
-  const SweepStats baseline = SweepBaseline(module, target, options, bands, &seeds);
   verdict.runs_per_module = baseline.runs;
   verdict.baseline_failures = baseline.target_failures + baseline.other_failures;
   verdict.baseline_reproduced = baseline.target_failures > 0;
@@ -108,10 +122,10 @@ RepairVerdict ValidateRepair(const ir::Module& module, const ir::Patch& patch,
     return verdict;
   }
 
-  const SweepStats fixed = Sweep(*patched.value(), target, options, bands, seeds);
+  const SweepStats fixed =
+      Sweep(*patched.value(), target, options, baseline.bands, baseline.seeds);
   verdict.recurrences = fixed.target_failures;
   verdict.new_failures = fixed.other_failures;
-
   if (baseline.successes > 0 && fixed.successes > 0) {
     const double base_mean =
         static_cast<double>(baseline.success_virtual_ns) / baseline.successes;

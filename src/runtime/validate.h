@@ -66,10 +66,32 @@ struct RepairVerdict {
   std::string detail;  // human-readable reason when !validated
 };
 
+// The unpatched module's side of a trial: the adaptive baseline sweep of
+// (module, target, options), and the per-band seed counts every patched
+// sweep must replay. It does not depend on the patch, so one sweep serves
+// every candidate patch of a plan.
+struct RepairBaseline {
+  std::vector<double> bands;
+  std::vector<uint64_t> seeds;  // per band
+  uint32_t runs = 0;
+  uint32_t target_failures = 0;
+  uint32_t other_failures = 0;
+  uint64_t success_virtual_ns = 0;
+  uint32_t successes = 0;
+};
+
+RepairBaseline SweepRepairBaseline(const ir::Module& module, FailureKind target,
+                                   const RepairTrialOptions& options);
+
 // Applies `patch` to `module` and sweeps both versions. `target` is the
 // failure kind being repaired (from the diagnosis verdict).
 RepairVerdict ValidateRepair(const ir::Module& module, const ir::Patch& patch,
                              FailureKind target, const RepairTrialOptions& options);
+// The same verdict against a baseline already swept by SweepRepairBaseline
+// for the same (module, target, options): only the patched module runs.
+RepairVerdict ValidateRepair(const ir::Module& module, const ir::Patch& patch,
+                             FailureKind target, const RepairTrialOptions& options,
+                             const RepairBaseline& baseline);
 
 }  // namespace snorlax::rt
 

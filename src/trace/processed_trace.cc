@@ -75,21 +75,6 @@ uint64_t TraceKey(const pt::PtTraceBundle& bundle, const TraceOptions& options) 
   return h;
 }
 
-bool InstSet::Insert(ir::InstId inst) {
-  if (inst >= bits_.size()) {
-    bits_.resize(static_cast<size_t>(inst) + 1, false);
-  }
-  if (bits_[inst]) {
-    return false;
-  }
-  bits_[inst] = true;
-  ++size_;
-  sum_ += support::Mix64(inst);
-  return true;
-}
-
-uint64_t InstSet::key() const { return support::HashCombine(support::Mix64(size_), sum_); }
-
 void ProcessedTrace::AppendInstance(ir::InstId inst, rt::ThreadId thread, uint32_t seq,
                                     uint64_t ts_lo_ns, uint64_t ts_ns, bool at_failure) {
   col_inst_.push_back(inst);
@@ -101,18 +86,27 @@ void ProcessedTrace::AppendInstance(ir::InstId inst, rt::ThreadId thread, uint32
   col_flags_.push_back(kind | (at_failure ? kAtFailureBit : 0));
 }
 
-ProcessedTrace::ProcessedTrace(const ir::Module* module, const pt::PtTraceBundle& bundle,
-                               TraceOptions options, const InstSet* keep)
-    : module_(module),
-      options_(options),
-      failure_(bundle.failure),
-      content_key_(TraceKey(bundle, options)),
-      projection_key_(keep != nullptr ? std::optional<uint64_t>(keep->key()) : std::nullopt) {
+TraceDecode::TraceDecode(const ir::Module* module, const pt::PtTraceBundle& bundle,
+                         TraceOptions options) {
+  Decode(module, bundle, options);
+}
+
+void TraceDecode::Decode(const ir::Module* module, const pt::PtTraceBundle& bundle,
+                         TraceOptions options) {
   SNORLAX_CHECK(module != nullptr);
-  // A projection skips the append of every instance outside `keep`; seq,
-  // the clock checks and the run-order facts still see every event.
-  const auto kept = [keep](ir::InstId inst) { return keep == nullptr || keep->Contains(inst); };
-  pt::PtDecoder decoder(module);
+  module_ = module;
+  options_ = options;
+  content_key_ = TraceKey(bundle, options);
+  failure_ = bundle.failure;
+  executed_ = InstSet(module->NumInstructions());
+  last_seq_.clear();
+  clock_suspect_threads_.clear();
+  degradation_ = DegradationReport{};
+  lost_prefix_ = false;
+  decode_errors_.clear();
+  threads_in_trace_ = 0;
+  has_evidence_ = false;
+  clock_ordered_ = true;
 
   // The failure record travels beside the trace bytes and is just as
   // corruptible. Sanitize before anchoring anything on it: a forged failing
@@ -139,17 +133,16 @@ ProcessedTrace::ProcessedTrace(const ir::Module* module, const pt::PtTraceBundle
     }
   }
 
-  // One scratch buffer reused across every thread: decode capacity is paid
-  // once for the largest thread instead of re-grown per thread.
-  pt::DecodedThreadTrace decoded;
-  // Each entry's instances form one run in program order. When the runs
-  // have distinct threads and non-decreasing clocks, SortAndIndex merges
-  // them instead of sorting.
-  std::vector<ThreadRun> runs;
-  runs.reserve(bundle.threads.size());
-  bool runs_ordered = true;
-  uint32_t at_failure_append = kNoInstance;
-  for (const pt::PtTraceBundle::PerThread& per : bundle.threads) {
+  // The thread buffers keep their event capacity across decodes, so a site
+  // that decodes many bundles pays the vector growth once.
+  num_threads_ = bundle.threads.size();
+  if (threads_.size() < num_threads_) {
+    threads_.resize(num_threads_);
+  }
+  pt::PtDecoder decoder(module);
+  for (size_t t = 0; t < num_threads_; ++t) {
+    const pt::PtTraceBundle::PerThread& per = bundle.threads[t];
+    pt::DecodedThreadTrace& decoded = threads_[t];
     decoder.DecodeThreadInto(per, bundle.config, bundle.snapshot_time_ns, &decoded);
     ++degradation_.threads_total;
     if (!decoded.ok()) {
@@ -176,25 +169,6 @@ ProcessedTrace::ProcessedTrace(const ir::Module* module, const pt::PtTraceBundle
     } else {
       ++degradation_.threads_dropped;
     }
-    // Reserve the whole thread (plus the appended failure point and deadlock
-    // waiters) at once, growing geometrically: column growth is amortized
-    // O(events) however many threads the bundle has. A projection keeps few
-    // of its events and grows on demand.
-    const size_t need =
-        col_inst_.size() + decoded.events.size() + 1 + failure_.deadlock_cycle.size();
-    if (keep == nullptr && need > col_inst_.capacity()) {
-      const size_t cap = std::max(need, 2 * col_inst_.capacity());
-      col_inst_.reserve(cap);
-      col_thread_.reserve(cap);
-      col_seq_.reserve(cap);
-      col_ts_lo_.reserve(cap);
-      col_ts_.reserve(cap);
-      col_flags_.reserve(cap);
-    }
-    ThreadRun run;
-    run.thread = per.thread;
-    run.begin = static_cast<uint32_t>(col_inst_.size());
-    uint32_t seq = 0;
     uint64_t prev_ts = 0;
     for (const pt::DecodedEvent& ev : decoded.events) {
       // Per-thread retirement must be monotonic (the encoder's clock only
@@ -202,27 +176,18 @@ ProcessedTrace::ProcessedTrace(const ir::Module* module, const pt::PtTraceBundle
       if (ev.ts_ns < prev_ts) {
         ++degradation_.clock_anomalies;
         clock_suspect_threads_.insert(per.thread);
-        runs_ordered = false;
+        clock_ordered_ = false;
       }
       prev_ts = ev.ts_ns;
-      if (kept(ev.inst)) {
-        AppendInstance(ev.inst, per.thread, seq, ev.ts_lo_ns, ev.ts_ns, false);
-      }
-      ++seq;
+      executed_.Insert(ev.inst);
     }
-    // The decoded trace ends at the last packet; the failing instruction
-    // itself is known from the crash report, so append it (the paper maps the
-    // failure PC onto the IR the same way, section 5). For a deadlock, the
-    // report also locates every blocked thread's pending acquisition.
+    // The instances a build appends from the failure record after the
+    // decoded events (see ProcessedTrace's constructor): they are executed,
+    // and they take the thread's last seqs.
+    uint32_t seq = static_cast<uint32_t>(decoded.events.size());
     if (failure_.IsFailure() && failure_.thread == per.thread &&
         failure_.failing_inst != ir::kInvalidInstId) {
-      // Trace order puts the failure point last whatever its timestamp, so
-      // the merge sets it aside instead of checking its clock.
-      if (kept(failure_.failing_inst)) {
-        at_failure_append = static_cast<uint32_t>(col_inst_.size());
-        AppendInstance(failure_.failing_inst, per.thread, seq, failure_.time_ns,
-                       failure_.time_ns, true);
-      }
+      executed_.Insert(failure_.failing_inst);
       ++seq;
     }
     for (const rt::FailureInfo::DeadlockWaiter& w : failure_.deadlock_cycle) {
@@ -231,34 +196,19 @@ ProcessedTrace::ProcessedTrace(const ir::Module* module, const pt::PtTraceBundle
         // A waiter that blocked before the thread's last decoded event
         // leaves the run out of timestamp order.
         if (w.block_time_ns < prev_ts) {
-          runs_ordered = false;
+          clock_ordered_ = false;
         }
         prev_ts = w.block_time_ns;
-        if (kept(w.inst)) {
-          AppendInstance(w.inst, per.thread, seq, w.block_time_ns, w.block_time_ns, false);
-        }
+        executed_.Insert(w.inst);
         ++seq;
       }
     }
     if (seq > 0) {
-      // The thread's final seq, whether or not its last event was kept. A
-      // thread id shared by several entries keeps the largest.
+      // The thread's final seq. A thread id shared by several entries keeps
+      // the largest.
       has_evidence_ = true;
       uint32_t& last = last_seq_[per.thread];
       last = std::max(last, seq - 1);
-    }
-    run.end = static_cast<uint32_t>(col_inst_.size());
-    if (run.end > run.begin) {
-      runs.push_back(run);
-    }
-  }
-  // The merge breaks timestamp ties by thread id, so it needs one run per
-  // thread.
-  std::sort(runs.begin(), runs.end(),
-            [](const ThreadRun& a, const ThreadRun& b) { return a.thread < b.thread; });
-  for (size_t r = 1; r < runs.size(); ++r) {
-    if (runs[r - 1].thread == runs[r].thread) {
-      runs_ordered = false;
     }
   }
 
@@ -276,6 +226,104 @@ ProcessedTrace::ProcessedTrace(const ir::Module* module, const pt::PtTraceBundle
         "cross-thread ordering degraded to unordered sets",
         degradation_.clock_anomalies, degradation_.stream_resyncs,
         clock_suspect_threads_.size()));
+  }
+}
+
+ProcessedTrace::ProcessedTrace(const ir::Module* module, const pt::PtTraceBundle& bundle,
+                               TraceOptions options, const InstSet* keep)
+    : ProcessedTrace(TraceDecode(module, bundle, options), keep) {}
+
+ProcessedTrace::ProcessedTrace(const TraceDecode& decoded, const InstSet* keep)
+    : module_(decoded.module_),
+      options_(decoded.options_),
+      executed_(decoded.executed_),
+      last_seq_(decoded.last_seq_),
+      failure_(decoded.failure_),
+      lost_prefix_(decoded.lost_prefix_),
+      decode_errors_(decoded.decode_errors_),
+      threads_in_trace_(decoded.threads_in_trace_),
+      clock_suspect_threads_(decoded.clock_suspect_threads_),
+      degradation_(decoded.degradation_),
+      has_evidence_(decoded.has_evidence_),
+      content_key_(decoded.content_key_),
+      kept_(keep != nullptr ? std::optional<InstSet>(*keep) : std::nullopt) {
+  SNORLAX_CHECK(module_ != nullptr);
+  // A projection skips the append of every instance outside `keep`; seq
+  // still counts every event, and the clock facts come from the decode.
+  const auto kept = [keep](ir::InstId inst) { return keep == nullptr || keep->Contains(inst); };
+  const std::span<const pt::DecodedThreadTrace> threads(decoded.threads_.data(),
+                                                        decoded.num_threads_);
+  if (keep == nullptr) {
+    // The full trace: reserve every instance (plus the appended failure
+    // point and deadlock waiters) at once. A projection keeps few of its
+    // events and grows on demand.
+    size_t need = 1 + failure_.deadlock_cycle.size();
+    for (const pt::DecodedThreadTrace& t : threads) {
+      need += t.events.size();
+    }
+    col_inst_.reserve(need);
+    col_thread_.reserve(need);
+    col_seq_.reserve(need);
+    col_ts_lo_.reserve(need);
+    col_ts_.reserve(need);
+    col_flags_.reserve(need);
+  }
+
+  // Each entry's instances form one run in program order. When the runs
+  // have distinct threads and non-decreasing clocks, SortAndIndex merges
+  // them instead of sorting.
+  std::vector<ThreadRun> runs;
+  runs.reserve(threads.size());
+  bool runs_ordered = decoded.clock_ordered_;
+  uint32_t at_failure_append = kNoInstance;
+  for (const pt::DecodedThreadTrace& t : threads) {
+    ThreadRun run;
+    run.thread = t.thread;
+    run.begin = static_cast<uint32_t>(col_inst_.size());
+    uint32_t seq = 0;
+    for (const pt::DecodedEvent& ev : t.events) {
+      if (kept(ev.inst)) {
+        AppendInstance(ev.inst, t.thread, seq, ev.ts_lo_ns, ev.ts_ns, false);
+      }
+      ++seq;
+    }
+    // The decoded trace ends at the last packet; the failing instruction
+    // itself is known from the crash report, so append it (the paper maps the
+    // failure PC onto the IR the same way, section 5). For a deadlock, the
+    // report also locates every blocked thread's pending acquisition.
+    if (failure_.IsFailure() && failure_.thread == t.thread &&
+        failure_.failing_inst != ir::kInvalidInstId) {
+      // Trace order puts the failure point last whatever its timestamp, so
+      // the merge sets it aside instead of checking its clock.
+      if (kept(failure_.failing_inst)) {
+        at_failure_append = static_cast<uint32_t>(col_inst_.size());
+        AppendInstance(failure_.failing_inst, t.thread, seq, failure_.time_ns,
+                       failure_.time_ns, true);
+      }
+      ++seq;
+    }
+    for (const rt::FailureInfo::DeadlockWaiter& w : failure_.deadlock_cycle) {
+      if (w.thread == t.thread && w.inst != ir::kInvalidInstId &&
+          !(w.thread == failure_.thread && w.inst == failure_.failing_inst)) {
+        if (kept(w.inst)) {
+          AppendInstance(w.inst, t.thread, seq, w.block_time_ns, w.block_time_ns, false);
+        }
+        ++seq;
+      }
+    }
+    run.end = static_cast<uint32_t>(col_inst_.size());
+    if (run.end > run.begin) {
+      runs.push_back(run);
+    }
+  }
+  // The merge breaks timestamp ties by thread id, so it needs one run per
+  // thread.
+  std::sort(runs.begin(), runs.end(),
+            [](const ThreadRun& a, const ThreadRun& b) { return a.thread < b.thread; });
+  for (size_t r = 1; r < runs.size(); ++r) {
+    if (runs[r - 1].thread == runs[r].thread) {
+      runs_ordered = false;
+    }
   }
 
   SortAndIndex(runs, runs_ordered, at_failure_append);
@@ -405,10 +453,6 @@ void ProcessedTrace::SortAndIndex(const std::vector<ThreadRun>& runs, bool runs_
   for (uint32_t i = 0; i < n; ++i) {
     postings_[cursor[col_inst_[i]]++] = i;
   }
-  // Step 2: the executed set is exactly the indexed instruction ids.
-  executed_.reserve(index_inst_.size());
-  executed_.insert(index_inst_.begin(), index_inst_.end());
-
   if (runs_ordered) {
     // Per-thread cursors straight from the append order: runs are sorted by
     // thread id, each already in seq order.

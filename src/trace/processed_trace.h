@@ -18,11 +18,15 @@
 // loops in cache and makes the per-instruction instance index a pair of
 // offsets into a shared postings array instead of a map of vectors.
 //
-// A trace is either full or a projection. A projection is built from the
-// same decode with the same checks, but stores and indexes only the
-// instances of a given instruction set: step 7 asks a success trace only
-// whether it embeds the site's patterns, so it needs only the instances of
-// pattern instructions (see the projecting constructor for what it keeps).
+// Processing runs in two halves. TraceDecode decodes every thread once and
+// derives what every build of the bundle shares: the executed set (step 2),
+// the clock checks, the sanitized failure record and the degradation. A
+// ProcessedTrace is then built from that decode, either full or as a
+// projection that stores and indexes only the instances of a given
+// instruction set. In production every trace is a projection: the engine
+// reads step 2 off the decode, and steps 6-7 ask a trace only about the
+// instructions they name (see SiteEngine for which). The full build is the
+// test oracle. A projection's executed set is still the full trace's.
 #ifndef SNORLAX_TRACE_PROCESSED_TRACE_H_
 #define SNORLAX_TRACE_PROCESSED_TRACE_H_
 
@@ -36,6 +40,7 @@
 
 #include "pt/decoder.h"
 #include "trace/degradation.h"
+#include "trace/inst_set.h"
 
 namespace snorlax::trace {
 
@@ -66,24 +71,6 @@ struct TraceOptions {
 // one value keys the engine's evidence table, step 6, and the durable and
 // hand-off evidence records.
 uint64_t TraceKey(const pt::PtTraceBundle& bundle, const TraceOptions& options);
-
-// A set of static instructions: a bitmap over instruction ids plus a content
-// key that depends only on the members, not on the order they were added.
-// It names what a projected trace keeps.
-class InstSet {
- public:
-  // Adds `inst`; false when it was already a member.
-  bool Insert(ir::InstId inst);
-  bool Contains(ir::InstId inst) const { return inst < bits_.size() && bits_[inst]; }
-  size_t size() const { return size_; }
-  // Equal for equal member sets (a sum of per-member hashes).
-  uint64_t key() const;
-
- private:
-  std::vector<bool> bits_;
-  size_t size_ = 0;
-  uint64_t sum_ = 0;
-};
 
 // O(1) interval summary over all dynamic instances of one static
 // instruction: pattern computation rejects most hypothesis pairs from these
@@ -127,17 +114,73 @@ struct ThreadSpan {
   uint32_t size() const { return end - begin; }
 };
 
+// The decode half of trace processing: every thread of one bundle decoded
+// into buffers that keep their capacity from one Decode() to the next, plus
+// the facts every build of the bundle shares -- the executed set, the
+// sanitized failure record, the per-thread clock checks and the degradation.
+// A site's owner keeps one and decodes every bundle through it; a new
+// failing bundle is decoded once, steps 4-5 read its executed set, and its
+// projection is then built from the same decode.
+class TraceDecode {
+ public:
+  TraceDecode() = default;
+  // Decodes `bundle` (see Decode).
+  TraceDecode(const ir::Module* module, const pt::PtTraceBundle& bundle,
+              TraceOptions options = {});
+  TraceDecode(const TraceDecode&) = delete;
+  TraceDecode& operator=(const TraceDecode&) = delete;
+
+  // Replaces the contents with the decode of `bundle`. Nothing refers to
+  // `bundle` afterwards.
+  void Decode(const ir::Module* module, const pt::PtTraceBundle& bundle,
+              TraceOptions options = {});
+
+  // Step 2: every instruction with a dynamic instance in the full trace
+  // (decoded events plus the failure point and deadlock waiters appended
+  // from the failure record).
+  const InstSet& executed() const { return executed_; }
+  // The bundle's failure record, sanitized against the module.
+  const rt::FailureInfo& failure() const { return failure_; }
+  const DegradationReport& degradation() const { return degradation_; }
+  // True when the surviving buffers yielded at least one event.
+  bool HasEvidence() const { return has_evidence_; }
+
+ private:
+  friend class ProcessedTrace;
+
+  const ir::Module* module_ = nullptr;
+  TraceOptions options_;
+  uint64_t content_key_ = 0;
+  rt::FailureInfo failure_;
+  // One entry per bundle thread buffer, in bundle order; only the first
+  // num_threads_ belong to the current bundle (the rest are spare capacity).
+  std::vector<pt::DecodedThreadTrace> threads_;
+  size_t num_threads_ = 0;
+  // Every entry's decoded events, then its waiters, run in non-decreasing
+  // time (the precondition of the merge in ProcessedTrace::SortAndIndex).
+  bool clock_ordered_ = true;
+  InstSet executed_;
+  std::unordered_map<rt::ThreadId, uint32_t> last_seq_;
+  std::unordered_set<rt::ThreadId> clock_suspect_threads_;
+  DegradationReport degradation_;
+  bool lost_prefix_ = false;
+  std::vector<std::string> decode_errors_;
+  size_t threads_in_trace_ = 0;
+  bool has_evidence_ = false;
+};
+
 class ProcessedTrace {
  public:
   // Sentinel for "no such instance" (e.g. failing_instance() of a trace
   // without a usable failure record).
   static constexpr uint32_t kNoInstance = UINT32_MAX;
 
-  // The full trace of `bundle`, or with `keep` set its projection onto
-  // `keep`: only instances of `keep`'s instructions are stored, so size(),
-  // executed(), threads(), the columns and every index answer for those
-  // instances alone, at their own positions. Everything else is the full
-  // trace's:
+  // The full trace of `decoded`'s bundle, or with `keep` set its
+  // projection onto `keep`: only instances of `keep`'s instructions are
+  // stored, so size(), threads(), the columns and every index answer for
+  // those instances alone, at their own positions. Everything else is the
+  // full trace's:
+  //   - executed() is every executed instruction, kept or not;
   //   - seq() counts every decoded event, so kept instances keep their
   //     program-order numbers and ExecutesBefore() its verdicts;
   //   - LastSeqOf() is each thread's true final seq, kept or not (the
@@ -147,7 +190,10 @@ class ProcessedTrace {
   //   - HasEvidence() and ContentKey() are the full trace's.
   // A projection's failing_instance() is kNoInstance unless `keep` holds the
   // failing PC. For every pattern whose instructions are all in `keep`,
-  // TraceContainsPattern gives the same verdict as on the full trace.
+  // TraceContainsPattern gives the same verdict as on the full trace. Reads
+  // `decoded` only during construction.
+  explicit ProcessedTrace(const TraceDecode& decoded, const InstSet* keep = nullptr);
+  // The one-shot form: decodes `bundle` into a local TraceDecode first.
   ProcessedTrace(const ir::Module* module, const pt::PtTraceBundle& bundle,
                  TraceOptions options = {}, const InstSet* keep = nullptr);
   // Immutable once built and shared by pointer (the engine's evidence table
@@ -156,9 +202,12 @@ class ProcessedTrace {
   ProcessedTrace& operator=(const ProcessedTrace&) = delete;
 
   // --- Step 2: executed instruction set --------------------------------------
-  // On a projection, the executed instructions that are in the kept set.
-  const std::unordered_set<ir::InstId>& executed() const { return executed_; }
-  bool WasExecuted(ir::InstId inst) const { return executed_.find(inst) != executed_.end(); }
+  // The full trace's, on a projection too.
+  const InstSet& executed() const { return executed_; }
+  bool WasExecuted(ir::InstId inst) const { return executed_.Contains(inst); }
+  // The distinct instructions with a stored instance: executed().size() on a
+  // full trace, the executed kept instructions on a projection.
+  size_t indexed_instructions() const { return index_inst_.size(); }
 
   // --- Step 3: partially-ordered dynamic trace --------------------------------
   // Instances are addressed by their position in the sorted trace order
@@ -273,10 +322,11 @@ class ProcessedTrace {
   // memo on it.
   uint64_t ContentKey() const { return content_key_; }
 
-  // True for a projection; projection_key() is then the key() of the
-  // InstSet it kept.
-  bool projected() const { return projection_key_.has_value(); }
-  uint64_t projection_key() const { return projection_key_.value_or(0); }
+  // True for a projection; kept() is then the InstSet it kept, and
+  // projection_key() that set's key().
+  bool projected() const { return kept_.has_value(); }
+  const InstSet* kept() const { return kept_.has_value() ? &*kept_ : nullptr; }
+  uint64_t projection_key() const { return kept_.has_value() ? kept_->key() : 0; }
 
  private:
   // EncodeProcessedTrace (engine/artifact_codec.cc) reads the columns to
@@ -314,7 +364,7 @@ class ProcessedTrace {
 
   const ir::Module* module_;
   TraceOptions options_;
-  std::unordered_set<ir::InstId> executed_;
+  InstSet executed_;
 
   // Columns, parallel by instance position.
   std::vector<ir::InstId> col_inst_;
@@ -357,8 +407,8 @@ class ProcessedTrace {
   DegradationReport degradation_;
   bool has_evidence_ = false;
   uint64_t content_key_ = 0;
-  // The kept InstSet's key() for a projection; empty for a full trace.
-  std::optional<uint64_t> projection_key_;
+  // The kept InstSet of a projection; empty for a full trace.
+  std::optional<InstSet> kept_;
 };
 
 }  // namespace snorlax::trace

@@ -325,10 +325,10 @@ TEST(PointsTo, ScopeRestrictionShrinksAnalysis) {
   b.EndFunction();
 
   // Pretend the trace only saw main's instructions.
-  std::unordered_set<ir::InstId> executed;
+  trace::InstSet executed;
   for (const auto& bb : m.FindFunction("main")->blocks()) {
     for (const auto& inst : bb->instructions()) {
-      executed.insert(inst->id());
+      executed.Insert(inst->id());
     }
   }
   PointsToOptions scoped;

@@ -17,10 +17,14 @@
 //     max_patterns = 512, failing trace only;
 //   - catalogue: every catalogue site as bench::CaptureSites captures it.
 //
-// Two relations ride on the generated and catalogue cases, since success
-// traces are scored as projections onto the pattern instructions:
-//   - the projection oracle: each success trace's projection embeds each
-//     reported pattern exactly when its full trace does;
+// Every trace the server scores is a projection, never a full build:
+//   - the failing projection oracle (every case): the failing trace's
+//     projection has the full build's executed set, gives step 6 the full
+//     build's patterns, and embeds each reported pattern exactly when the
+//     full build does.
+// Two more relations ride on the generated and catalogue cases:
+//   - the success projection oracle: each success trace's projection embeds
+//     each reported pattern exactly when its full trace does;
 //   - arrival order (generated only): submitting every success before the
 //     failing trace, which forces a re-projection of each, gives the same
 //     frozen line.
@@ -48,6 +52,7 @@
 #include "core/client.h"
 #include "core/server.h"
 #include "engine/pattern.h"
+#include "engine/pattern_compute.h"
 #include "support/str.h"
 #include "trace/processed_trace.h"
 #include "workloads/generator.h"
@@ -178,6 +183,46 @@ Evidence Capture(const workloads::Workload& w, uint64_t budget, size_t successes
   return evidence;
 }
 
+// The failing projection oracle. The server builds the failing trace as a
+// projection onto what steps 6-7 read (R and the pattern instructions U);
+// against the full build of the same bundle it must have the same executed
+// set, give step 6 the same patterns from the server's effective ranking,
+// and embed each reported pattern exactly when the full trace does.
+void ExpectFailingProjectionOracle(const workloads::Workload& w,
+                                   const pt::PtTraceBundle& failing,
+                                   const core::DiagnosisServer& server,
+                                   const core::DiagnosisServer::Options& options,
+                                   const core::DiagnosisReport& report) {
+  ASSERT_GE(server.num_failing_traces(), 1u);
+  const trace::ProcessedTrace& projection = server.failing_trace(0);
+  const trace::ProcessedTrace full(w.module.get(), failing, options.trace);
+  EXPECT_TRUE(projection.projected());
+  EXPECT_LE(projection.size(), full.size());
+  EXPECT_TRUE(projection.executed() == full.executed());
+
+  // The slice fallback's retry runs without the alias prefilter.
+  engine::PatternComputeContext context;
+  context.points_to = server.used_slice_fallback() ? nullptr : server.points_to();
+  const auto keys = [&](const trace::ProcessedTrace& t) {
+    std::vector<std::string> out;
+    for (const engine::BugPattern& p :
+         engine::ComputePatterns(*w.module, t, server.ranked_candidates(), full.failure(),
+                                 server.failure_chain(), options.patterns, context)
+             .patterns) {
+      out.push_back(p.Key());
+    }
+    return out;
+  };
+  const std::vector<std::string> want = keys(full);
+  EXPECT_EQ(keys(projection), want);
+  EXPECT_FALSE(want.empty());
+  for (const core::DiagnosedPattern& d : report.patterns) {
+    EXPECT_EQ(engine::TraceContainsPattern(projection, d.pattern),
+              engine::TraceContainsPattern(full, d.pattern))
+        << d.pattern.Key();
+  }
+}
+
 core::DiagnosisReport Diagnose(const workloads::Workload& w, const pt::PtTraceBundle& failing,
                                const std::vector<pt::PtTraceBundle>& successes,
                                const core::DiagnosisServer::Options& options) {
@@ -186,7 +231,9 @@ core::DiagnosisReport Diagnose(const workloads::Workload& w, const pt::PtTraceBu
   for (const pt::PtTraceBundle& s : successes) {
     server.SubmitSuccessTrace(s);
   }
-  return server.Diagnose();
+  core::DiagnosisReport report = server.Diagnose();
+  ExpectFailingProjectionOracle(w, failing, server, options, report);
+  return report;
 }
 
 // The projection oracle. The server scores each success trace as its

@@ -222,6 +222,29 @@ TEST(NetTest, ReconnectingAgentIsDeduplicatedBySequence) {
   EXPECT_EQ(daemon.stats().bundles_ingested, 4u);
 }
 
+TEST(NetTest, AgentsWithDistinctIdsAndOverlappingSequencesAreBothIngested) {
+  // The daemon dedupes by (agent id, seq), and every agent numbers its
+  // bundles from the start: two processes sending the same sequence numbers
+  // under distinct ids are two streams, not one stream's duplicates.
+  const bench::CapturedSite& site = Site();
+  net::DiagnosisDaemon daemon;
+  daemon.RegisterModule(site.workload.module.get());
+  ASSERT_TRUE(daemon.Start().ok());
+  for (const uint64_t id : {11u, 12u}) {
+    net::AgentOptions aopts;
+    aopts.port = daemon.port();
+    aopts.agent_id = id;
+    net::DiagnosisAgent agent(aopts);
+    agent.EnqueueFailing(site.failing);
+    agent.EnqueueSuccess(site.failing.failure.failing_inst, site.successes.front());
+    ASSERT_TRUE(agent.Flush().ok());
+    EXPECT_EQ(agent.stats().bundles_acked, 2u);
+    EXPECT_EQ(agent.stats().bundles_duplicate, 0u);
+  }
+  EXPECT_EQ(daemon.stats().bundles_ingested, 4u);
+  EXPECT_EQ(daemon.stats().bundles_duplicate, 0u);
+}
+
 TEST(NetTest, DeadDaemonSurfacesUnavailableAfterBoundedReconnects) {
   const bench::CapturedSite& site = Site();
   // Reserve a port, then close it: nothing listens there.

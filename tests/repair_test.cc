@@ -191,6 +191,52 @@ TEST(RepairPlan, BestPrefersValidatedOverBuilt) {
   EXPECT_EQ(plan.best(), nullptr);
 }
 
+TEST(RepairPlan, OneBaselineSweepGivesEveryCandidateItsOneShotVerdict) {
+  // BuildRepairPlan sweeps the unpatched module once per plan; each
+  // candidate's fields must equal what the one-shot ValidateRepair, which
+  // sweeps its own baseline, reports for that patch.
+  const workloads::Workload w = workloads::Build("mysql_169");
+  const Diagnosed d = Diagnose(w);
+  ASSERT_TRUE(d.ok);
+  engine::RepairOptions options;
+  options.entry = w.entry;
+  options.interp = w.interp;
+  options.seeds_per_band = 4;
+  options.max_seeds_per_band = 64;
+  options.stop_on_validated = false;
+  const engine::RepairPlan plan =
+      engine::BuildRepairPlan(*w.module, Scored(d.report), d.report.failure.kind, options);
+
+  rt::RepairTrialOptions trial;
+  trial.entry = options.entry;
+  trial.interp = options.interp;
+  trial.seeds_per_band = options.seeds_per_band;
+  trial.first_seed = options.first_seed;
+  trial.min_baseline_failures = options.min_baseline_failures;
+  trial.max_seeds_per_band = options.max_seeds_per_band;
+  trial.max_overhead_ratio = options.max_overhead_ratio;
+  size_t validated_or_rejected = 0;
+  for (const engine::RepairCandidate& c : plan.candidates) {
+    if (c.status != engine::RepairStatus::kValidated &&
+        c.status != engine::RepairStatus::kRejected) {
+      continue;
+    }
+    ++validated_or_rejected;
+    const rt::RepairVerdict want =
+        rt::ValidateRepair(*w.module, c.patch, d.report.failure.kind, trial);
+    EXPECT_EQ(c.status, want.validated ? engine::RepairStatus::kValidated
+                                       : engine::RepairStatus::kRejected);
+    EXPECT_EQ(c.runs_per_module, want.runs_per_module);
+    EXPECT_EQ(c.baseline_failures, want.baseline_failures);
+    EXPECT_EQ(c.recurrences, want.recurrences);
+    EXPECT_EQ(c.new_failures, want.new_failures);
+    EXPECT_EQ(c.overhead_ratio, want.overhead_ratio);
+    EXPECT_EQ(c.note, want.detail);
+  }
+  // More than one validation, or the shared baseline was never reused.
+  EXPECT_GE(validated_or_rejected, 2u);
+}
+
 TEST(RepairEndToEnd, CatalogueDeadlockGetsValidatedGateFix) {
   const workloads::Workload w = workloads::Build("sqlite_1672");
   core::SnorlaxOptions opts;

@@ -9,8 +9,11 @@
 
 #include "bench/throughput_harness.h"
 #include "core/snorlax.h"
+#include "engine/pattern.h"
+#include "faults/fault_plan.h"
 #include "ir/builder.h"
 #include "ir/cfg.h"
+#include "workloads/generator.h"
 #include "workloads/workload.h"
 
 namespace snorlax::core {
@@ -283,12 +286,217 @@ TEST(DiagnosisServer, SuccessesBeforeTheFailureAreReprojectedOncePerBundle) {
   EXPECT_EQ(late.pass_stats(engine::PassId::kTraceProcess).runs, 3u);
 }
 
+// Two distinct failing bundles of one generated OLTP race site (the first
+// two failing seeds with one failing PC), and success evidence traced at the
+// first failure's dump points. The second failure's patterns name
+// instructions outside the first failing trace's kept set.
+struct TwoFailures {
+  workloads::Workload workload;
+  pt::PtTraceBundle first;
+  pt::PtTraceBundle second;
+  std::vector<pt::PtTraceBundle> successes;
+};
+
+TwoFailures CaptureTwoFailures() {
+  workloads::GeneratorOptions options;
+  options.seed = 1;
+  options.bug = workloads::GeneratedBug::kOltpRace;
+  options.oltp.threads = 4;
+  options.oltp.txns_per_thread = 6;
+  options.oltp.keyspace = 4;
+  TwoFailures out{workloads::GenerateWorkload(options), {}, {}, {}};
+  ClientOptions copts;
+  copts.interp = out.workload.interp;
+  DiagnosisClient client(out.workload.module.get(), copts);
+  std::vector<pt::PtTraceBundle> failing;
+  uint64_t seed = 1;
+  for (; seed <= 400 && failing.size() < 2; ++seed) {
+    ClientRun run = client.RunOnce(seed);
+    if (run.result.failure.IsFailure() && run.trace.has_value() &&
+        (failing.empty() ||
+         (run.trace->failure.failing_inst == failing[0].failure.failing_inst &&
+          trace::TraceKey(*run.trace, {}) != trace::TraceKey(failing[0], {})))) {
+      failing.push_back(*run.trace);
+    }
+  }
+  if (failing.size() < 2) {
+    ADD_FAILURE() << "fewer than two failing runs in 400 seeds";
+    return out;
+  }
+  out.first = failing[0];
+  out.second = failing[1];
+  DiagnosisServer scout(out.workload.module.get());
+  EXPECT_TRUE(scout.SubmitFailingTrace(out.first).ok());
+  const auto dump_points = scout.RequestedDumpPoints();
+  for (const uint64_t end = seed + 400; seed < end && out.successes.size() < 4; ++seed) {
+    ClientRun run = client.RunOnce(seed, dump_points);
+    if (!run.result.failure.IsFailure() && run.trace.has_value()) {
+      out.successes.push_back(*run.trace);
+    }
+  }
+  return out;
+}
+
+TEST(DiagnosisServer, FailingTraceIsReprojectedOnceWhenALaterFailureGrowsThePatternSet) {
+  const TwoFailures cap = CaptureTwoFailures();
+  ASSERT_FALSE(cap.successes.empty());
+  const ir::Module* module = cap.workload.module.get();
+  std::unordered_set<uint64_t> unique_successes;
+  for (const pt::PtTraceBundle& s : cap.successes) {
+    unique_successes.insert(trace::TraceKey(s, {}));
+  }
+
+  DiagnosisServer failing_first(module);
+  ASSERT_TRUE(failing_first.SubmitFailingTrace(cap.first).ok());
+  ASSERT_TRUE(failing_first.SubmitFailingTrace(cap.second).ok());
+  for (const pt::PtTraceBundle& s : cap.successes) {
+    ASSERT_TRUE(failing_first.SubmitSuccessTrace(s).ok());
+  }
+  const DiagnosisReport want = failing_first.Diagnose();
+  ASSERT_FALSE(want.patterns.empty());
+
+  // Interleaved: the first failure, the successes, the second failure, with
+  // a Diagnose() after every submit.
+  DiagnosisServer server(module);
+  ASSERT_TRUE(server.SubmitFailingTrace(cap.first).ok());
+  (void)server.Diagnose();
+  for (const pt::PtTraceBundle& s : cap.successes) {
+    ASSERT_TRUE(server.SubmitSuccessTrace(s).ok());
+    (void)server.Diagnose();
+  }
+  // The precondition: the second failure's patterns grow U past the first
+  // failing trace's kept set.
+  trace::InstSet u;
+  for (const DiagnosedPattern& d : want.patterns) {
+    for (const engine::PatternEvent& e : d.pattern.events) {
+      u.Insert(e.inst);
+    }
+  }
+  ASSERT_TRUE(server.failing_trace(0).projected());
+  ASSERT_FALSE(server.failing_trace(0).kept()->ContainsAll(u));
+
+  const uint64_t runs = server.pass_stats(engine::PassId::kTraceProcess).runs;
+  EXPECT_EQ(runs, 1 + unique_successes.size());
+  ASSERT_TRUE(server.SubmitFailingTrace(cap.second).ok());
+  // The second failure is decoded and projected as one run.
+  EXPECT_EQ(server.pass_stats(engine::PassId::kTraceProcess).runs, runs + 1);
+  const DiagnosisReport got = server.Diagnose();
+  // Scoring re-projected the first failing trace once and every success
+  // bundle once (each was projected onto the smaller U).
+  EXPECT_EQ(server.pass_stats(engine::PassId::kTraceProcess).runs,
+            runs + 2 + unique_successes.size());
+  EXPECT_EQ(bench::DigestReport(got), bench::DigestReport(want));
+  EXPECT_TRUE(server.failing_trace(0).kept()->ContainsAll(u));
+  const trace::ProcessedTrace full_first(module, cap.first);
+  for (const DiagnosedPattern& d : got.patterns) {
+    EXPECT_EQ(engine::TraceContainsPattern(server.failing_trace(0), d.pattern),
+              engine::TraceContainsPattern(full_first, d.pattern))
+        << d.pattern.Key();
+  }
+  (void)server.Diagnose();
+  EXPECT_EQ(server.pass_stats(engine::PassId::kTraceProcess).runs,
+            runs + 2 + unique_successes.size());
+
+  // A failing repeat after that is served the re-projected trace.
+  const uint64_t hits = server.pass_stats(engine::PassId::kTraceProcess).cache_hits;
+  ASSERT_TRUE(server.SubmitFailingTrace(cap.first).ok());
+  (void)server.Diagnose();
+  EXPECT_EQ(server.pass_stats(engine::PassId::kTraceProcess).cache_hits, hits + 1);
+  EXPECT_EQ(server.pass_stats(engine::PassId::kTraceProcess).runs,
+            runs + 2 + unique_successes.size());
+}
+
+// The re-projection crash barrier, reached through the rebuild fault. A
+// success bundle whose rebuild throws loses its submissions' score, and
+// keeps its table entry (so its durable record and hand-off stream stay).
+TEST(DiagnosisServer, SuccessWhoseReprojectionThrowsLosesItsScoreButStaysFiled) {
+  const std::vector<bench::CapturedSite> sites = bench::CaptureSites({"pbzip2_main"}, 2);
+  ASSERT_EQ(sites.size(), 1u);
+  const bench::CapturedSite& site = sites[0];
+  ASSERT_EQ(site.successes.size(), 2u);
+  DiagnosisServer server(site.workload.module.get());
+  ASSERT_TRUE(server.SubmitSuccessTrace(site.successes[0]).ok());
+  ASSERT_TRUE(server.SubmitSuccessTrace(site.successes[1]).ok());
+  ASSERT_TRUE(server.SubmitFailingTrace(site.failing).ok());
+  server.InjectFaults(faults::FaultPlan::Parse("rebuild@1").value());
+
+  const DiagnosisReport report = server.Diagnose();
+  ASSERT_FALSE(report.patterns.empty());
+  EXPECT_EQ(report.success_traces, 0u);
+  EXPECT_EQ(report.failing_traces, 1u);
+  for (const DiagnosedPattern& d : report.patterns) {
+    EXPECT_EQ(d.counts.false_positive, 0u) << d.pattern.Key();
+  }
+  EXPECT_EQ(report.degradation.rejected_bundles, 2u);
+  size_t named = 0;
+  for (const std::string& note : report.degradation.notes) {
+    named += note.find("success evidence dropped: re-projection failed: injected rebuild "
+                       "fault") != std::string::npos;
+  }
+  EXPECT_EQ(named, 2u);
+
+  std::unordered_set<uint64_t> exported;
+  server.ExportSiteRecords([&](engine::SiteRecord&& record) {
+    if (record.type == engine::SiteRecord::Type::kSuccessEvidence && !record.bytes.empty()) {
+      exported.insert(record.key);
+    }
+  });
+  EXPECT_EQ(exported, (std::unordered_set<uint64_t>{trace::TraceKey(site.successes[0], {}),
+                                                    trace::TraceKey(site.successes[1], {})}));
+  EXPECT_EQ(bench::DigestReport(server.Diagnose()), bench::DigestReport(report));
+}
+
+// A failing trace whose re-projection throws: its submissions leave
+// scoring, the bundle stays filed, and a later resubmission of it is
+// ingested afresh.
+TEST(DiagnosisServer, FailingTraceWhoseReprojectionThrowsLosesItsScoreButStaysFiled) {
+  const TwoFailures cap = CaptureTwoFailures();
+  const ir::Module* module = cap.workload.module.get();
+  DiagnosisServer server(module);
+  ASSERT_TRUE(server.SubmitFailingTrace(cap.first).ok());
+  (void)server.Diagnose();
+  ASSERT_TRUE(server.SubmitFailingTrace(cap.second).ok());
+  server.InjectFaults(faults::FaultPlan::Parse("rebuild@1").value());
+
+  const DiagnosisReport report = server.Diagnose();
+  ASSERT_FALSE(report.patterns.empty());
+  EXPECT_EQ(report.failing_traces, 1u);
+  EXPECT_EQ(server.num_failing_traces(), 1u);
+  for (const DiagnosedPattern& d : report.patterns) {
+    EXPECT_LE(d.counts.true_positive + d.counts.false_negative, 1u) << d.pattern.Key();
+  }
+  EXPECT_EQ(report.degradation.rejected_bundles, 1u);
+  bool named = false;
+  for (const std::string& note : report.degradation.notes) {
+    named = named || note.find("failing evidence dropped: re-projection failed: injected "
+                               "rebuild fault") != std::string::npos;
+  }
+  EXPECT_TRUE(named);
+  std::unordered_set<uint64_t> exported;
+  server.ExportSiteRecords([&](engine::SiteRecord&& record) {
+    if (record.type == engine::SiteRecord::Type::kFailingEvidence && !record.bytes.empty()) {
+      exported.insert(record.key);
+    }
+  });
+  EXPECT_EQ(exported, (std::unordered_set<uint64_t>{trace::TraceKey(cap.first, {}),
+                                                    trace::TraceKey(cap.second, {})}));
+  EXPECT_EQ(bench::DigestReport(server.Diagnose()), bench::DigestReport(report));
+
+  // The dropped bundle has no trace to serve: a resubmission is decoded and
+  // projected afresh, onto the current U, and scores again.
+  const uint64_t runs = server.pass_stats(engine::PassId::kTraceProcess).runs;
+  ASSERT_TRUE(server.SubmitFailingTrace(cap.first).ok());
+  EXPECT_EQ(server.pass_stats(engine::PassId::kTraceProcess).runs, runs + 1);
+  EXPECT_EQ(server.Diagnose().failing_traces, 2u);
+  EXPECT_EQ(server.pass_stats(engine::PassId::kTraceProcess).runs, runs + 1);
+}
+
 TEST(DiagnosisServer, FailingBundleAlsoSubmittedAsSuccessKeepsItsFullAnalysis) {
   // One bundle with a failure record, as success evidence and as the
-  // failure, in either order. The failing submit must get the full trace,
-  // never the success projection, so steps 4-6 see what a failing-only
-  // server sees; the success copy then embeds exactly the patterns the
-  // failing trace does.
+  // failure, in either order. The failing submit must get its own failing
+  // build, never the success projection, so steps 4-6 see what a
+  // failing-only server sees; the success copy then embeds exactly the
+  // patterns the failing trace does.
   const std::vector<bench::CapturedSite> sites = bench::CaptureSites({"pbzip2_main"}, 1);
   ASSERT_EQ(sites.size(), 1u);
   const bench::CapturedSite& site = sites[0];
@@ -312,7 +520,8 @@ TEST(DiagnosisServer, FailingBundleAlsoSubmittedAsSuccessKeepsItsFullAnalysis) {
     if (!success_first) {
       ASSERT_TRUE(server.SubmitSuccessTrace(site.failing).ok());
     }
-    // Two builds: the projection and the full trace; neither served the other.
+    // Two builds, the success and the failing projection; neither served the
+    // other.
     EXPECT_EQ(server.pass_stats(engine::PassId::kTraceProcess).cache_hits, 0u);
     const DiagnosisReport got = server.Diagnose();
     EXPECT_EQ(got.failing_traces, 1u);
@@ -333,8 +542,8 @@ TEST(DiagnosisServer, FailingBundleAlsoSubmittedAsSuccessKeepsItsFullAnalysis) {
 TEST(DiagnosisServer, FailingRepeatPastSixtyFourUniqueBundlesIsACacheHit) {
   // More distinct failing bundles of one site than a 64-entry cache holds,
   // then the first again. The engine's evidence table still holds the first
-  // bundle's full trace, so the repeat is served it: a kTraceProcess cache
-  // hit, not a second decode.
+  // bundle's failing trace, so the repeat is served it: a kTraceProcess
+  // cache hit, not a second decode.
   workloads::Workload workload = workloads::Build("pbzip2_main");
   ClientOptions copts;
   copts.interp = workload.interp;

@@ -467,7 +467,16 @@ void ExpectIndexMatchesColumns(const ProcessedTrace& t) {
     threads.insert(t.thread(i));
     last_seq[t.thread(i)] = std::max(last_seq[t.thread(i)], t.seq(i));
   }
-  EXPECT_EQ(std::set<ir::InstId>(t.executed().begin(), t.executed().end()), insts);
+  // Every indexed instruction is executed; a full trace indexes all of
+  // them, a projection the kept ones (its executed set stays the full
+  // trace's, checked by ExpectProjectionOf).
+  EXPECT_EQ(t.indexed_instructions(), insts.size());
+  for (const ir::InstId inst : insts) {
+    EXPECT_TRUE(t.WasExecuted(inst)) << "inst " << inst;
+  }
+  if (!t.projected()) {
+    EXPECT_EQ(std::set<ir::InstId>(t.executed().begin(), t.executed().end()), insts);
+  }
   EXPECT_EQ(std::vector<rt::ThreadId>(t.threads().begin(), t.threads().end()),
             std::vector<rt::ThreadId>(threads.begin(), threads.end()));
 
@@ -485,7 +494,9 @@ void ExpectIndexMatchesColumns(const ProcessedTrace& t) {
                      [&](uint32_t a, uint32_t b) { return t.ts_ns(a) < t.ts_ns(b); });
     const auto got = t.InstancesOf(inst);
     EXPECT_EQ(std::vector<uint32_t>(got.begin(), got.end()), want) << "inst " << inst;
-    EXPECT_EQ(t.WasExecuted(inst), !want.empty());
+    if (!t.projected()) {
+      EXPECT_EQ(t.WasExecuted(inst), !want.empty());
+    }
     const InstanceSummary* summary = t.SummaryOf(inst);
     if (want.empty()) {
       EXPECT_EQ(summary, nullptr);
@@ -610,6 +621,7 @@ void ExpectProjectionOf(const ProcessedTrace& full, const ProcessedTrace& projec
   EXPECT_EQ(projection.projection_key(), keep.key());
   EXPECT_EQ(projection.ContentKey(), full.ContentKey());
   EXPECT_EQ(projection.HasEvidence(), full.HasEvidence());
+  EXPECT_TRUE(projection.executed() == full.executed());
   const auto row = [](const ProcessedTrace& t, uint32_t i) {
     return std::make_tuple(t.inst(i), t.thread(i), t.seq(i), t.ts_lo_ns(i), t.ts_ns(i),
                            t.at_failure(i), t.access_kind(i));

@@ -25,6 +25,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
+#include <random>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -80,7 +81,8 @@ int Usage() {
       "           SIGTERM/Ctrl-C drains: hands sites to the remaining ring,\n"
       "           fsyncs the log, prints final reports)\n"
       "  send     capture a workload's failing + success traces and ship them\n"
-      "           to a daemon (<workload>, --port=P, --agent-id=N, --diagnose)\n"
+      "           to a daemon (<workload>, --port=P, --agent-id=N, --diagnose;\n"
+      "           without --agent-id, a random id per process, printed)\n"
       "  bench-fleet measure loopback-TCP fleet ingest (--agents=M, --rounds=K,\n"
       "           --faults=kind@rate[,...], --json, --json=<path>)\n");
   return 2;
@@ -595,12 +597,14 @@ int CmdSend(int argc, char** argv) {
   net::AgentOptions aopts;
   aopts.port = 7433;
   bool diagnose = false;
+  bool agent_id_set = false;
   for (int i = 3; i < argc; ++i) {
     const std::string flag = argv[i];
     if (flag.rfind("--port=", 0) == 0) {
       aopts.port = static_cast<uint16_t>(std::strtoul(flag.c_str() + 7, nullptr, 10));
     } else if (flag.rfind("--agent-id=", 0) == 0) {
       aopts.agent_id = std::strtoull(flag.c_str() + 11, nullptr, 10);
+      agent_id_set = true;
     } else if (flag == "--diagnose") {
       diagnose = true;
     } else {
@@ -609,6 +613,14 @@ int CmdSend(int argc, char** argv) {
     }
   }
 
+  if (!agent_id_set) {
+    // The daemon dedupes by (agent id, seq) and every process numbers its
+    // bundles from the start, so each send is its own agent unless told
+    // otherwise.
+    std::random_device entropy;
+    aopts.agent_id = (static_cast<uint64_t>(entropy()) << 32) | entropy();
+  }
+  std::printf("agent id %llu\n", static_cast<unsigned long long>(aopts.agent_id));
   std::printf("capturing failing + success traces for %s...\n", name.c_str());
   const std::vector<bench::CapturedSite> sites = bench::CaptureSites({name});
   if (sites.empty()) {
